@@ -1,13 +1,6 @@
 """MAP inference and desk-scale verification for nonsymmetric PSD DPP kernels."""
 
-from .charpoly import (
-    PolyCoeffs,
-    RootMultiset,
-    charpoly_coeffs,
-    elementary_symmetric,
-    lowrank_marginal,
-    superset_marginal,
-)
+from .charpoly import PolyCoeffs, superset_marginal
 from .coreset import PartitionPlan, build_plan, compose_and_report, coreset_map
 from .downup import (
     ChainMatrix,
@@ -43,9 +36,7 @@ from .exchange import (
 from .greedy import GreedyTrace, induced_greedy, standard_greedy
 from .kernel import (
     Kernel,
-    SubsetState,
     condition_on,
-    incremental_minor,
     is_npsd,
     load_kernel,
     principal_minor,

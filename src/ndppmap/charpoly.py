@@ -1,14 +1,17 @@
-"""Superset marginals via characteristic-polynomial coefficients.
+"""Superset marginals through one Schur-complement conditioning step.
 
 For a kernel L and a pinned set Y, the sum of det(L_S) over all size-k
-supersets S of Y equals the coefficient of lambda^(n-k) in
+supersets S of Y is the coefficient of lambda^(n-k) in
 
     g(lambda) = det(L + lambda * diag(1_{[n] \\ Y})).
 
-The dense route recovers g by interpolation at scaled roots of unity; the
-low-rank
-route reads the nonzero spectrum of a d x d companion matrix and rebuilds
-elementary symmetric polynomials through Newton's identities.
+Conditioning on Y reads that coefficient off directly: every such S is
+Y u D with det(L_S) = det(L_Y) * det((L^Y)_D), so the marginal is
+det(L_Y) * e_t(spectrum of L^Y) with t = k - |Y|, where L^Y is the Schur
+complement from kernel.condition_on.  A low-rank kernel L = B C B^T supplies
+the same nonzero spectrum from a d x d matrix F_Y instead.  A numerically
+singular pin can still have nonsingular supersets, so its marginal is
+enumerated exactly.
 """
 
 from __future__ import annotations
@@ -17,11 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalConditioningError
-from .kernel import Kernel, _normalize_indices
-
-IMAG_TOL = 1e-7
-INTERP_RTOL = 1e-6
+from .errors import ConditioningError, DomainError
+from .kernel import Kernel, _normalize_indices, condition_on, principal_minor
 
 
 @dataclass
@@ -51,126 +51,49 @@ class PolyCoeffs:
         return np.polynomial.polynomial.polyval(x, self.coeffs)
 
 
-@dataclass
-class RootMultiset:
-    """Roots of a real polynomial (closed under conjugation) with leading scale c."""
+def _conditioned_spectrum(K: Kernel, idx):
+    """det(L_Y) and eigenvalues holding the nonzero spectrum of L^Y.
 
-    roots: np.ndarray
-    leading: float
-
-    def __post_init__(self):
-        self.roots = np.asarray(self.roots, dtype=complex)
-
-    def __call__(self, x):
-        return self.leading * np.prod(x - self.roots)
-
-    def check_against(self, poly: PolyCoeffs, probes, rtol=INTERP_RTOL):
-        for x in probes:
-            want = poly(x)
-            got = self(x)
-            if abs(got - want) > rtol * (1.0 + abs(want)):
-                raise NumericalConditioningError(
-                    f"root multiset fails reconstruction at {x}: {got} vs {want}"
-                )
-
-
-def elementary_symmetric(power_sums, t_max, imag_tol=IMAG_TOL):
-    """e_0..e_{t_max} from power sums p_1..p_{t_max} via t*e_t = sum (-1)^{j-1} e_{t-j} p_j."""
-    p = np.asarray(power_sums, dtype=complex)
-    if len(p) < t_max:
-        raise DomainError(f"need {t_max} power sums, got {len(p)}")
-    e = np.zeros(t_max + 1, dtype=complex)
-    e[0] = 1.0
-    for t in range(1, t_max + 1):
-        acc = 0.0 + 0.0j
-        for j in range(1, t + 1):
-            acc += (-1) ** (j - 1) * e[t - j] * p[j - 1]
-        e[t] = acc / t
-    out = np.empty(t_max + 1)
-    for t, val in enumerate(e):
-        if abs(val.imag) > imag_tol * (1.0 + abs(val)):
-            raise NumericalConditioningError(
-                f"residual imaginary part {val.imag:.3e} in e_{t}"
-            )
-        out[t] = val.real
-    return out
-
-
-def charpoly_coeffs(K: Kernel, Y):
-    """Coefficients of g(lambda) = det(L + lambda * diag(1_{[n] \\ Y}))."""
-    idx = _normalize_indices(Y, K.n)
-    n = K.n
-    m = n - len(idx)
-    mask = np.ones(n)
-    mask[list(idx)] = 0.0
-    D = np.diag(mask)
-    rho = K.max_abs()
-    if rho == 0.0:
-        rho = 1.0
-
-    def g(lam):
-        return complex(np.linalg.det(K.entries + lam * D))
-
-    if m == 0:
-        return PolyCoeffs([g(0.0).real])
-    # Evaluate on the circle |lambda| = rho and read coefficients off the
-    # inverse DFT: the node matrix is unitary up to scale, so the extraction
-    # is well conditioned even when individual coefficients are tiny.
-    nodes = rho * np.exp(2j * np.pi * np.arange(m + 1) / (m + 1))
-    vals = np.array([g(lam) for lam in nodes])
-    c_scaled = np.fft.fft(vals) / (m + 1)
-    coeffs = c_scaled.real / rho ** np.arange(m + 1)
-    poly = PolyCoeffs(coeffs)
-    for probe in (0.987, -0.333, 0.555):
-        lam = rho * probe
-        want = g(lam).real
-        got = float(poly(lam))
-        if abs(got - want) > INTERP_RTOL * (1.0 + abs(want)):
-            raise NumericalConditioningError(
-                f"interpolation residual at lambda={lam}: {got} vs {want}"
-            )
-    return poly
-
-
-def superset_marginal(K: Kernel, Y, k):
-    """sum of det(L_S) over size-k supersets S of Y, read off charpoly_coeffs."""
-    idx = _normalize_indices(Y, K.n)
-    if not len(idx) <= k <= K.n:
-        raise DomainError(f"need |Y| <= k <= n, got |Y|={len(idx)}, k={k}, n={K.n}")
-    return charpoly_coeffs(K, idx).coeff(K.n - k)
-
-
-def lowrank_marginal(K: Kernel, Y, k):
-    """Low-rank route for the superset marginal.
-
-    Conditioning on Y leaves a kernel whose nonzero spectrum equals that of the
-    d x d matrix F_Y = ((C - C D_Y C) B_Yt^T) B_Yt; the marginal is then
-    det(L_Y) * e_{k-|Y|}(spectrum of F_Y).
+    Dense kernels take the spectrum of condition_on's Schur complement.  A
+    low-rank kernel has L^Y = B_Yt (C - C D_Y C) B_Yt^T with
+    D_Y = B_Y^T L_Y^{-1} B_Y, whose nonzero spectrum is that of the d x d
+    matrix F_Y = (C - C D_Y C) B_Yt^T B_Yt.  Raises ConditioningError when
+    L_Y is numerically singular.
     """
     if K.lowrank is None:
-        raise DomainError("kernel has no low-rank factors")
-    idx = _normalize_indices(Y, K.n)
-    if not len(idx) <= k <= K.n:
-        raise DomainError(f"need |Y| <= k <= n, got |Y|={len(idx)}, k={k}, n={K.n}")
+        M, detY = condition_on(K, idx)
+        return detY, np.linalg.eigvals(M.entries)
     B, C = K.lowrank
-    rest = [i for i in range(K.n) if i not in idx]
-    if not idx:
-        detY = 1.0
-        core = C
-    else:
+    detY, core = 1.0, C
+    if idx:
         BY = B[list(idx)]
         LY = BY @ C @ BY.T
         detY = float(np.linalg.det(LY))
         if abs(detY) <= K.zero_threshold(len(idx)):
-            return superset_marginal(K, idx, k)
-        DY = BY.T @ np.linalg.solve(LY, BY)
-        core = C - C @ DY @ C
+            raise ConditioningError(f"singular L_Y for Y={idx}", det=detY)
+        core = C - C @ BY.T @ np.linalg.solve(LY, BY) @ C
+    Bt = np.delete(B, list(idx), axis=0)
+    return detY, np.linalg.eigvals((core @ Bt.T) @ Bt)
+
+
+def superset_marginal(K: Kernel, Y, k):
+    """sum of det(L_S) over size-k supersets S of Y: det(L_Y) * e_{k-|Y|}(spec L^Y)."""
+    idx = _normalize_indices(Y, K.n)
+    if not len(idx) <= k <= K.n:
+        raise DomainError(f"need |Y| <= k <= n, got |Y|={len(idx)}, k={k}, n={K.n}")
     t = k - len(idx)
-    if t == 0:
-        return detY
-    Bt = B[rest]
-    F = (core @ Bt.T) @ Bt
-    eigs = np.linalg.eigvals(F)
-    power_sums = [np.sum(eigs**j) for j in range(1, t + 1)]
-    e = elementary_symmetric(power_sums, t)
-    return detY * float(e[t])
+    if t == 0:  # Y is the only superset; nothing is left to condition
+        return principal_minor(K, idx)
+    try:
+        detY, eigs = _conditioned_spectrum(K, idx)
+    except ConditioningError:
+        # Deferred import: setdist prices its marginals through this module.
+        from .setdist import KernelDistribution, SetDistribution
+
+        return SetDistribution.marginal(KernelDistribution(K, k), idx)
+    # e_0..e_t of the eigenvalues: the coefficients of prod (1 + lambda_i x).
+    e = np.zeros(t + 1, dtype=complex)
+    e[0] = 1.0
+    for lam in eigs:
+        e[1:] += lam * e[:-1]
+    return detY * float(e[t].real)

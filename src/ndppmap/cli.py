@@ -19,7 +19,7 @@ from .exchange import brute_force_map, verify_exchange_all_pairs
 from .greedy import standard_greedy
 from .kernel import load_kernel, save_kernel
 from .localsearch import SearchConfig, map_inference
-from .setdist import KernelDistribution, TableDistribution, kernel_table
+from .setdist import KernelDistribution, kernel_table
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -152,7 +152,6 @@ def cmd_verify(args):
 
 def build_parser():
     ap = argparse.ArgumentParser(prog="ndppmap")
-    ap.add_argument("--threads", type=int, default=1, help="worker cap (advisory)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a kernel file")

@@ -32,19 +32,6 @@ class ExchangeReport:
     distance: int = 0
     vacuous: bool = False
 
-    def to_json(self):
-        S, T = self.pair
-        return {
-            "S": list(S),
-            "T": list(T),
-            "variant": self.variant,
-            "measured_beta": self.measured_beta,
-            "passed": bool(self.passed),
-            "witness": [
-                [s, sorted(U)] for s, U in self.witnesses
-            ],
-        }
-
 
 def brute_force_map(mu: SetDistribution, n, k, ground=None):
     """Exact argmax of mu over size-k subsets, smallest set on ties."""

@@ -1,13 +1,15 @@
-"""Kernel matrices, principal minors, and Schur-complement incremental determinants.
+"""Kernel matrices, principal minors, and Schur-complement conditioning.
 
 A kernel is an n x n real matrix L, optionally carried together with a
 low-rank factorization L = B C B^T.  The induced set function is
-S -> det(L_S), the principal minor on rows/columns S.
+S -> det(L_S), the principal minor on rows/columns S.  condition_on is the
+one conditioning step: superset marginals and neighbourhood prices are both
+read off its Schur complement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +17,6 @@ from .errors import ConditioningError, DomainError
 
 NPSD_TOL = 1e-9
 LOWRANK_RTOL = 1e-8
-INV_CACHE_TOL = 1e-7
 
 
 def _normalize_indices(S, n):
@@ -118,53 +119,6 @@ def condition_on(K: Kernel, Y):
         raise ConditioningError(f"singular L_Y for Y={idx}", det=detY)
     cross = K.submatrix(rest, idx) @ np.linalg.solve(LY, K.submatrix(idx, rest))
     return Kernel(K.submatrix(rest) - cross), detY
-
-
-@dataclass
-class SubsetState:
-    """A size-k subset with cached det(L_S) and, when well-conditioned, (L_S)^{-1}."""
-
-    indices: tuple
-    det_value: float
-    inv_cache: np.ndarray | None = field(default=None, repr=False)
-
-    @classmethod
-    def from_indices(cls, K: Kernel, S):
-        idx = _normalize_indices(S, K.n)
-        if not idx:
-            return cls(idx, 1.0, np.zeros((0, 0)))
-        LS = K.submatrix(idx)
-        det_value = float(np.linalg.det(LS))
-        inv = None
-        if abs(det_value) > K.zero_threshold(len(idx)):
-            inv = np.linalg.inv(LS)
-            if np.max(np.abs(LS @ inv - np.eye(len(idx)))) > INV_CACHE_TOL:
-                inv = None
-        return cls(idx, det_value, inv)
-
-
-def incremental_minor(state: SubsetState, K: Kernel, D, trace=None):
-    """det(L_{S u D}) from the cached inverse of L_S, in O(|D| k^2 + |D|^3).
-
-    Falls back to a direct determinant when the cache is missing; the fallback
-    is noted on `trace` when a list is supplied.
-    """
-    D = _normalize_indices(D, K.n)
-    if set(D) & set(state.indices):
-        raise DomainError(f"D={D} is not disjoint from S={state.indices}")
-    if not D:
-        return state.det_value
-    if state.inv_cache is None:
-        if trace is not None:
-            trace.append(("fallback_direct", state.indices, D))
-        return principal_minor(K, state.indices + D)
-    Sl = list(state.indices)
-    Dl = list(D)
-    LD = K.submatrix(Dl)
-    if not Sl:
-        return float(np.linalg.det(LD))
-    cross = K.submatrix(Dl, Sl) @ state.inv_cache @ K.submatrix(Sl, Dl)
-    return state.det_value * float(np.linalg.det(LD - cross))
 
 
 def load_kernel(path):

@@ -1,4 +1,8 @@
-"""Unnormalized densities over size-k subsets, exposed as evaluation oracles."""
+"""Unnormalized densities over size-k subsets, exposed as evaluation oracles.
+
+KernelDistribution prices its marginals (charpoly.superset_marginal) and its
+r-neighbourhoods through the same Schur complement, kernel.condition_on.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,8 @@ from itertools import combinations
 import numpy as np
 
 from . import charpoly
-from .kernel import Kernel, SubsetState, incremental_minor, principal_minor
+from .errors import ConditioningError
+from .kernel import Kernel, condition_on, principal_minor
 
 
 def as_set(S):
@@ -44,7 +49,7 @@ class SetDistribution:
 
 
 class KernelDistribution(SetDistribution):
-    """mu(S) = det(L_S); marginals via the characteristic-polynomial route."""
+    """mu(S) = det(L_S); marginals and neighbourhoods via Schur complements."""
 
     def __init__(self, kernel: Kernel, k):
         super().__init__(kernel.n, k)
@@ -57,24 +62,33 @@ class KernelDistribution(SetDistribution):
         return charpoly.superset_marginal(self.kernel, Y, self.k)
 
     def neighborhood_values(self, S, r, ground=None):
-        """mu over the r-neighborhood of S, via Schur-complement increments.
+        """mu over the r-neighborhood of S, conditioning each retained core once.
 
-        For each retained core Y = S \\ U1 a cached inverse of L_Y prices every
-        completion D in O(|D| k^2 + |D|^3); singular cores fall back to direct
-        determinants.
+        For a core Y = S \\ U, every completion D of the same size as U costs
+        det(L_Y) * det((L^Y)_D) on the Schur complement from condition_on,
+        all of them in one batched small determinant; a singular core falls
+        back to direct determinants.
         """
         S = as_set(S)
         ground = range(self.n) if ground is None else ground
         outside = sorted(set(ground) - set(S))
-        out = {}
-        for s in range(0, min(r, len(S), len(outside)) + 1):
+        out = {S: principal_minor(self.kernel, S)}
+        for s in range(1, min(r, len(S), len(outside)) + 1):
+            adds = list(combinations(outside, s))
+            A = np.array(adds)
             for drop in combinations(S, s):
                 core = tuple(i for i in S if i not in drop)
-                state = SubsetState.from_indices(self.kernel, core)
-                for add in combinations(outside, s):
-                    T = tuple(sorted(core + add))
-                    if T not in out:
-                        out[T] = incremental_minor(state, self.kernel, add)
+                try:
+                    M, det_core = condition_on(self.kernel, core)
+                except ConditioningError:
+                    vals = [principal_minor(self.kernel, core + add) for add in adds]
+                else:
+                    # Index i sits at position i - |{c in core : c < i}| of M.
+                    P = A - np.searchsorted(core, A)
+                    blocks = M.entries[P[:, :, None], P[:, None, :]]
+                    vals = (det_core * np.linalg.det(blocks)).tolist()
+                for add, v in zip(adds, vals):
+                    out[tuple(sorted(core + add))] = v
         return out
 
 
@@ -93,13 +107,6 @@ class UniformDistribution(SetDistribution):
     def value(self, S):
         S = as_set(S)
         return 1.0 if len(S) == self.k and len(set(S)) == self.k else 0.0
-
-
-def tabulate(mu: SetDistribution):
-    """Freeze mu into a dict over all size-k subsets (desk scale only)."""
-    return {
-        S: mu.value(S) for S in combinations(range(mu.n), mu.k)
-    }
 
 
 def kernel_table(K: Kernel, k):

@@ -27,7 +27,6 @@ from ndppmap import (
     induced_greedy,
     kernel_table,
     local_search,
-    lowrank_marginal,
     map_inference,
     principal_minor,
     sample_walk,
@@ -151,10 +150,11 @@ def test_criterion_5_crude_greedy_and_step_bounds(pipeline):
 
 def test_criterion_6_marginal_correctness():
     checked = 0
-    for K, routes in (
-        (random_npsd(10, 777), (superset_marginal,)),
-        (lowrank_npsd(8, 3, 778), (superset_marginal, lowrank_marginal)),
-    ):
+    dense = random_npsd(10, 777)
+    lowrank = lowrank_npsd(8, 3, 778)
+    # The low-rank kernel goes through both branches: its d x d spectrum as
+    # given, and the dense Schur complement once its factors are dropped.
+    for K, routes in ((dense, (dense,)), (lowrank, (lowrank, Kernel(lowrank.entries)))):
         n = K.n
         for k in range(1, 5):
             minors = {S: principal_minor(K, S) for S in combinations(range(n), k)}
@@ -162,10 +162,10 @@ def test_criterion_6_marginal_correctness():
             for ysize in range(k + 1):
                 for Y in combinations(range(n), ysize):
                     brute = sum(v for S, v in minors.items() if set(Y) <= set(S))
-                    for fn in routes:
-                        got = fn(K, Y, k)
+                    for route in routes:
+                        got = superset_marginal(route, Y, k)
                         assert got == pytest.approx(brute, rel=1e-8, abs=1e-8 * scale), (
-                            fn.__name__, Y, k,
+                            route.lowrank is not None, Y, k,
                         )
                         checked += 1
     print(f"criterion 6: {checked} marginal evaluations match brute force (rel 1e-8)")

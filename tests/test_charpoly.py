@@ -1,22 +1,12 @@
 from itertools import combinations
 from math import comb
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from ndppmap import (
-    DomainError,
-    Kernel,
-    NumericalConditioningError,
-    charpoly_coeffs,
-    elementary_symmetric,
-    lowrank_marginal,
-    principal_minor,
-    superset_marginal,
-)
-from ndppmap.charpoly import PolyCoeffs, RootMultiset
+from ndppmap import DomainError, Kernel, principal_minor, superset_marginal
+from ndppmap.charpoly import PolyCoeffs
 from ndppmap.instances import lowrank_npsd, random_npsd
 
 
@@ -28,66 +18,56 @@ def brute_marginal(K, Y, k):
     )
 
 
-class TestElementarySymmetric:
-    def test_roots_123(self):
-        roots = np.array([1.0, 2.0, 3.0])
-        p = [np.sum(roots**t) for t in (1, 2, 3)]
-        e = elementary_symmetric(p, 3)
-        assert e == pytest.approx([1.0, 6.0, 11.0, 6.0])
+def mp_marginal(K, Y, k, dps=60, rho="1e-8"):
+    """The superset marginal as a polynomial coefficient, at `dps` digits.
 
-    def test_all_zero_roots(self):
-        e = elementary_symmetric([0.0, 0.0, 0.0, 0.0], 4)
-        assert e[0] == 1.0
-        assert np.allclose(e[1:], 0.0)
-
-    def test_conjugate_pair(self):
-        # roots i, -i: (z-i)(z+i) = z^2 + 1
-        e = elementary_symmetric([0.0, -2.0], 2)
-        assert e == pytest.approx([1.0, 0.0, 1.0])
-
-    def test_imaginary_residual_rejected(self):
-        with pytest.raises(NumericalConditioningError):
-            elementary_symmetric([1j], 1)
-
-    def test_too_few_power_sums(self):
-        with pytest.raises(DomainError):
-            elementary_symmetric([1.0], 2)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    roots=st.lists(
-        st.integers(-5, 5).map(float), min_size=1, max_size=6
-    )
-)
-def test_newton_round_trip_matches_vieta(roots):
-    # power sums -> elementary symmetric must reproduce Vieta coefficients
-    roots = np.array(roots)
-    t = len(roots)
-    p = [np.sum(roots**j) for j in range(1, t + 1)]
-    e = elementary_symmetric(p, t)
-    vieta = np.poly(roots)  # z^t - e1 z^{t-1} + e2 ... ; numpy returns monic coeffs
-    expected = [(-1) ** j * vieta[j] for j in range(t + 1)]
-    scale = 1.0 + float(np.max(np.abs(expected)))
-    assert np.allclose(e, expected, rtol=1e-9, atol=1e-9 * scale)
+    det(diag(1_rest) + mu * L) = sum over S containing Y of mu^|S| det(L_S).
+    Dividing the Y rows by mu leaves q(mu), whose mu^t coefficient
+    (t = k - |Y|) is the marginal.  q is fitted by a degree t + 3 polynomial
+    through Chebyshev nodes on [-rho, rho]; the dropped higher coefficients
+    enter scaled by rho^4.
+    """
+    Y = set(Y)
+    t = k - len(Y)
+    N = t + 4
+    with mpmath.workdps(dps):
+        rho = mpmath.mpf(rho)
+        L = mpmath.matrix(K.entries.tolist())
+        nodes = [mpmath.cos(mpmath.pi * (2 * j + 1) / (2 * N)) for j in range(N)]
+        vals = []
+        for x in nodes:
+            A = L * (rho * x)
+            for i in range(K.n):
+                if i in Y:
+                    for j in range(K.n):
+                        A[i, j] = L[i, j]
+                else:
+                    A[i, i] += 1
+            vals.append(mpmath.det(A))
+        V = mpmath.matrix([[x**i for i in range(N)] for x in nodes])
+        coeffs = mpmath.lu_solve(V, mpmath.matrix(vals))
+        return float(coeffs[t] / rho**t)
 
 
 class TestCharpolyCoeffs:
+    """Superset marginals are the coefficients of det(L + lambda * diag(1_rest))."""
+
     def test_identity_binomials(self):
         n = 4
-        poly = charpoly_coeffs(Kernel(np.eye(n)), [])
-        assert poly.coeffs == pytest.approx([comb(n, j) for j in range(n + 1)])
+        K = Kernel(np.eye(n))
+        got = [superset_marginal(K, [], k) for k in range(n + 1)]
+        assert got == pytest.approx([comb(n, k) for k in range(n + 1)])
 
     def test_diagonal_with_pinned_index(self):
-        poly = charpoly_coeffs(Kernel(np.diag([2.0, 3.0])), [0])
-        # g(lambda) = 2 * (3 + lambda)
-        assert poly.coeffs == pytest.approx([6.0, 2.0])
+        K = Kernel(np.diag([2.0, 3.0]))
+        # g(lambda) = 2 * (3 + lambda): k=1 reads lambda^1, k=2 reads lambda^0
+        assert superset_marginal(K, [0], 1) == pytest.approx(2.0)
+        assert superset_marginal(K, [0], 2) == pytest.approx(6.0)
 
     def test_coefficients_count_supersets(self):
         K = random_npsd(5, seed=21)
-        poly = charpoly_coeffs(K, [2])
         for k in range(1, 6):
-            assert poly.coeff(5 - k) == pytest.approx(
+            assert superset_marginal(K, [2], k) == pytest.approx(
                 brute_marginal(K, [2], k), rel=1e-8, abs=1e-9
             )
 
@@ -96,13 +76,25 @@ class TestCharpolyCoeffs:
         assert p.trimmed().degree == 1
         assert p(3.0) == pytest.approx(7.0)
 
-    def test_root_multiset_reconstruction(self):
-        poly = PolyCoeffs([6.0, -5.0, 1.0])  # (z-2)(z-3)
-        rm = RootMultiset([2.0, 3.0], 1.0)
-        rm.check_against(poly, probes=[0.5, -1.0, 4.0])
-        bad = RootMultiset([2.0, 4.0], 1.0)
-        with pytest.raises(NumericalConditioningError):
-            bad.check_against(poly, probes=[0.5])
+
+class TestElementarySymmetric:
+    """With nothing pinned, the marginal is e_k of the kernel's spectrum."""
+
+    def test_roots_123(self):
+        K = Kernel(np.diag([1.0, 2.0, 3.0]))
+        got = [superset_marginal(K, [], k) for k in range(4)]
+        assert got == pytest.approx([1.0, 6.0, 11.0, 6.0])
+
+    def test_all_zero_roots(self):
+        K = Kernel(np.triu(np.ones((4, 4)), 1))  # nilpotent: every minor is 0
+        for k in range(1, 5):
+            assert superset_marginal(K, [], k) == pytest.approx(0.0, abs=1e-12)
+
+    def test_conjugate_pair(self):
+        # spectrum {i, -i}: e_1 = 0, e_2 = 1
+        K = Kernel(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        assert superset_marginal(K, [], 1) == pytest.approx(0.0, abs=1e-12)
+        assert superset_marginal(K, [], 2) == pytest.approx(1.0)
 
 
 class TestSupersetMarginal:
@@ -139,33 +131,68 @@ class TestSupersetMarginal:
         with pytest.raises(DomainError):
             superset_marginal(K, [0, 1], 1)
 
+    def test_singular_pin_skew_pair(self):
+        # L_22 = 0 cannot be conditioned on, yet {2, 3} has det 5^2
+        L = np.zeros((4, 4))
+        L[0, 0] = 1.0
+        L[2, 3], L[3, 2] = 5.0, -5.0
+        K = Kernel(L)
+        assert superset_marginal(K, (2,), 2) == pytest.approx(25.0)
+        assert brute_marginal(K, (2,), 2) == pytest.approx(25.0)
+
+    def test_lowrank_pin_beyond_rank(self):
+        K = lowrank_npsd(7, 2, seed=3)
+        for Y in combinations(range(7), 3):
+            want = brute_marginal(K, Y, 4)
+            assert want == pytest.approx(0.0, abs=1e-9)
+            assert superset_marginal(K, Y, 4) == pytest.approx(want, abs=1e-9)
+
 
 class TestLowrankMarginal:
     def test_rank_one_trace(self):
         n = 5
         K = Kernel.from_lowrank(np.ones((n, 1)), np.array([[1.0]]))
-        assert lowrank_marginal(K, [], 1) == pytest.approx(float(n))
+        assert superset_marginal(K, [], 1) == pytest.approx(float(n))
 
     def test_rank_one_pairs_vanish(self):
         K = Kernel.from_lowrank(np.ones((5, 1)), np.array([[1.0]]))
-        assert lowrank_marginal(K, [], 2) == pytest.approx(0.0, abs=1e-9)
+        assert superset_marginal(K, [], 2) == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_dense_path(self):
         K = lowrank_npsd(8, 3, seed=1)
-        got = lowrank_marginal(K, [1], 3)
-        want = superset_marginal(K, [1], 3)
+        got = superset_marginal(K, [1], 3)
+        want = superset_marginal(Kernel(K.entries), [1], 3)
         assert got == pytest.approx(want, rel=1e-6)
 
     def test_full_sweep_against_enumeration(self):
         K = lowrank_npsd(7, 3, seed=5)
         for k in range(1, 5):
-            for ylen in range(0, min(k, 2) + 1):
+            for ylen in range(0, k + 1):
                 for Y in combinations(range(7), ylen):
-                    got = lowrank_marginal(K, Y, k)
+                    got = superset_marginal(K, Y, k)
                     want = brute_marginal(K, Y, k)
                     scale = 1.0 + abs(want)
                     assert got == pytest.approx(want, rel=1e-6, abs=1e-6 * scale)
 
-    def test_requires_lowrank(self):
-        with pytest.raises(DomainError):
-            lowrank_marginal(random_npsd(4, 0), [], 2)
+
+class TestHighPrecisionOracle:
+    """Pins beyond brute-force reach, checked against a 60-digit mpmath oracle
+    that never conditions on Y."""
+
+    def test_oracle_matches_enumeration(self):
+        K = random_npsd(7, seed=4)
+        for Y, k in (((), 3), ((1,), 3), ((0, 5), 4)):
+            want = brute_marginal(K, Y, k)
+            assert mp_marginal(K, Y, k) == pytest.approx(want, rel=1e-12)
+
+    def test_dense_n40(self):
+        K = random_npsd(40, seed=6)
+        Y, k = (3, 17), 6
+        assert superset_marginal(K, Y, k) == pytest.approx(mp_marginal(K, Y, k), rel=1e-9)
+
+    def test_lowrank_n60(self):
+        K = lowrank_npsd(60, 8, seed=7)
+        Y, k = (5,), 4
+        want = mp_marginal(K, Y, k)
+        assert superset_marginal(K, Y, k) == pytest.approx(want, rel=1e-9)
+        assert superset_marginal(Kernel(K.entries), Y, k) == pytest.approx(want, rel=1e-9)

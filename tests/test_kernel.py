@@ -7,9 +7,7 @@ from ndppmap import (
     ConditioningError,
     DomainError,
     Kernel,
-    SubsetState,
     condition_on,
-    incremental_minor,
     is_npsd,
     load_kernel,
     principal_minor,
@@ -113,53 +111,6 @@ class TestConditionOn:
         K = Kernel(np.zeros((3, 3)))
         with pytest.raises(ConditioningError):
             condition_on(K, [0])
-
-
-class TestIncrementalMinor:
-    def test_empty_extension(self):
-        K = random_npsd(5, seed=1)
-        st_ = SubsetState.from_indices(K, [0, 2])
-        assert incremental_minor(st_, K, []) == st_.det_value
-
-    def test_identity_kernel(self):
-        K = Kernel(np.eye(6))
-        st_ = SubsetState.from_indices(K, [0, 1])
-        assert incremental_minor(st_, K, [3, 5]) == pytest.approx(1.0)
-
-    def test_matches_direct(self):
-        K = random_npsd(6, seed=9)
-        st_ = SubsetState.from_indices(K, [0, 1])
-        got = incremental_minor(st_, K, [4, 5])
-        assert got == pytest.approx(principal_minor(K, [0, 1, 4, 5]), rel=1e-8)
-
-    def test_fallback_reported_in_trace(self):
-        K = random_npsd(6, seed=9)
-        st_ = SubsetState.from_indices(K, [0, 1])
-        st_.inv_cache = None
-        trace = []
-        got = incremental_minor(st_, K, [2], trace=trace)
-        assert got == pytest.approx(principal_minor(K, [0, 1, 2]), rel=1e-10)
-        assert trace and trace[0][0] == "fallback_direct"
-
-    def test_overlap_rejected(self):
-        K = random_npsd(4, seed=0)
-        st_ = SubsetState.from_indices(K, [0, 1])
-        with pytest.raises(DomainError):
-            incremental_minor(st_, K, [1, 2])
-
-
-class TestSubsetState:
-    def test_cached_values(self):
-        K = random_npsd(6, seed=2)
-        st_ = SubsetState.from_indices(K, [1, 3, 4])
-        assert st_.det_value == pytest.approx(principal_minor(K, [1, 3, 4]), rel=1e-9)
-        LS = K.submatrix([1, 3, 4])
-        assert np.max(np.abs(LS @ st_.inv_cache - np.eye(3))) <= 1e-7
-
-    def test_singular_subset_has_no_cache(self):
-        K = Kernel(np.diag([1.0, 0.0, 2.0]))
-        st_ = SubsetState.from_indices(K, [0, 1])
-        assert st_.inv_cache is None
 
 
 @settings(max_examples=40, deadline=None)

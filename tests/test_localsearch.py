@@ -6,17 +6,19 @@ import numpy as np
 import pytest
 
 from ndppmap import (
+    ConditioningError,
     DomainError,
     IncompleteSearchError,
     Kernel,
     KernelDistribution,
     SearchConfig,
     brute_force_map,
+    condition_on,
     local_search,
     map_inference,
     neighborhood,
 )
-from ndppmap.instances import random_npsd, skew_block
+from ndppmap.instances import lowrank_npsd, random_npsd, skew_block
 
 
 class TestNeighborhood:
@@ -97,14 +99,20 @@ class TestLocalSearch:
             assert factor > 2.0
 
     def test_neighborhood_values_fast_path_matches_direct(self):
-        K = random_npsd(7, seed=19)
-        mu = KernelDistribution(K, 3)
+        # A skew-symmetric kernel has L_ii = 0, so every one-element core is
+        # singular and its completions take the direct-determinant fallback.
+        M = np.random.default_rng(19).normal(size=(7, 7))
+        skew = Kernel(M - M.T)
+        with pytest.raises(ConditioningError):
+            condition_on(skew, (0,))
         S = (0, 2, 5)
-        vals = mu.neighborhood_values(S, 2)
-        expect = {T: mu.value(T) for T in neighborhood(S, 2, 7)}
-        assert set(vals) == set(expect)
-        for T, v in vals.items():
-            assert v == pytest.approx(expect[T], rel=1e-8, abs=1e-10)
+        for K in (random_npsd(7, seed=19), skew):
+            mu = KernelDistribution(K, 3)
+            vals = mu.neighborhood_values(S, 2)
+            expect = {T: mu.value(T) for T in neighborhood(S, 2, 7)}
+            assert set(vals) == set(expect)
+            for T, v in vals.items():
+                assert v == pytest.approx(expect[T], rel=1e-8, abs=1e-10)
 
 
 class TestMapInference:
@@ -123,6 +131,16 @@ class TestMapInference:
     def test_rejects_non_npsd(self):
         with pytest.raises(DomainError):
             map_inference(Kernel(np.array([[0.0, 2.0], [0.0, 0.0]])), 1)
+
+    @pytest.mark.parametrize(
+        "K",
+        [random_npsd(32, 1), lowrank_npsd(24, 12, 0)],
+        ids=["dense-n32", "lowrank-n24-d12"],
+    )
+    def test_greedy_marginals_past_desk_scale(self, K):
+        S, report = map_inference(K, 6, SearchConfig(r=1))
+        assert report["certified_local_max"]
+        assert len(S) == 6 and report["value"] > 0.0
 
     def test_seeded_batch_bounds(self):
         zeta = 0.5
