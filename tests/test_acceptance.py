@@ -152,8 +152,8 @@ def test_criterion_6_marginal_correctness():
     checked = 0
     dense = random_npsd(10, 777)
     lowrank = lowrank_npsd(8, 3, 778)
-    # The low-rank kernel goes through both branches: its d x d spectrum as
-    # given, and the dense Schur complement once its factors are dropped.
+    # The low-rank kernel is checked as given (k > d returns 0 from the rank
+    # bound) and once its factors are dropped (every pin is conditioned).
     for K, routes in ((dense, (dense,)), (lowrank, (lowrank, Kernel(lowrank.entries)))):
         n = K.n
         for k in range(1, 5):

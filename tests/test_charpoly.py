@@ -5,7 +5,15 @@ import mpmath
 import numpy as np
 import pytest
 
-from ndppmap import DomainError, Kernel, principal_minor, superset_marginal
+from ndppmap import (
+    CapacityError,
+    DomainError,
+    Kernel,
+    KernelDistribution,
+    induced_greedy,
+    principal_minor,
+    superset_marginal,
+)
 from ndppmap.charpoly import PolyCoeffs
 from ndppmap.instances import lowrank_npsd, random_npsd
 
@@ -140,6 +148,39 @@ class TestSupersetMarginal:
         assert superset_marginal(K, (2,), 2) == pytest.approx(25.0)
         assert brute_marginal(K, (2,), 2) == pytest.approx(25.0)
 
+    def test_skew_odd_pins_match_enumeration(self):
+        # A skew-symmetric kernel has every odd principal minor equal to 0.
+        rng = np.random.default_rng(8)
+        M = rng.normal(size=(12, 12))
+        K = Kernel(M - M.T)
+        for Y in ((0,), (3,), (1, 4, 9), (2, 5, 7, 8, 10)):
+            for k in (len(Y) + 1, 6):
+                want = brute_marginal(K, Y, k)
+                assert superset_marginal(K, Y, k) == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    def test_singular_pin_cap(self):
+        K = Kernel(np.zeros((30, 30)))
+        with pytest.raises(CapacityError):
+            superset_marginal(K, (0,), 8)
+        assert superset_marginal(K, (0,), 2) == 0.0  # 29 steps, within the cap
+
+    def test_induced_greedy_on_skew_kernel(self):
+        # Every odd pin along the way is singular and is priced through its
+        # even extensions; each step's best marginal is sandwiched by
+        # (k - |S|) M(S) = sum_j M(S u {j}).
+        rng = np.random.default_rng(24)
+        M = rng.normal(size=(24, 24))
+        K = Kernel(M - M.T)
+        n, k = 24, 12
+        mu = KernelDistribution(K, k)
+        trace = induced_greedy(mu, n, k)
+        prev = superset_marginal(K, (), k)
+        for step, (_, val) in enumerate(trace.picks):
+            assert (k - step) / (n - step) * prev * (1 - 1e-9) <= val <= prev * (1 + 1e-9)
+            prev = val
+        assert trace.final_value == pytest.approx(prev, rel=1e-9)
+        assert trace.final_value > 0.0
+
     def test_lowrank_pin_beyond_rank(self):
         K = lowrank_npsd(7, 2, seed=3)
         for Y in combinations(range(7), 3):
@@ -159,10 +200,14 @@ class TestLowrankMarginal:
         assert superset_marginal(K, [], 2) == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_dense_path(self):
+        # With factors, k > d returns 0 from the rank bound; without them the
+        # same pins are conditioned, or summed over extensions when singular.
         K = lowrank_npsd(8, 3, seed=1)
-        got = superset_marginal(K, [1], 3)
-        want = superset_marginal(Kernel(K.entries), [1], 3)
-        assert got == pytest.approx(want, rel=1e-6)
+        for k in range(2, 6):
+            got = superset_marginal(K, [1], k)
+            want = superset_marginal(Kernel(K.entries), [1], k)
+            scale = 1.0 + abs(superset_marginal(K, [1], 3))
+            assert got == pytest.approx(want, rel=1e-6, abs=1e-9 * scale)
 
     def test_full_sweep_against_enumeration(self):
         K = lowrank_npsd(7, 3, seed=5)
@@ -195,4 +240,3 @@ class TestHighPrecisionOracle:
         Y, k = (5,), 4
         want = mp_marginal(K, Y, k)
         assert superset_marginal(K, Y, k) == pytest.approx(want, rel=1e-9)
-        assert superset_marginal(Kernel(K.entries), Y, k) == pytest.approx(want, rel=1e-9)
