@@ -19,7 +19,6 @@ from .errors import (
     IncompleteSearchError,
     InfeasibilityError,
     NdppError,
-    NumericalConditioningError,
     TrappedStateError,
 )
 from .exchange import (

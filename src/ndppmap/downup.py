@@ -19,6 +19,7 @@ from .setdist import SetDistribution, as_set
 
 CHAIN_STATE_CAP = 20000
 CONDUCTANCE_STATE_CAP = 22
+CUT_BLOCK = 1 << 15  # cuts per block of the exact conductance sweep
 
 
 @dataclass
@@ -135,29 +136,46 @@ class ConductanceResult:
     upper: float
 
 
+def _cut_tables(pi, rowflow, F):
+    """Every sub-cut x of one half of the states (bit j of x is state j):
+    its 0/1 membership rows, its pi mass, and its row flow minus its
+    internal flow x^T F x."""
+    s = len(pi)
+    B = ((np.arange(1 << s)[:, None] >> np.arange(s)) & 1).astype(float)
+    return B, B @ pi, B @ rowflow - ((B @ F) * B).sum(axis=1)
+
+
 def conductance(C: ChainMatrix, state_cap=CONDUCTANCE_STATE_CAP) -> ConductanceResult:
     """Exact min-cut bottleneck ratio when the state count permits the 2^m
-    enumeration; otherwise an interval inverted from the Cheeger sandwich."""
+    enumeration; otherwise an interval inverted from the Cheeger sandwich.
+
+    The exact path splits the states into a low half (the first floor(m/2))
+    and a high half, and tabulates each half's sub-cuts once.  A cut is a
+    pair (h, l) of sub-cuts: its mass is the sum of theirs, and its outflow
+    is the sum of theirs minus the cross flow x_l^T (F_lh + F_hl^T) x_h, an
+    entry of one small matrix product.  F need not be symmetric.  The
+    2^ceil(m/2) x 2^floor(m/2) grid of cuts is swept in blocks of high-half
+    rows of about CUT_BLOCK cuts each."""
     m = len(C.states)
-    gap = spectral_gap(C)
     if m > state_cap:
+        gap = spectral_gap(C)
         return ConductanceResult(False, None, gap / 2.0, math.sqrt(max(2.0 * gap, 0.0)))
     F = C.pi[:, None] * C.P  # ergodic flow
     rowflow = F.sum(axis=1)
+    lo = m // 2
+    B_l, p_l, out_l = _cut_tables(C.pi[:lo], rowflow[:lo], F[:lo, :lo])
+    B_h, p_h, out_h = _cut_tables(C.pi[lo:], rowflow[lo:], F[lo:, lo:])
+    cross = (B_l @ (F[:lo, lo:] + F[lo:, :lo].T)).T  # (m - lo) x 2^lo
+    rows = max(1, CUT_BLOCK >> lo)
     best = math.inf
-    masks = np.arange(1, 2**m - 1, dtype=np.int64)
-    for lo in range(0, len(masks), 1 << 16):
-        chunk = masks[lo : lo + (1 << 16)]
-        member = ((chunk[:, None] >> np.arange(m)) & 1).astype(float)
-        pi_S = member @ C.pi
+    for h0 in range(0, len(B_h), rows):
+        blk = slice(h0, h0 + rows)
+        pi_S = p_h[blk, None] + p_l
+        Q = out_h[blk, None] + out_l - B_h[blk] @ cross
         keep = pi_S <= 0.5 + 1e-12
-        if not np.any(keep):
-            continue
-        member = member[keep]
-        pi_S = pi_S[keep]
-        internal = np.einsum("ij,jk,ik->i", member, F, member)
-        Q = member @ rowflow - internal
-        phi = Q / pi_S
+        if h0 == 0:
+            keep[0, 0] = False  # the empty cut
+        phi = np.divide(Q, pi_S, out=np.full_like(Q, math.inf), where=keep)
         best = min(best, float(phi.min()))
     if not math.isfinite(best):
         best = 0.0
@@ -176,8 +194,11 @@ def cheeger_ok(gap, cond: ConductanceResult, tol=1e-9):
 def sample_walk(mu: SetDistribution, S0, l, steps, seed):
     """Seeded trajectory of the k<->l down-up walk started at S0.
 
-    Each up-step enumerates the C(n-l, k-l) supersets of the retained core and
-    samples proportionally to mu.  Reproducible bit-for-bit per seed.
+    Each up-step enumerates the C(n-l, k-l) supersets of the retained core
+    once, caches their normalized cumulative distribution, and samples
+    proportionally to mu by searching it for one uniform draw.  That is the
+    arithmetic of `Generator.choice(len(cands), p=probs)`, so trajectories
+    are reproducible bit-for-bit per seed and equal to choice-based ones.
     """
     S0 = as_set(S0)
     k = len(S0)
@@ -199,11 +220,16 @@ def sample_walk(mu: SetDistribution, S0, l, steps, seed):
             cands = [tuple(sorted(core + extra)) for extra in combinations(rest, k - l)]
             wts = np.array([max(mu.value(S), 0.0) for S in cands])
             total = wts.sum()
-            up_cache[core] = (cands, wts / total) if total > 0.0 else (cands, None)
-        cands, probs = up_cache[core]
-        if probs is None:
+            if total > 0.0:
+                cdf = (wts / total).cumsum()
+                cdf /= cdf[-1]
+            else:
+                cdf = None
+            up_cache[core] = (cands, cdf)
+        cands, cdf = up_cache[core]
+        if cdf is None:
             raise TrappedStateError(f"no positive-mass superset of {core}", state=core)
-        cur = cands[rng.choice(len(cands), p=probs)]
+        cur = cands[cdf.searchsorted(rng.random(), side="right")]
         traj.append(cur)
     return traj
 
@@ -242,7 +268,7 @@ def chain_checks(C: ChainMatrix, n=None, k=None, l=None):
     F = pi[:, None] * P
     rev_err = float(np.max(np.abs(F - F.T)))
     ev = _symmetrized_spectrum(C)
-    gap = spectral_gap(C)
+    gap = float(1.0 - ev[-2]) if len(ev) > 1 else 1.0
     cond = conductance(C)
     stat_err = float(np.max(np.abs(pi @ P - pi)))
     report = {

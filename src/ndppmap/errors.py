@@ -25,10 +25,6 @@ class ConditioningError(NdppError):
         self.det = det
 
 
-class NumericalConditioningError(NdppError):
-    """A numeric procedure failed its internal residual / symmetry check."""
-
-
 class IncompleteSearchError(NdppError):
     """Local search hit its iteration cap; carries the best set seen so far."""
 

@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -19,8 +19,74 @@ from ndppmap import (
     spectral_gap,
     tv_distance,
 )
+from ndppmap import downup
 from ndppmap.downup import chain_checks, cheeger_ok, empirical_density
 from ndppmap.instances import random_field, random_npsd
+
+
+def brute_conductance(C):
+    """min Q(S, S^c) / pi(S) over the nonempty cuts with pi(S) <= 1/2, each
+    size's cuts enumerated with itertools and each cut's flow summed by
+    definition over its crossing pairs (0 when no cut qualifies)."""
+    m = len(C.states)
+    F = C.pi[:, None] * C.P
+    best = math.inf
+    for s in range(1, m):
+        idx = np.fromiter(chain.from_iterable(combinations(range(m), s)), dtype=np.intp)
+        idx = idx.reshape(-1, s)
+        x = np.zeros((len(idx), m))
+        x[np.arange(len(idx))[:, None], idx] = 1.0
+        pi_S = x @ C.pi
+        Q = ((x @ F) * (1.0 - x)).sum(axis=1)
+        keep = pi_S <= 0.5 + 1e-12
+        if np.any(keep):
+            best = min(best, float((Q[keep] / pi_S[keep]).min()))
+    return max(best, 0.0) if math.isfinite(best) else 0.0
+
+
+def random_chain(m, seed):
+    """Row-stochastic P with an unrelated density pi, so F = diag(pi) P is
+    not symmetric."""
+    rng = np.random.default_rng(seed)
+    P = rng.uniform(size=(m, m))
+    pi = rng.uniform(0.5, 2.0, size=m)
+    return ChainMatrix([(i,) for i in range(m)], P / P.sum(axis=1, keepdims=True), pi / pi.sum())
+
+
+CUT_CHAINS = {
+    "m1": lambda: build_downup(TableDistribution(3, 2, {(0, 1): 1.0}), 3, 2, 1),
+    "m2": lambda: random_chain(2, 1),
+    "m3": lambda: build_downup(UniformDistribution(3, 2), 3, 2, 1),
+    "m7": lambda: random_chain(7, 2),
+    "m15": lambda: build_downup(KernelDistribution(random_npsd(6, 13), 2), 6, 2, 1),
+    "m20": lambda: build_downup(KernelDistribution(random_npsd(6, 4242), 3), 6, 3, 1),
+    "field_deleted": lambda: build_downup(
+        apply_field(KernelDistribution(random_npsd(6, 8), 3), [0.0, *random_field(5, seed=3)]),
+        6, 3, 2,
+    ),
+    "disconnected": lambda: build_downup(
+        TableDistribution(4, 2, {(0, 1): 1.0, (2, 3): 1.0}), 4, 2, 1
+    ),
+}
+
+
+def choice_walk(mu, S0, l, steps, seed):
+    """Reference down-up walk that draws each up-step with Generator.choice."""
+    rng = np.random.default_rng(seed)
+    k = len(S0)
+    cur, traj, cache = S0, [S0], {}
+    for _ in range(steps):
+        keep_idx = rng.choice(k, size=l, replace=False)
+        core = tuple(sorted(cur[i] for i in keep_idx))
+        if core not in cache:
+            rest = [i for i in range(mu.n) if i not in core]
+            cands = [tuple(sorted(core + extra)) for extra in combinations(rest, k - l)]
+            wts = np.array([max(mu.value(S), 0.0) for S in cands])
+            cache[core] = (cands, wts / wts.sum())
+        cands, probs = cache[core]
+        cur = cands[rng.choice(len(cands), p=probs)]
+        traj.append(cur)
+    return traj
 
 
 class TestApplyField:
@@ -136,6 +202,24 @@ class TestConductance:
         assert res.value == pytest.approx(0.0, abs=1e-12)
         assert spectral_gap(C) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("name", list(CUT_CHAINS))
+    def test_matches_brute_force(self, name):
+        C = CUT_CHAINS[name]()
+        res = conductance(C)
+        want = brute_conductance(C)
+        assert res.exact
+        if want == 0.0:
+            assert res.value == pytest.approx(0.0, abs=1e-15)
+        else:
+            assert res.value == pytest.approx(want, rel=1e-12)
+
+    def test_row_blocks_match_one_block(self, monkeypatch):
+        C = CUT_CHAINS["m20"]()
+        monkeypatch.setattr(downup, "CUT_BLOCK", 1 << 30)
+        whole = conductance(C).value
+        monkeypatch.setattr(downup, "CUT_BLOCK", 1)
+        assert conductance(C).value == whole
+
     def test_capacity_returns_flagged_bounds(self):
         mu = KernelDistribution(random_npsd(6, 13), 2)
         C = build_downup(mu, 6, 2, 1)
@@ -166,6 +250,12 @@ class TestSampleWalk:
         states = list(combinations(range(5), 2))
         emp = empirical_density(traj, states)
         assert tv_distance(emp, np.full(len(states), 0.1)) < 0.05
+
+    @pytest.mark.parametrize("seed", [17, 5])
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_stream_matches_choice_walk(self, seed, l):
+        mu = KernelDistribution(random_npsd(6, seed), 3)
+        assert sample_walk(mu, (0, 1, 2), l, 2000, seed) == choice_walk(mu, (0, 1, 2), l, 2000, seed)
 
     def test_zero_start_rejected(self):
         mu = TableDistribution(4, 2, {(0, 1): 1.0})
