@@ -1,10 +1,9 @@
 """MAP inference and desk-scale verification for nonsymmetric PSD DPP kernels."""
 
-from .charpoly import PolyCoeffs, superset_marginal
+from .charpoly import superset_marginal
 from .coreset import PartitionPlan, build_plan, compose_and_report, coreset_map
 from .downup import (
     ChainMatrix,
-    FieldVector,
     apply_field,
     build_downup,
     conductance,
@@ -46,7 +45,6 @@ from .localsearch import (
     SearchTrace,
     local_search,
     map_inference,
-    neighborhood,
 )
 from .setdist import (
     KernelDistribution,
@@ -54,6 +52,7 @@ from .setdist import (
     TableDistribution,
     UniformDistribution,
     kernel_table,
+    neighborhood,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -15,41 +15,12 @@ extensions instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CapacityError, ConditioningError, DomainError
 from .kernel import Kernel, _normalize_indices, condition_on, principal_minor
 
 SINGULAR_PIN_CAP = 1000
-
-
-@dataclass
-class PolyCoeffs:
-    """Real coefficients c_0..c_m of sum c_i * lambda^i."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def coeff(self, i):
-        return float(self.coeffs[i]) if 0 <= i < len(self.coeffs) else 0.0
-
-    def trimmed(self, tol=0.0):
-        c = self.coeffs
-        m = len(c)
-        while m > 1 and abs(c[m - 1]) <= tol:
-            m -= 1
-        return PolyCoeffs(c[:m])
-
-    def __call__(self, x):
-        return np.polynomial.polynomial.polyval(x, self.coeffs)
 
 
 def superset_marginal(K: Kernel, Y, k):

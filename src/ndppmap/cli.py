@@ -90,7 +90,7 @@ def cmd_map(args):
 
 def _suite_exchange(K, k, args):
     table = kernel_table(K, k)
-    res = verify_exchange_all_pairs(table, K.n, k)
+    res = verify_exchange_all_pairs(table, k)
     return {
         "pairs": res["pairs"],
         "exchange_failures": len(res["exchange_failures"]),
@@ -103,9 +103,7 @@ def _suite_exchange(K, k, args):
 def _suite_walk(K, k, args):
     mu = KernelDistribution(K, k)
     reports = []
-    for l in sorted({max(k - 1, 0), max(k - 2, 0)}):
-        if l >= k:
-            continue
+    for l in sorted({k - 1, max(k - 2, 0)}):
         C = downup.build_downup(mu, K.n, k, l)
         rep = downup.chain_checks(C, K.n, k, l)
         rep["gap_positive"] = rep["gap"] > 0.0
@@ -126,6 +124,8 @@ def _suite_coreset(K, k, args):
 
 def cmd_verify(args):
     K = load_kernel(args.kernel)
+    if not 1 <= args.k <= K.n:
+        raise DomainError(f"need 1 <= k <= n, got k={args.k}, n={K.n}")
     suites = ["exchange", "walk", "coreset"] if args.suite == "all" else [args.suite]
     runners = {
         "exchange": _suite_exchange,

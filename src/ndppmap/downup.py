@@ -29,27 +29,14 @@ class ChainMatrix:
     pi: np.ndarray  # stationary density (normalized mu over states)
 
 
-@dataclass
-class FieldVector:
-    """Per-element external field; 0 deletes an element, inf forces it."""
-
-    lam: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=float)
-        if np.any(lam < 0) or np.any(np.isnan(lam)):
-            raise DomainError("field entries must be nonnegative")
-        self.lam = lam
-
-
 class FieldDistribution(SetDistribution):
     """(lambda * mu)(S) = mu(S) * prod_{i in S} lambda_i, with zero and
     infinite entries realized as support restriction."""
 
-    def __init__(self, base: SetDistribution, lam: FieldVector):
+    def __init__(self, base: SetDistribution, lam: np.ndarray):
         super().__init__(base.n, base.k)
         self.base = base
-        self.lam = lam.lam
+        self.lam = lam
         self.forced = frozenset(np.flatnonzero(np.isinf(self.lam)).tolist())
         self.deleted = frozenset(np.flatnonzero(self.lam == 0.0).tolist())
 
@@ -66,12 +53,14 @@ class FieldDistribution(SetDistribution):
 
 
 def apply_field(mu: SetDistribution, lam) -> FieldDistribution:
-    """Reweight mu by the external field; errors out on empty support
+    """Reweight mu by the external field lam (one nonnegative entry per
+    element: 0 deletes it, inf forces it); errors out on empty support
     whenever the state space is small enough to enumerate."""
-    if not isinstance(lam, FieldVector):
-        lam = FieldVector(np.asarray(lam, dtype=float))
-    if len(lam.lam) != mu.n:
-        raise DomainError(f"field has {len(lam.lam)} entries, ground set has {mu.n}")
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam < 0) or np.any(np.isnan(lam)):
+        raise DomainError("field entries must be nonnegative")
+    if len(lam) != mu.n:
+        raise DomainError(f"field has {len(lam)} entries, ground set has {mu.n}")
     out = FieldDistribution(mu, lam)
     if math.comb(mu.n, mu.k) <= CHAIN_STATE_CAP:
         if not any(
@@ -91,11 +80,12 @@ def build_downup(mu: SetDistribution, n, k, l) -> ChainMatrix:
         raise DomainError(f"need 0 <= l <= k <= n, got n={n}, k={k}, l={l}")
     if math.comb(n, k) > CHAIN_STATE_CAP:
         raise CapacityError(f"C({n},{k}) exceeds chain cap {CHAIN_STATE_CAP}")
-    states = [S for S in combinations(range(n), k) if mu.value(S) > 0.0]
+    vals = {S: mu.value(S) for S in combinations(range(n), k)}
+    states = [S for S, v in vals.items() if v > 0.0]
     if not states:
         raise InfeasibilityError("mu has empty support on size-k subsets")
     m = len(states)
-    w = np.array([mu.value(S) for S in states])
+    w = np.array([vals[S] for S in states])
     pi = w / w.sum()
     if k == l:
         return ChainMatrix(states, np.eye(m), pi)
@@ -145,9 +135,10 @@ def _cut_tables(pi, rowflow, F):
     return B, B @ pi, B @ rowflow - ((B @ F) * B).sum(axis=1)
 
 
-def conductance(C: ChainMatrix, state_cap=CONDUCTANCE_STATE_CAP) -> ConductanceResult:
-    """Exact min-cut bottleneck ratio when the state count permits the 2^m
-    enumeration; otherwise an interval inverted from the Cheeger sandwich.
+def conductance(C: ChainMatrix) -> ConductanceResult:
+    """Exact min-cut bottleneck ratio when the state count is at most
+    CONDUCTANCE_STATE_CAP, so the 2^m cuts can be enumerated; otherwise an
+    interval inverted from the Cheeger sandwich.
 
     The exact path splits the states into a low half (the first floor(m/2))
     and a high half, and tabulates each half's sub-cuts once.  A cut is a
@@ -157,7 +148,7 @@ def conductance(C: ChainMatrix, state_cap=CONDUCTANCE_STATE_CAP) -> ConductanceR
     2^ceil(m/2) x 2^floor(m/2) grid of cuts is swept in blocks of high-half
     rows of about CUT_BLOCK cuts each."""
     m = len(C.states)
-    if m > state_cap:
+    if m > CONDUCTANCE_STATE_CAP:
         gap = spectral_gap(C)
         return ConductanceResult(False, None, gap / 2.0, math.sqrt(max(2.0 * gap, 0.0)))
     F = C.pi[:, None] * C.P  # ergodic flow
@@ -235,20 +226,12 @@ def sample_walk(mu: SetDistribution, S0, l, steps, seed):
 
 
 def tv_distance(p, q) -> float:
-    """Half L1 distance between densities on the same enumerated support."""
-    if isinstance(p, dict) or isinstance(q, dict):
-        if not (isinstance(p, dict) and isinstance(q, dict)):
-            raise DomainError("both densities must be dicts or both sequences")
-        if set(p) != set(q):
-            raise DomainError("mismatched supports")
-        keys = sorted(p)
-        pv = np.array([p[s] for s in keys], dtype=float)
-        qv = np.array([q[s] for s in keys], dtype=float)
-    else:
-        pv = np.asarray(p, dtype=float)
-        qv = np.asarray(q, dtype=float)
-        if pv.shape != qv.shape:
-            raise DomainError("mismatched supports")
+    """Half L1 distance between two density sequences over the same
+    enumerated support."""
+    pv = np.asarray(p, dtype=float)
+    qv = np.asarray(q, dtype=float)
+    if pv.shape != qv.shape:
+        raise DomainError("mismatched supports")
     return 0.5 * float(np.abs(pv - qv).sum())
 
 

@@ -15,7 +15,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .charpoly import PolyCoeffs
 from .errors import CapacityError, DomainError
 from .setdist import SetDistribution, as_set
 
@@ -156,7 +155,7 @@ def check_strong_basis_exchange(mu: SetDistribution, S, T) -> ExchangeReport:
     )
 
 
-def exchange_polynomial(mu: SetDistribution, S, T) -> PolyCoeffs:
+def exchange_polynomial(mu: SetDistribution, S, T) -> np.ndarray:
     """Coefficients b_0..b_{2t} with b_{2i} = sum of mu(W) over W between S n T
     and S u T with |W n (S\\T)| = i; odd coefficients vanish, b_0 = mu(T),
     b_{2t} = mu(S)."""
@@ -172,13 +171,13 @@ def exchange_polynomial(mu: SetDistribution, S, T) -> PolyCoeffs:
             for B in combinations(D2, t - a):
                 total += mu.value(tuple(sorted(core + A + B)))
         b[2 * a] = total
-    return PolyCoeffs(b)
+    return b
 
 
 def hurwitz_coeff_check(coeffs, even_only=False, rtol=1e-9):
     """a_n a_0 <= max{a_1 a_{n-1}, a_2 a_{n-2}}; with even_only, the same rule
     on the even-indexed coefficients (a_0 a_{2t} <= max{a_2 a_{2t-2}, a_4 a_{2t-4}})."""
-    a = np.asarray(coeffs.coeffs if isinstance(coeffs, PolyCoeffs) else coeffs, float)
+    a = np.asarray(coeffs, float)
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     if np.any(a < -rtol * (1.0 + scale)):
         raise DomainError("Hurwitz coefficient check requires nonnegative coefficients")
@@ -197,7 +196,7 @@ def hurwitz_coeff_check(coeffs, even_only=False, rtol=1e-9):
 
 def hurwitz_matrix(coeffs) -> np.ndarray:
     """H[i,j] = a_{2j-i} (1-based) when 0 <= 2j-i <= n, else 0; n = nominal degree."""
-    a = np.asarray(coeffs.coeffs if isinstance(coeffs, PolyCoeffs) else coeffs, float)
+    a = np.asarray(coeffs, float)
     n = len(a) - 1
     H = np.zeros((n, n))
     for i in range(1, n + 1):
@@ -223,9 +222,9 @@ def hurwitz_minors_nonnegative(H, tol=1e-9):
     return True
 
 
-def verify_exchange_all_pairs(values, n, k, beta=None, rtol=1e-9):
+def verify_exchange_all_pairs(values, k, rtol=1e-9):
     """Batch check of the pairwise exchange inequality (constants beta^i,
-    default beta = k^4) and the even-polynomial Hurwitz inequality over every
+    beta = k^4) and the even-polynomial Hurwitz inequality over every
     unordered pair of size-k sets.
 
     `values` maps every sorted size-k tuple to mu of that set.  A single walk
@@ -233,8 +232,7 @@ def verify_exchange_all_pairs(values, n, k, beta=None, rtol=1e-9):
     a = |W n (S\\T)|, both the maxima M^{t-a}(S->T) = M over bucket a and the
     sums b_{2a} used by the Hurwitz corollary.
     """
-    if beta is None:
-        beta = float(k) ** 4
+    beta = float(k) ** 4
     sets = sorted(values)
     result = {
         "pairs": 0,

@@ -12,21 +12,21 @@ def identity_kernel(n) -> Kernel:
     return Kernel(np.eye(n))
 
 
-def random_npsd(n, seed, scale=1.0) -> Kernel:
+def random_npsd(n, seed) -> Kernel:
     """A + S with A = G^T G / n symmetric PSD and S skew-symmetric; nPSD by
     construction since the skew part drops out of L + L^T."""
     rng = np.random.default_rng(seed)
     G = rng.normal(size=(n, n))
-    A = scale * (G.T @ G) / n
+    A = (G.T @ G) / n
     M = rng.normal(size=(n, n))
-    S = scale * 0.5 * (M - M.T)
+    S = 0.5 * (M - M.T)
     return Kernel(A + S)
 
 
-def sym_psd(n, seed, scale=1.0) -> Kernel:
+def sym_psd(n, seed) -> Kernel:
     rng = np.random.default_rng(seed)
     G = rng.normal(size=(n, n))
-    return Kernel(scale * (G.T @ G) / n)
+    return Kernel((G.T @ G) / n)
 
 
 def skew_block(c, x, validate=True) -> Kernel:
@@ -53,13 +53,13 @@ def skew_block(c, x, validate=True) -> Kernel:
     return Kernel(L)
 
 
-def lowrank_npsd(n, d, seed, scale=1.0) -> Kernel:
+def lowrank_npsd(n, d, seed) -> Kernel:
     """L = B C B^T with C + C^T PSD, so L is nPSD whatever B is."""
     rng = np.random.default_rng(seed)
     B = rng.normal(size=(n, d))
     P = rng.normal(size=(d, d))
     M = rng.normal(size=(d, d))
-    C = scale * ((P.T @ P) / d + 0.5 * (M - M.T))
+    C = (P.T @ P) / d + 0.5 * (M - M.T)
     return Kernel.from_lowrank(B, C)
 
 
@@ -70,7 +70,7 @@ def random_partition(n, m, seed):
     return [tuple(sorted(int(i) for i in perm[j::m])) for j in range(m)]
 
 
-def random_field(n, seed, low=0.2, high=5.0):
-    """Seeded positive external field, log-uniform in [low, high]."""
+def random_field(n, seed):
+    """Seeded positive external field, log-uniform in [0.2, 5]."""
     rng = np.random.default_rng(seed)
-    return np.exp(rng.uniform(np.log(low), np.log(high), size=n))
+    return np.exp(rng.uniform(np.log(0.2), np.log(5.0), size=n))

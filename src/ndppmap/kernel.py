@@ -77,20 +77,11 @@ class Kernel:
         return self.entries[np.ix_(rows, cols)]
 
 
-def principal_minor(K: Kernel, S, via="dense"):
-    """det(L_S); the empty-set minor is 1.
-
-    via="lowrank" evaluates det(B_S C B_S^T) from the stored factors instead.
-    """
+def principal_minor(K: Kernel, S):
+    """det(L_S); the empty-set minor is 1."""
     idx = _normalize_indices(S, K.n)
     if not idx:
         return 1.0
-    if via == "lowrank":
-        if K.lowrank is None:
-            raise DomainError("kernel has no low-rank factors")
-        B, C = K.lowrank
-        BS = B[list(idx)]
-        return float(np.linalg.det(BS @ C @ BS.T))
     return float(np.linalg.det(K.submatrix(idx)))
 
 

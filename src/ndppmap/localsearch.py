@@ -10,12 +10,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .errors import DomainError, IncompleteSearchError
 from .greedy import induced_greedy, standard_greedy
 from .kernel import Kernel, is_npsd
 from .setdist import KernelDistribution, SetDistribution, as_set
+from .setdist import neighborhood  # noqa: F401  (re-exported)
 
 
 @dataclass
@@ -42,18 +42,6 @@ class SearchTrace:
         return len(self.steps)
 
 
-def neighborhood(S, r, n, ground=None):
-    """Yield every size-k set within r swaps of S (S included), each once."""
-    S = as_set(S)
-    ground = range(n) if ground is None else ground
-    outside = sorted(set(ground) - set(S))
-    for s in range(0, min(r, len(S), len(outside)) + 1):
-        for drop in combinations(S, s):
-            kept = tuple(i for i in S if i not in drop)
-            for add in combinations(outside, s):
-                yield tuple(sorted(kept + add))
-
-
 def local_search(mu: SetDistribution, S0, cfg: SearchConfig, ground=None):
     """LOCAL-SEARCH-r from S0; returns (final set, SearchTrace)."""
     cur = as_set(S0)
@@ -63,16 +51,10 @@ def local_search(mu: SetDistribution, S0, cfg: SearchConfig, ground=None):
     max_iters = cfg.max_iters if cfg.max_iters is not None else 1000
     trace = SearchTrace()
     while True:
-        if hasattr(mu, "neighborhood_values"):
-            vals = mu.neighborhood_values(cur, cfg.r, ground)
-            items = sorted(vals.items())
-        else:
-            items = [(T, float(mu.value(T))) for T in neighborhood(cur, cfg.r, mu.n, ground)]
-        trace.neighborhood_evals += len(items)
-        best, best_val = cur, cur_val
-        for T, v in items:
-            if v > best_val or (v == best_val and T < best):
-                best, best_val = T, v
+        vals = mu.neighborhood_values(cur, cfg.r, ground)
+        trace.neighborhood_evals += len(vals)
+        best = min(vals, key=lambda T: (-vals[T], T))  # the argmax, smallest set on ties
+        best_val = vals[best]
         if cur_val >= cfg.zeta * best_val:
             trace.certified_local_max = True
             return cur, trace
@@ -103,8 +85,8 @@ def map_inference(K: Kernel, k, cfg: SearchConfig | None = None, init="induced")
         cfg = SearchConfig()
     if not is_npsd(K):
         raise DomainError("kernel is not nPSD: min eigenvalue of (L+L^T)/2 too negative")
-    if k > K.n:
-        raise DomainError(f"k={k} exceeds n={K.n}")
+    if not 1 <= k <= K.n:
+        raise DomainError(f"need 1 <= k <= n, got k={k}, n={K.n}")
     if init not in ("induced", "standard"):
         raise DomainError(f"unknown init {init!r}")
     if cfg.max_iters is None:

@@ -19,11 +19,23 @@ def as_set(S):
     return tuple(sorted(int(i) for i in S))
 
 
+def neighborhood(S, r, n, ground=None):
+    """Yield every size-k set within r swaps of S (S included), each once."""
+    S = as_set(S)
+    ground = range(n) if ground is None else ground
+    outside = sorted(set(ground) - set(S))
+    for s in range(0, min(r, len(S), len(outside)) + 1):
+        for drop in combinations(S, s):
+            kept = tuple(i for i in S if i not in drop)
+            for add in combinations(outside, s):
+                yield tuple(sorted(kept + add))
+
+
 class SetDistribution:
     """Evaluation oracle for an unnormalized density mu on size-k subsets of [n].
 
-    Subclasses implement value(); marginal() defaults to brute-force
-    enumeration of supersets and is overridden where a faster route exists.
+    Subclasses implement value(); marginal() and neighborhood_values()
+    default to enumeration and are overridden where a faster route exists.
     """
 
     def __init__(self, n, k):
@@ -42,10 +54,9 @@ class SetDistribution:
             total += self.value(Y + extra)
         return total
 
-    def support_states(self):
-        return [
-            S for S in combinations(range(self.n), self.k) if self.value(S) > 0.0
-        ]
+    def neighborhood_values(self, S, r, ground=None):
+        """mu over the r-neighborhood of S, keyed by sorted index tuple."""
+        return {T: float(self.value(T)) for T in neighborhood(S, r, self.n, ground)}
 
 
 class KernelDistribution(SetDistribution):

@@ -65,6 +65,12 @@ def batch():
 
 
 @pytest.fixture(scope="module")
+def exchange_results(batch):
+    """The batch verifier's result for every kernel, shared by criteria 1 and 2."""
+    return [verify_exchange_all_pairs(table, k, rtol=1e-9) for n, k, seed, K, table in batch]
+
+
+@pytest.fixture(scope="module")
 def pipeline(batch):
     """Greedy + LS2 pipeline runs over the batch, with brute-force optima."""
     runs = []
@@ -87,11 +93,10 @@ def pipeline(batch):
     return runs
 
 
-def test_criterion_1_exchange_theorem_zero_failures(batch):
+def test_criterion_1_exchange_theorem_zero_failures(batch, exchange_results):
     total_pairs = 0
     worst = 0.0
-    for n, k, seed, K, table in batch:
-        res = verify_exchange_all_pairs(table, n, k, rtol=1e-9)
+    for (n, k, seed, K, table), res in zip(batch, exchange_results):
         assert not res["exchange_failures"], (n, k, seed, res["exchange_failures"][:3])
         total_pairs += res["pairs"]
         worst = max(worst, res["max_measured_beta"])
@@ -102,9 +107,8 @@ def test_criterion_1_exchange_theorem_zero_failures(batch):
     )
 
 
-def test_criterion_2_even_polynomial_hurwitz_zero_failures(batch):
-    for n, k, seed, K, table in batch:
-        res = verify_exchange_all_pairs(table, n, k, rtol=1e-9)
+def test_criterion_2_even_polynomial_hurwitz_zero_failures(batch, exchange_results):
+    for (n, k, seed, K, table), res in zip(batch, exchange_results):
         assert not res["hurwitz_failures"], (n, k, seed, res["hurwitz_failures"][:3])
     print("criterion 2: 0 Hurwitz failures over the same pairs")
 

@@ -14,7 +14,6 @@ from ndppmap import (
     principal_minor,
     superset_marginal,
 )
-from ndppmap.charpoly import PolyCoeffs
 from ndppmap.instances import lowrank_npsd, random_npsd
 
 
@@ -78,11 +77,6 @@ class TestCharpolyCoeffs:
             assert superset_marginal(K, [2], k) == pytest.approx(
                 brute_marginal(K, [2], k), rel=1e-8, abs=1e-9
             )
-
-    def test_trimmed_and_eval(self):
-        p = PolyCoeffs([1.0, 2.0, 0.0])
-        assert p.trimmed().degree == 1
-        assert p(3.0) == pytest.approx(7.0)
 
 
 class TestElementarySymmetric:

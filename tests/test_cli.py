@@ -106,6 +106,21 @@ class TestExitCodes:
         code, _, _ = run_cli(["map", "--nonsense"], capsys)
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["map", "--k", "-1"],
+            ["verify", "--k", "9", "--suite", "exchange"],
+            ["verify", "--k", "-1", "--suite", "walk"],
+            ["verify", "--k", "0", "--suite", "all"],
+        ],
+    )
+    def test_k_outside_one_to_n_usage(self, argv, tmp_path, capsys):
+        path = str(tmp_path / "r.knl")
+        run_cli(["gen", "random-npsd", "--n", "6", "--out", path], capsys)
+        code, rep, _ = run_cli([*argv, "--kernel", path], capsys)
+        assert code == 4 and rep is None
+
 
 class TestVerify:
     def test_all_suites_pass_and_deterministic(self, tmp_path, capsys):

@@ -130,10 +130,11 @@ def test_lowrank_consistency():
     K = lowrank_npsd(8, 3, seed=4)
     from itertools import combinations
 
+    B, C = K.lowrank
     for S in combinations(range(8), 3):
-        dense = principal_minor(K, S)
-        lr = principal_minor(K, S, via="lowrank")
-        assert lr == pytest.approx(dense, rel=1e-8, abs=1e-10)
+        BS = B[list(S)]
+        lr = float(np.linalg.det(BS @ C @ BS.T))
+        assert principal_minor(K, S) == pytest.approx(lr, rel=1e-8, abs=1e-10)
 
 
 class TestKernelIO:

@@ -12,8 +12,10 @@ from ndppmap import (
     Kernel,
     KernelDistribution,
     SearchConfig,
+    TableDistribution,
     brute_force_map,
     condition_on,
+    kernel_table,
     local_search,
     map_inference,
     neighborhood,
@@ -113,6 +115,31 @@ class TestLocalSearch:
             assert set(vals) == set(expect)
             for T, v in vals.items():
                 assert v == pytest.approx(expect[T], rel=1e-8, abs=1e-10)
+
+
+class TestGenericRoute:
+    """A table of minors has only SetDistribution's enumerated neighbourhood;
+    local search over it must follow the kernel route's Schur-priced path."""
+
+    @pytest.mark.parametrize(
+        "K, k, S0",
+        [
+            (random_npsd(7, seed=3), 3, (0, 1, 2)),
+            (random_npsd(8, seed=9), 4, (0, 2, 4, 6)),
+            (skew_block([4, 3, 2], [100, 200, 300]), 2, (0, 1)),
+        ],
+        ids=["npsd-n7", "npsd-n8", "skew-block"],
+    )
+    @pytest.mark.parametrize("r, restrict", [(1, False), (2, False), (2, True)])
+    def test_table_matches_kernel(self, K, k, S0, r, restrict):
+        ground = range(K.n - 1) if restrict else None
+        cfg = SearchConfig(r=r, zeta=0.5)
+        table = TableDistribution(K.n, k, kernel_table(K, k))
+        S_t, trace_t = local_search(table, S0, cfg, ground)
+        S_k, trace_k = local_search(KernelDistribution(K, k), S0, cfg, ground)
+        assert S_t == S_k
+        assert trace_t.iterations == trace_k.iterations
+        assert trace_t.neighborhood_evals == trace_k.neighborhood_evals
 
 
 class TestMapInference:
