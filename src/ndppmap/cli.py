@@ -115,8 +115,8 @@ def _suite_walk(K, k, args):
 def _suite_coreset(K, k, args):
     mu = KernelDistribution(K, k)
     parts = instances.random_partition(K.n, 3, args.seed)
-    plan = build_plan(mu, parts, k, args.zeta)
-    rep = compose_and_report(mu, plan, k, args.zeta)
+    plan = build_plan(mu, parts, args.zeta)
+    rep = compose_and_report(mu, plan, args.zeta)
     rep.pop("chain", None)
     rep["passed"] = rep["bound_ok"]
     return rep
@@ -126,6 +126,8 @@ def cmd_verify(args):
     K = load_kernel(args.kernel)
     if not 1 <= args.k <= K.n:
         raise DomainError(f"need 1 <= k <= n, got k={args.k}, n={K.n}")
+    if not 0.0 < args.zeta < 1.0:
+        raise DomainError(f"zeta must lie in (0, 1), got {args.zeta}")
     suites = ["exchange", "walk", "coreset"] if args.suite == "all" else [args.suite]
     runners = {
         "exchange": _suite_exchange,

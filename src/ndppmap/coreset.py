@@ -1,14 +1,14 @@
 """Composable core-sets from 1-neighborhood local maxima.
 
-Each part contributes the size-k set found by greedy + 1-swap local search
-inside the part; compose_and_report compares the optimum over the merged
-core-sets against the optimum over the full union and exhibits the explicit
-swap chain that certifies the (beta_hat / zeta)^k composition bound.
+Each part P contributes the size-k set found by greedy + 1-swap local search
+on mu.restrict(P), so it depends on the part alone; compose_and_report
+compares the optimum over the merged core-sets against the optimum over the
+full union and exhibits the explicit swap chain that certifies the
+(beta_hat / zeta)^k composition bound.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError, InfeasibilityError
@@ -24,40 +24,48 @@ class PartitionPlan:
     coresets: list = field(default_factory=list)  # one size-k set per part
 
 
-def coreset_map(mu: SetDistribution, P, k, zeta=0.5):
+def coreset_map(mu: SetDistribution, P, zeta=0.5):
     """A (1, zeta)-local maximum of mu restricted to the part P."""
     P = as_set(P)
-    if len(P) < k:
-        raise DomainError(f"part {P} has fewer than k={k} elements")
-    if len(P) == k:
+    if len(P) < mu.k:
+        raise DomainError(f"part {P} has fewer than k={mu.k} elements")
+    if len(P) == mu.k:
         return P
-    g = induced_greedy(mu, mu.n, k, ground=P)
-    S, _ = local_search(mu, g.final_set, SearchConfig(r=1, zeta=zeta), ground=P)
-    return S
+    nu = mu.restrict(P)
+    g = induced_greedy(nu)
+    S, _ = local_search(nu, g.final_set, SearchConfig(r=1, zeta=zeta))
+    return tuple(P[i] for i in S)
 
 
-def build_plan(mu: SetDistribution, parts, k, zeta=0.5) -> PartitionPlan:
+def build_plan(mu: SetDistribution, parts, zeta=0.5) -> PartitionPlan:
     parts = [as_set(P) for P in parts]
     seen = set()
     for P in parts:
         if seen & set(P):
             raise DomainError("parts must be pairwise disjoint")
         seen |= set(P)
-    return PartitionPlan(parts, [coreset_map(mu, P, k, zeta) for P in parts])
+    return PartitionPlan(parts, [coreset_map(mu, P, zeta) for P in parts])
 
 
-def compose_and_report(mu: SetDistribution, plan: PartitionPlan, k, zeta=0.5):
+def _map_within(mu: SetDistribution, P):
+    """Exact argmax of mu over the size-k subsets of P."""
+    S, v = brute_force_map(mu.restrict(P), len(P), mu.k)
+    return tuple(P[i] for i in S), v
+
+
+def compose_and_report(mu: SetDistribution, plan: PartitionPlan, zeta=0.5):
     """Composition certificate for a partitioned optimization run.
 
     Replays the local-search core-set argument: starting from the union
-    optimum W0, each step removes one element outside the merged core-set C
-    and swaps in an element of the responsible part's core-set, measuring the
-    strong-basis-exchange beta along the way.
+    optimum W0, each step removes one element j outside the merged core-set
+    C and swaps in the element e of the responsible part's core-set C_i that
+    the strong-basis-exchange check of (C_i, W) pairs with j, measuring that
+    check's beta along the way.
     """
-    union = tuple(sorted(i for P in plan.parts for i in P))
-    C = sorted(set(i for Ci in plan.coresets for i in Ci))
-    opt_union_set, opt_union = brute_force_map(mu, mu.n, k, ground=union)
-    opt_core_set, opt_core = brute_force_map(mu, mu.n, k, ground=C)
+    union = as_set(i for P in plan.parts for i in P)
+    C = as_set(i for Ci in plan.coresets for i in Ci)
+    opt_union_set, opt_union = _map_within(mu, union)
+    opt_core_set, opt_core = _map_within(mu, C)
     if opt_core <= 0.0:
         raise InfeasibilityError("merged core-set carries no positive-mass subset")
     ratio = opt_union / opt_core
@@ -66,44 +74,36 @@ def compose_and_report(mu: SetDistribution, plan: PartitionPlan, k, zeta=0.5):
     beta_hat = 1.0
     W = opt_union_set
     while not set(W) <= core_all:
-        step = None
-        for pi, (P, Ci) in enumerate(zip(plan.parts, plan.coresets)):
-            outside = sorted(set(W) & set(P) - set(Ci))
-            if outside:
-                step = (pi, P, Ci, outside[0])
-                break
-        pi, P, Ci, j = step
-        # e in C_i \ W minimizing the needed exchange beta for this j
-        best_e, best_beta, best_W = None, math.inf, None
-        muCi = mu.value(Ci)
-        muW = mu.value(W)
-        for e in Ci:
-            if e in W:
-                continue
-            W2 = tuple(sorted((set(W) - {j}) | {e}))
-            prod = mu.value(tuple(sorted((set(Ci) - {e}) | {j}))) * mu.value(W2)
-            if prod > 0.0:
-                beta = muCi * muW / prod
-                if beta < best_beta:
-                    best_e, best_beta, best_W = e, beta, W2
-        if best_W is None:
+        pi, j = next(
+            (pi, min(set(W) & set(P) - set(Ci)))
+            for pi, (P, Ci) in enumerate(zip(plan.parts, plan.coresets))
+            if set(W) & set(P) - set(Ci)
+        )
+        Ci = plan.coresets[pi]
+        pair = check_strong_basis_exchange(mu, Ci, W)
+        # witnesses hold (e, j) for each j in W \ C_i with a positive-mass swap
+        swaps = {w[-1]: w[0] for _, w in pair.witnesses if len(w) == 2}
+        if j not in swaps:
             raise InfeasibilityError(
                 f"no positive-mass swap for j={j} against core-set {Ci}"
             )
-        pair = check_strong_basis_exchange(mu, Ci, W)
-        beta_hat = max(beta_hat, best_beta, pair.measured_beta)
-        W = best_W
+        e = swaps[j]
+        W2 = as_set(set(W) - {j} | {e})
+        prod = mu.value(as_set(set(Ci) - {e} | {j})) * mu.value(W2)
+        beta_step = mu.value(Ci) * mu.value(W) / prod
+        beta_hat = max(beta_hat, pair.measured_beta)
+        W = W2
         chain.append(
             {
                 "set": list(W),
                 "value": mu.value(W),
                 "part": pi,
                 "swap_out": j,
-                "swap_in": best_e,
-                "beta_step": best_beta,
+                "swap_in": e,
+                "beta_step": beta_step,
             }
         )
-    bound = (beta_hat / zeta) ** k
+    bound = (beta_hat / zeta) ** mu.k
     return {
         "parts": [list(P) for P in plan.parts],
         "coresets": [list(Ci) for Ci in plan.coresets],

@@ -183,7 +183,7 @@ def cheeger_ok(gap, cond: ConductanceResult, tol=1e-9):
 
 
 def sample_walk(mu: SetDistribution, S0, l, steps, seed):
-    """Seeded trajectory of the k<->l down-up walk started at S0.
+    """Seeded trajectory of the k<->l down-up walk started at the size-k set S0.
 
     Each up-step enumerates the C(n-l, k-l) supersets of the retained core
     once, caches their normalized cumulative distribution, and samples
@@ -192,7 +192,9 @@ def sample_walk(mu: SetDistribution, S0, l, steps, seed):
     are reproducible bit-for-bit per seed and equal to choice-based ones.
     """
     S0 = as_set(S0)
-    k = len(S0)
+    k = mu.k
+    if len(S0) != k:
+        raise DomainError(f"walk needs a size-{k} start, got {S0}")
     if not 0 <= l <= k:
         raise DomainError(f"need 0 <= l <= k, got l={l}, k={k}")
     if mu.value(S0) <= 0.0:

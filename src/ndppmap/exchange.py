@@ -19,6 +19,7 @@ from .errors import CapacityError, DomainError
 from .setdist import SetDistribution, as_set
 
 BRUTE_FORCE_CAP = 2 * 10**6
+RTOL = 1e-9  # relative slack of the Hurwitz and batch exchange inequalities
 
 
 @dataclass
@@ -32,15 +33,12 @@ class ExchangeReport:
     vacuous: bool = False
 
 
-def brute_force_map(mu: SetDistribution, n, k, ground=None):
-    """Exact argmax of mu over size-k subsets, smallest set on ties."""
-    ground = sorted(range(n) if ground is None else set(ground))
-    if math.comb(len(ground), k) > BRUTE_FORCE_CAP:
-        raise CapacityError(
-            f"C({len(ground)},{k}) exceeds brute-force cap {BRUTE_FORCE_CAP}"
-        )
+def brute_force_map(mu: SetDistribution, n, k):
+    """Exact argmax of mu over size-k subsets of [n], smallest set on ties."""
+    if math.comb(n, k) > BRUTE_FORCE_CAP:
+        raise CapacityError(f"C({n},{k}) exceeds brute-force cap {BRUTE_FORCE_CAP}")
     best, best_val = None, -math.inf
-    for S in combinations(ground, k):
+    for S in combinations(range(n), k):
         v = float(mu.value(S))
         if v > best_val:
             best, best_val = S, v
@@ -174,12 +172,12 @@ def exchange_polynomial(mu: SetDistribution, S, T) -> np.ndarray:
     return b
 
 
-def hurwitz_coeff_check(coeffs, even_only=False, rtol=1e-9):
+def hurwitz_coeff_check(coeffs, even_only=False):
     """a_n a_0 <= max{a_1 a_{n-1}, a_2 a_{n-2}}; with even_only, the same rule
     on the even-indexed coefficients (a_0 a_{2t} <= max{a_2 a_{2t-2}, a_4 a_{2t-4}})."""
     a = np.asarray(coeffs, float)
     scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if np.any(a < -rtol * (1.0 + scale)):
+    if np.any(a < -RTOL * (1.0 + scale)):
         raise DomainError("Hurwitz coefficient check requires nonnegative coefficients")
     a = np.maximum(a, 0.0)
     if even_only:
@@ -191,7 +189,7 @@ def hurwitz_coeff_check(coeffs, even_only=False, rtol=1e-9):
         return True
     lhs = a[n] * a[0]
     rhs = max(a[1] * a[n - 1], a[2] * a[n - 2])
-    return lhs <= rhs * (1.0 + rtol) + rtol * (1.0 + scale) ** 2
+    return lhs <= rhs * (1.0 + RTOL) + RTOL * (1.0 + scale) ** 2
 
 
 def hurwitz_matrix(coeffs) -> np.ndarray:
@@ -207,8 +205,8 @@ def hurwitz_matrix(coeffs) -> np.ndarray:
     return H
 
 
-def hurwitz_minors_nonnegative(H, tol=1e-9):
-    """Numeric spot-check: every 2x2 minor of H is >= -tol * scale."""
+def hurwitz_minors_nonnegative(H):
+    """Numeric spot-check: every 2x2 minor of H is >= -RTOL * scale."""
     H = np.asarray(H, float)
     n = H.shape[0]
     scale = 1.0 + float(np.max(np.abs(H))) ** 2 if H.size else 1.0
@@ -217,12 +215,12 @@ def hurwitz_minors_nonnegative(H, tol=1e-9):
             for c1 in range(n):
                 for c2 in range(c1 + 1, n):
                     m = H[r1, c1] * H[r2, c2] - H[r1, c2] * H[r2, c1]
-                    if m < -tol * scale:
+                    if m < -RTOL * scale:
                         return False
     return True
 
 
-def verify_exchange_all_pairs(values, k, rtol=1e-9):
+def verify_exchange_all_pairs(values, k):
     """Batch check of the pairwise exchange inequality (constants beta^i,
     beta = k^4) and the even-polynomial Hurwitz inequality over every
     unordered pair of size-k sets.
@@ -273,7 +271,7 @@ def verify_exchange_all_pairs(values, k, rtol=1e-9):
                 prod = maxima[t - i] * maxima[i]
                 if prod > 0.0:
                     measured = min(measured, (lhs / prod) ** (1.0 / i))
-                    if beta**i * prod >= lhs * (1.0 - rtol):
+                    if beta**i * prod >= lhs * (1.0 - RTOL):
                         ok = True
             if not ok:
                 result["exchange_failures"].append((S, T, measured))
@@ -284,6 +282,6 @@ def verify_exchange_all_pairs(values, k, rtol=1e-9):
             if t >= 2:
                 cands.append(sums[2] * sums[t - 2])
             h_lhs = sums[0] * sums[t]
-            if t > 2 and h_lhs > max(cands) * (1.0 + rtol) + 1e-300:
+            if t > 2 and h_lhs > max(cands) * (1.0 + RTOL) + 1e-300:
                 result["hurwitz_failures"].append((S, T, h_lhs, max(cands)))
     return result

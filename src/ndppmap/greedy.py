@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DomainError, InfeasibilityError
+from .errors import InfeasibilityError
 from .kernel import Kernel, principal_minor
 from .setdist import SetDistribution, as_set
 
@@ -22,37 +22,22 @@ class GreedyTrace:
     final_value: float = 0.0
 
 
-def induced_greedy(mu: SetDistribution, n, k, zeta_g=1.0, ground=None) -> GreedyTrace:
-    """Grow S one element at a time, maximizing the marginal mu(S u {i}).
-
-    zeta_g = 1 takes the exact argmax (ties to the smallest index); zeta_g < 1
-    accepts the smallest index whose marginal is within factor zeta_g of the
-    best, the deterministic face of approximate maximization.
-    """
-    if not 0.0 < zeta_g <= 1.0:
-        raise DomainError(f"zeta_g must lie in (0, 1], got {zeta_g}")
-    ground = sorted(range(n) if ground is None else set(ground))
-    if k > len(ground):
-        raise DomainError(f"k={k} exceeds ground size {len(ground)}")
+def induced_greedy(mu: SetDistribution) -> GreedyTrace:
+    """Grow S one element at a time to size mu.k, maximizing the marginal
+    mu(S u {i}); ties go to the smallest index."""
     trace = GreedyTrace()
     S = ()
-    for _ in range(k):
-        cands = [i for i in ground if i not in S]
+    for _ in range(mu.k):
+        cands = [i for i in range(mu.n) if i not in S]
         vals = [mu.marginal(as_set(S + (i,))) for i in cands]
         best = max(vals)
         if best <= 0.0:
             raise InfeasibilityError(
                 f"all marginals vanish extending {S}; mu is zero on extensions"
             )
-        if zeta_g >= 1.0:
-            pick = next(i for i, v in zip(cands, vals) if v == best)
-            val = best
-        else:
-            pick, val = next(
-                (i, v) for i, v in zip(cands, vals) if v >= zeta_g * best
-            )
+        pick = next(i for i, v in zip(cands, vals) if v == best)
         S = as_set(S + (pick,))
-        trace.picks.append((pick, float(val)))
+        trace.picks.append((pick, float(best)))
     trace.final_set = S
     trace.final_value = float(mu.value(S))
     return trace

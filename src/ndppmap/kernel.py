@@ -85,13 +85,11 @@ def principal_minor(K: Kernel, S):
     return float(np.linalg.det(K.submatrix(idx)))
 
 
-def is_npsd(K: Kernel, tol=NPSD_TOL):
-    """True iff the minimum eigenvalue of (L + L^T)/2 is >= -tol * (1 + ||L||_2)."""
-    if tol < 0:
-        raise DomainError("tol must be nonnegative")
+def is_npsd(K: Kernel):
+    """True iff the minimum eigenvalue of (L + L^T)/2 is >= -NPSD_TOL * (1 + ||L||_2)."""
     sym = 0.5 * (K.entries + K.entries.T)
     lam_min = float(np.linalg.eigvalsh(sym)[0])
-    return lam_min >= -tol * (1.0 + float(np.linalg.norm(K.entries, 2)))
+    return lam_min >= -NPSD_TOL * (1.0 + float(np.linalg.norm(K.entries, 2)))
 
 
 def condition_on(K: Kernel, Y):

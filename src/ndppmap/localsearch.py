@@ -15,7 +15,6 @@ from .errors import DomainError, IncompleteSearchError
 from .greedy import induced_greedy, standard_greedy
 from .kernel import Kernel, is_npsd
 from .setdist import KernelDistribution, SetDistribution, as_set
-from .setdist import neighborhood  # noqa: F401  (re-exported)
 
 
 @dataclass
@@ -42,16 +41,18 @@ class SearchTrace:
         return len(self.steps)
 
 
-def local_search(mu: SetDistribution, S0, cfg: SearchConfig, ground=None):
-    """LOCAL-SEARCH-r from S0; returns (final set, SearchTrace)."""
+def local_search(mu: SetDistribution, S0, cfg: SearchConfig):
+    """LOCAL-SEARCH-r from the size-k set S0; returns (final set, SearchTrace)."""
     cur = as_set(S0)
+    if len(cur) != mu.k:
+        raise DomainError(f"local search needs a size-{mu.k} start, got {cur}")
     cur_val = float(mu.value(cur))
     if cur_val <= 0.0:
         raise DomainError(f"local search needs mu(S0) > 0, got {cur_val}")
     max_iters = cfg.max_iters if cfg.max_iters is not None else 1000
     trace = SearchTrace()
     while True:
-        vals = mu.neighborhood_values(cur, cfg.r, ground)
+        vals = mu.neighborhood_values(cur, cfg.r)
         trace.neighborhood_evals += len(vals)
         best = min(vals, key=lambda T: (-vals[T], T))  # the argmax, smallest set on ties
         best_val = vals[best]
@@ -93,7 +94,7 @@ def map_inference(K: Kernel, k, cfg: SearchConfig | None = None, init="induced")
         cfg = SearchConfig(cfg.r, cfg.zeta, default_max_iters(K, k))
     t0 = time.perf_counter()
     mu = KernelDistribution(K, k)
-    g = induced_greedy(mu, K.n, k) if init == "induced" else standard_greedy(K, k)
+    g = induced_greedy(mu) if init == "induced" else standard_greedy(K, k)
     S, trace = local_search(mu, g.final_set, cfg)
     report = {
         "set": list(S),

@@ -12,18 +12,17 @@ import numpy as np
 
 from . import charpoly
 from .errors import ConditioningError
-from .kernel import Kernel, condition_on, principal_minor
+from .kernel import Kernel, _normalize_indices, condition_on, principal_minor
 
 
 def as_set(S):
     return tuple(sorted(int(i) for i in S))
 
 
-def neighborhood(S, r, n, ground=None):
+def neighborhood(S, r, n):
     """Yield every size-k set within r swaps of S (S included), each once."""
     S = as_set(S)
-    ground = range(n) if ground is None else ground
-    outside = sorted(set(ground) - set(S))
+    outside = [i for i in range(n) if i not in S]
     for s in range(0, min(r, len(S), len(outside)) + 1):
         for drop in combinations(S, s):
             kept = tuple(i for i in S if i not in drop)
@@ -34,8 +33,9 @@ def neighborhood(S, r, n, ground=None):
 class SetDistribution:
     """Evaluation oracle for an unnormalized density mu on size-k subsets of [n].
 
-    Subclasses implement value(); marginal() and neighborhood_values()
-    default to enumeration and are overridden where a faster route exists.
+    Subclasses implement value(); marginal(), neighborhood_values() and
+    restrict() default to enumeration and are overridden where a faster
+    route exists.
     """
 
     def __init__(self, n, k):
@@ -54,9 +54,16 @@ class SetDistribution:
             total += self.value(Y + extra)
         return total
 
-    def neighborhood_values(self, S, r, ground=None):
+    def neighborhood_values(self, S, r):
         """mu over the r-neighborhood of S, keyed by sorted index tuple."""
-        return {T: float(self.value(T)) for T in neighborhood(S, r, self.n, ground)}
+        return {T: float(self.value(T)) for T in neighborhood(S, r, self.n)}
+
+    def restrict(self, P):
+        """mu on the size-k subsets of P, its i-th smallest element relabelled i."""
+        P = _normalize_indices(P, self.n)
+        sets = combinations(range(len(P)), self.k)
+        table = {S: self.value(tuple(P[i] for i in S)) for S in sets}
+        return TableDistribution(len(P), self.k, table)
 
 
 class KernelDistribution(SetDistribution):
@@ -72,7 +79,14 @@ class KernelDistribution(SetDistribution):
     def marginal(self, Y):
         return charpoly.superset_marginal(self.kernel, Y, self.k)
 
-    def neighborhood_values(self, S, r, ground=None):
+    def restrict(self, P):
+        """The sub-kernel on P, keeping its factors so marginals keep the rank bound."""
+        P = list(_normalize_indices(P, self.n))
+        K = self.kernel
+        lowrank = None if K.lowrank is None else (K.lowrank[0][P], K.lowrank[1])
+        return KernelDistribution(Kernel(K.submatrix(P), lowrank=lowrank), self.k)
+
+    def neighborhood_values(self, S, r):
         """mu over the r-neighborhood of S, conditioning each retained core once.
 
         For a core Y = S \\ U, every completion D of the same size as U costs
@@ -81,8 +95,7 @@ class KernelDistribution(SetDistribution):
         back to direct determinants.
         """
         S = as_set(S)
-        ground = range(self.n) if ground is None else ground
-        outside = sorted(set(ground) - set(S))
+        outside = [i for i in range(self.n) if i not in S]
         out = {S: principal_minor(self.kernel, S)}
         for s in range(1, min(r, len(S), len(outside)) + 1):
             adds = list(combinations(outside, s))

@@ -67,7 +67,7 @@ def batch():
 @pytest.fixture(scope="module")
 def exchange_results(batch):
     """The batch verifier's result for every kernel, shared by criteria 1 and 2."""
-    return [verify_exchange_all_pairs(table, k, rtol=1e-9) for n, k, seed, K, table in batch]
+    return [verify_exchange_all_pairs(table, k) for n, k, seed, K, table in batch]
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +76,7 @@ def pipeline(batch):
     runs = []
     for n, k, seed, K, table in batch:
         mu = KernelDistribution(K, k)
-        g = induced_greedy(mu, n, k)
+        g = induced_greedy(mu)
         S, trace = local_search(
             mu, g.final_set, SearchConfig(r=2, zeta=ZETA, max_iters=10000)
         )
@@ -203,8 +203,8 @@ def test_criterion_8_coreset_certificates():
     worst = 0.0
     for seed in range(20):
         mu = KernelDistribution(sym_psd(9, 5000 + seed), 2)
-        plan = build_plan(mu, random_partition(9, 3, seed=seed), 2, ZETA)
-        rep = compose_and_report(mu, plan, 2, ZETA)
+        plan = build_plan(mu, random_partition(9, 3, seed=seed), ZETA)
+        rep = compose_and_report(mu, plan, ZETA)
         assert rep["bound_ok"], (seed, rep["ratio"], rep["bound"])
         core = set(i for Ci in rep["coresets"] for i in Ci)
         chain = rep["chain"]

@@ -167,7 +167,7 @@ class TestSupersetMarginal:
         K = Kernel(M - M.T)
         n, k = 24, 12
         mu = KernelDistribution(K, k)
-        trace = induced_greedy(mu, n, k)
+        trace = induced_greedy(mu)
         prev = superset_marginal(K, (), k)
         for step, (_, val) in enumerate(trace.picks):
             assert (k - step) / (n - step) * prev * (1 - 1e-9) <= val <= prev * (1 + 1e-9)
@@ -181,6 +181,12 @@ class TestSupersetMarginal:
             want = brute_marginal(K, Y, 4)
             assert want == pytest.approx(0.0, abs=1e-9)
             assert superset_marginal(K, Y, 4) == pytest.approx(want, abs=1e-9)
+
+    def test_restricted_lowrank_keeps_rank_bound(self):
+        mu = KernelDistribution(lowrank_npsd(8, 3, seed=1), 4)
+        nu = mu.restrict((0, 2, 3, 5, 6, 7))
+        assert nu.kernel.rank_d == 3
+        assert nu.marginal(()) == 0.0  # exact: the rank bound, not a sum of minors
 
 
 class TestLowrankMarginal:

@@ -122,6 +122,18 @@ class TestExitCodes:
         assert code == 4 and rep is None
 
 
+    @pytest.mark.parametrize("zeta", ["0", "-1", "2", "nan"])
+    def test_verify_zeta_outside_zero_one_usage(self, zeta, tmp_path, capsys):
+        # n = 6, k = 2: three parts of exactly k elements, so no search reads zeta
+        path = str(tmp_path / "r.knl")
+        run_cli(["gen", "random-npsd", "--n", "6", "--out", path], capsys)
+        code, rep, _ = run_cli(
+            ["verify", "--kernel", path, "--k", "2", "--suite", "coreset", "--zeta", zeta],
+            capsys,
+        )
+        assert code == 4 and rep is None
+
+
 class TestVerify:
     def test_all_suites_pass_and_deterministic(self, tmp_path, capsys):
         path = str(tmp_path / "r.knl")

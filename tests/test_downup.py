@@ -264,6 +264,11 @@ class TestSampleWalk:
         with pytest.raises(DomainError):
             sample_walk(mu, (2, 3), 1, 10, seed=0)
 
+    def test_wrong_size_start_rejected(self):
+        mu = KernelDistribution(random_npsd(6, 17), 3)
+        with pytest.raises(DomainError):
+            sample_walk(mu, (0, 1), 1, 10, seed=0)
+
 
 class TestTvDistance:
     def test_equal(self):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ndppmap import (
-    DomainError,
     InfeasibilityError,
     Kernel,
     KernelDistribution,
@@ -21,14 +20,14 @@ class TestInducedGreedy:
     def test_identity_picks_prefix(self):
         K = Kernel(np.eye(5))
         for k in (1, 2, 3):
-            trace = induced_greedy(KernelDistribution(K, k), 5, k)
+            trace = induced_greedy(KernelDistribution(K, k))
             assert trace.final_set == tuple(range(k))
             assert trace.final_value == pytest.approx(1.0)
 
     def test_crude_bound_seeded(self):
         K = random_npsd(8, seed=31)
         mu = KernelDistribution(K, 3)
-        trace = induced_greedy(mu, 8, 3)
+        trace = induced_greedy(mu)
         _, opt = brute_force_map(mu, 8, 3)
         assert comb(8, 3) * trace.final_value >= opt * (1 - 1e-9)
 
@@ -37,31 +36,18 @@ class TestInducedGreedy:
         # the heaviest complementary pair wins immediately
         K = skew_block([4, 3, 2], [100, 200, 300])
         mu = KernelDistribution(K, 2)
-        trace = induced_greedy(mu, 6, 2)
+        trace = induced_greedy(mu)
         assert trace.final_set == (4, 5)
-
-    def test_approximate_mode_keeps_crude_bound(self):
-        K = random_npsd(7, seed=8)
-        mu = KernelDistribution(K, 3)
-        trace = induced_greedy(mu, 7, 3, zeta_g=0.5)
-        _, opt = brute_force_map(mu, 7, 3)
-        # the proof only needs each pick within factor zeta_g of the best
-        assert comb(7, 3) * trace.final_value >= 0.5**3 * opt * (1 - 1e-9)
 
     def test_zero_distribution_infeasible(self):
         K = Kernel(np.zeros((4, 4)))
         with pytest.raises(InfeasibilityError):
-            induced_greedy(KernelDistribution(K, 2), 4, 2)
-
-    def test_bad_zeta(self):
-        K = Kernel(np.eye(3))
-        with pytest.raises(DomainError):
-            induced_greedy(KernelDistribution(K, 2), 3, 2, zeta_g=0.0)
+            induced_greedy(KernelDistribution(K, 2))
 
     def test_trace_value_recomputed(self):
         K = random_npsd(6, seed=3)
         mu = KernelDistribution(K, 3)
-        trace = induced_greedy(mu, 6, 3)
+        trace = induced_greedy(mu)
         assert trace.final_value == pytest.approx(mu.value(trace.final_set), rel=1e-8)
         assert len(trace.picks) == 3
 
@@ -69,7 +55,7 @@ class TestInducedGreedy:
         # mu(S_j) = 1/(k-j) * sum over i outside of mu(S_j + i), by counting
         K = random_npsd(8, seed=12)
         mu = KernelDistribution(K, 3)
-        trace = induced_greedy(mu, 8, 3)
+        trace = induced_greedy(mu)
         S = ()
         for j, (pick, _) in enumerate(trace.picks):
             if j < 2:  # identity only meaningful while |S| < k

@@ -40,8 +40,12 @@ class TestNeighborhood:
             assert sum(1 for T in got if len(set(T) - {0, 1, 2}) == s) == expect
 
     def test_restricted_ground(self):
-        got = sorted(neighborhood((0, 1), 1, 6, ground=[0, 1, 2]))
-        assert got == [(0, 1), (0, 2), (1, 2)]
+        mu = KernelDistribution(random_npsd(6, seed=2), 2)
+        P = (1, 3, 4)
+        got = mu.restrict(P).neighborhood_values((0, 1), 1)
+        assert sorted(got) == [(0, 1), (0, 2), (1, 2)]
+        for T, v in got.items():
+            assert v == pytest.approx(mu.value([P[i] for i in T]), rel=1e-12)
 
 
 class TestLocalSearch:
@@ -74,6 +78,11 @@ class TestLocalSearch:
         mu = KernelDistribution(K, 2)
         with pytest.raises(DomainError):
             local_search(mu, (2, 3), SearchConfig())
+
+    def test_wrong_size_start_rejected(self):
+        mu = KernelDistribution(random_npsd(6, seed=1), 3)
+        with pytest.raises(DomainError):
+            local_search(mu, (0, 1), SearchConfig())
 
     def test_max_iters_carries_best(self):
         K = skew_block([4, 3, 2], [100, 200, 300])
@@ -132,11 +141,13 @@ class TestGenericRoute:
     )
     @pytest.mark.parametrize("r, restrict", [(1, False), (2, False), (2, True)])
     def test_table_matches_kernel(self, K, k, S0, r, restrict):
-        ground = range(K.n - 1) if restrict else None
         cfg = SearchConfig(r=r, zeta=0.5)
         table = TableDistribution(K.n, k, kernel_table(K, k))
-        S_t, trace_t = local_search(table, S0, cfg, ground)
-        S_k, trace_k = local_search(KernelDistribution(K, k), S0, cfg, ground)
+        mu = KernelDistribution(K, k)
+        if restrict:  # element i + 1 becomes i, so S0 names other elements
+            table, mu = table.restrict(range(1, K.n)), mu.restrict(range(1, K.n))
+        S_t, trace_t = local_search(table, S0, cfg)
+        S_k, trace_k = local_search(mu, S0, cfg)
         assert S_t == S_k
         assert trace_t.iterations == trace_k.iterations
         assert trace_t.neighborhood_evals == trace_k.neighborhood_evals
