@@ -25,10 +25,8 @@ from .exchange import (
     brute_force_map,
     check_pair_exchange,
     check_strong_basis_exchange,
-    check_weak_exchange,
     exchange_polynomial,
     hurwitz_coeff_check,
-    hurwitz_matrix,
     verify_exchange_all_pairs,
 )
 from .greedy import GreedyTrace, induced_greedy, standard_greedy

@@ -16,7 +16,6 @@ from . import downup, instances
 from .coreset import build_plan, compose_and_report
 from .errors import CapacityError, DomainError, InfeasibilityError, NdppError
 from .exchange import brute_force_map, verify_exchange_all_pairs
-from .greedy import standard_greedy
 from .kernel import load_kernel, save_kernel
 from .localsearch import SearchConfig, map_inference
 from .setdist import KernelDistribution, kernel_table

@@ -1,10 +1,12 @@
 """Brute-force MAP oracle and exchange-inequality verification.
 
 For a pair of size-k sets S, T at distance t, the i-exchanges E^i(S,T) are
-the subsets U of the symmetric difference with |U n S| = |U n T| = i.  The
-module measures, per pair, the smallest beta for which each of the three
-exchange notions holds, and runs the even-coefficient Hurwitz checks that
-underlie the pairwise version.
+the subsets U of the symmetric difference with |U n S| = |U n T| = i.  One
+walk over the sets W between S n T and S u T, bucketed by |W n (S\\T)|,
+prices every pair check: the pairwise exchange inequality, its
+even-polynomial Hurwitz corollary and the batch verifier over all pairs.
+The strong basis exchange, which pairs single swaps element by element, is
+checked on its own for the core-set certificate.
 """
 
 from __future__ import annotations
@@ -19,13 +21,13 @@ from .errors import CapacityError, DomainError
 from .setdist import SetDistribution, as_set
 
 BRUTE_FORCE_CAP = 2 * 10**6
-RTOL = 1e-9  # relative slack of the Hurwitz and batch exchange inequalities
+RTOL = 1e-9  # relative slack of the exchange and Hurwitz inequalities
 
 
 @dataclass
 class ExchangeReport:
     pair: tuple
-    variant: str  # weak | pair_exchange | strong_basis
+    variant: str  # pair_exchange | strong_basis
     measured_beta: float
     passed: bool
     witnesses: list = field(default_factory=list)
@@ -35,6 +37,8 @@ class ExchangeReport:
 
 def brute_force_map(mu: SetDistribution, n, k):
     """Exact argmax of mu over size-k subsets of [n], smallest set on ties."""
+    if not 0 <= k <= n:
+        raise DomainError(f"k={k} outside 0..n={n}")
     if math.comb(n, k) > BRUTE_FORCE_CAP:
         raise CapacityError(f"C({n},{k}) exceeds brute-force cap {BRUTE_FORCE_CAP}")
     best, best_val = None, -math.inf
@@ -47,83 +51,70 @@ def brute_force_map(mu: SetDistribution, n, k):
 
 def _sides(S, T):
     S, T = as_set(S), as_set(T)
+    if len(S) != len(T):
+        raise DomainError("S and T must have equal size")
     D1 = tuple(i for i in S if i not in T)
     D2 = tuple(j for j in T if j not in S)
     return S, T, D1, D2
 
 
-def exchanges(S, T, i):
-    """Yield U in E^i(S,T) as (U_S, U_T) with U = U_S u U_T."""
-    _, _, D1, D2 = _sides(S, T)
-    for A in combinations(D1, i):
-        for B in combinations(D2, i):
-            yield A, B
+def pair_buckets(value, S, T):
+    """Walk the sets W between S n T and S u T once, for sorted tuples S, T.
+
+    Returns (maxima, sums), each of length t + 1 with t = d(S, T): bucket a
+    holds the largest and the summed value(W) over W with |W n (S\\T)| = a.
+    So maxima[t - i] = M^i(S->T), maxima[i] = M^i(T->S), and sums[a] is the
+    coefficient b_{2a} of the exchange polynomial.
+    """
+    core = tuple(i for i in S if i in T)
+    D1 = tuple(i for i in S if i not in T)
+    D2 = tuple(j for j in T if j not in S)
+    t = len(D1)
+    maxima, sums = [], []
+    for a in range(t + 1):
+        m, tot = -math.inf, 0.0
+        for A in combinations(D1, a):
+            for B in combinations(D2, t - a):
+                v = value(tuple(sorted(core + A + B)))
+                tot += v
+                if v > m:
+                    m = v
+        maxima.append(m)
+        sums.append(tot)
+    return maxima, sums
 
 
-def _swap(S, A, B):
-    return tuple(sorted((set(S) - set(A)) | set(B)))
+def _pair_verdict(lhs, maxima, beta, r):
+    """(passed, measured beta) of mu(S)mu(T) = lhs <= max_{i<=r} beta^i M^i(S->T) M^i(T->S).
+
+    The measured beta is the smallest (lhs / prod_i)^(1/i) over i <= r; the
+    pair passes when lhs <= 0 or beta^i prod_i >= lhs (1 - RTOL) for some i.
+    """
+    if lhs <= 0.0:
+        return True, 0.0
+    t = len(maxima) - 1
+    ok, measured = False, math.inf
+    for i in range(1, min(r, t) + 1):
+        prod = maxima[t - i] * maxima[i]
+        if prod > 0.0:
+            measured = min(measured, (lhs / prod) ** (1.0 / i))
+            if beta**i * prod >= lhs * (1.0 - RTOL):
+                ok = True
+    return ok, measured
 
 
 def check_pair_exchange(mu: SetDistribution, S, T, r=2) -> ExchangeReport:
-    """(r, beta)-approximate exchange: mu(S)mu(T) <= max_i beta^i M^i(S->T) M^i(T->S)."""
-    S, T, D1, D2 = _sides(S, T)
-    if len(S) != len(T):
-        raise DomainError("S and T must have equal size")
+    """(r, beta)-approximate exchange with beta = k^4:
+    mu(S)mu(T) <= max_{i<=r} beta^i M^i(S->T) M^i(T->S)."""
+    S, T, D1, _ = _sides(S, T)
     t = len(D1)
-    k = len(S)
     if t == 0:
         return ExchangeReport((S, T), "pair_exchange", 1.0, True, distance=0, vacuous=True)
-    lhs = mu.value(S) * mu.value(T)
-    best_beta = math.inf
-    witnesses = []
-    for i in range(1, min(r, t) + 1):
-        m_st, w_st = -math.inf, None
-        m_ts, w_ts = -math.inf, None
-        for A, B in exchanges(S, T, i):
-            v = mu.value(_swap(S, A, B))
-            if v > m_st:
-                m_st, w_st = v, A + B
-            v = mu.value(_swap(T, B, A))
-            if v > m_ts:
-                m_ts, w_ts = v, A + B
-        prod = m_st * m_ts
-        if lhs <= 0.0:
-            best_beta = 0.0
-            witnesses = [(i, w_st)]
-            break
-        if prod > 0.0:
-            beta = (lhs / prod) ** (1.0 / i)
-            if beta < best_beta:
-                best_beta = beta
-                witnesses = [(i, w_st), (i, w_ts)]
-    passed = best_beta <= k**4 * (1.0 + 1e-9)
-    return ExchangeReport((S, T), "pair_exchange", best_beta, passed, witnesses, t)
-
-
-def check_weak_exchange(mu: SetDistribution, S, T, r=2) -> ExchangeReport:
-    """Weak exchange: mu(S) <= beta * mu(S^U) * (mu(S)/mu(T))^(s/d(S,T)) for some U."""
-    S, T, D1, D2 = _sides(S, T)
-    t = len(D1)
-    if t < 1:
-        raise DomainError("weak exchange needs d(S,T) >= 1")
-    muT = mu.value(T)
-    if muT <= 0.0:
-        raise DomainError("weak exchange undefined: mu(T) = 0")
-    muS = mu.value(S)
-    if muS <= 0.0:
-        return ExchangeReport((S, T), "weak", 0.0, True, distance=t)
-    ratio = muS / muT
-    best_beta, witness = math.inf, None
-    for s in range(1, min(r, t) + 1):
-        for A, B in exchanges(S, T, s):
-            v = mu.value(_swap(S, A, B))
-            if v <= 0.0:
-                continue
-            beta = muS / (v * ratio ** (s / t))
-            if beta < best_beta:
-                best_beta, witness = beta, (s, A + B)
-    witnesses = [witness] if witness else []
-    return ExchangeReport((S, T), "weak", best_beta, math.isfinite(best_beta), witnesses, t)
+    maxima, _ = pair_buckets(mu.value, S, T)
+    passed, measured = _pair_verdict(
+        mu.value(S) * mu.value(T), maxima, float(len(S)) ** 4, r
+    )
+    return ExchangeReport((S, T), "pair_exchange", measured, passed, distance=t)
 
 
 def check_strong_basis_exchange(mu: SetDistribution, S, T) -> ExchangeReport:
@@ -140,7 +131,7 @@ def check_strong_basis_exchange(mu: SetDistribution, S, T) -> ExchangeReport:
     for j in D2:
         best, best_i = math.inf, None
         for i in D1:
-            prod = mu.value(_swap(S, (i,), (j,))) * mu.value(_swap(T, (j,), (i,)))
+            prod = mu.value(as_set(set(S) - {i} | {j})) * mu.value(as_set(set(T) - {j} | {i}))
             if prod > 0.0:
                 beta = lhs / prod
                 if beta < best:
@@ -157,80 +148,38 @@ def exchange_polynomial(mu: SetDistribution, S, T) -> np.ndarray:
     """Coefficients b_0..b_{2t} with b_{2i} = sum of mu(W) over W between S n T
     and S u T with |W n (S\\T)| = i; odd coefficients vanish, b_0 = mu(T),
     b_{2t} = mu(S)."""
-    S, T, D1, D2 = _sides(S, T)
-    if len(S) != len(T):
-        raise DomainError("S and T must have equal size")
-    t = len(D1)
-    core = tuple(i for i in S if i in T)
-    b = np.zeros(2 * t + 1)
-    for a in range(t + 1):
-        total = 0.0
-        for A in combinations(D1, a):
-            for B in combinations(D2, t - a):
-                total += mu.value(tuple(sorted(core + A + B)))
-        b[2 * a] = total
+    S, T, D1, _ = _sides(S, T)
+    b = np.zeros(2 * len(D1) + 1)
+    b[::2] = pair_buckets(mu.value, S, T)[1]
     return b
 
 
-def hurwitz_coeff_check(coeffs, even_only=False):
-    """a_n a_0 <= max{a_1 a_{n-1}, a_2 a_{n-2}}; with even_only, the same rule
-    on the even-indexed coefficients (a_0 a_{2t} <= max{a_2 a_{2t-2}, a_4 a_{2t-4}})."""
-    a = np.asarray(coeffs, float)
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if np.any(a < -RTOL * (1.0 + scale)):
-        raise DomainError("Hurwitz coefficient check requires nonnegative coefficients")
-    a = np.maximum(a, 0.0)
-    if even_only:
-        a = a[::2]
-    n = len(a) - 1
-    while n > 0 and a[n] == 0.0:
-        n -= 1
-    if n <= 2:
+def _hurwitz_sides(b):
+    t = len(b) - 1
+    return b[0] * b[t], max(b[1] * b[t - 1], b[2] * b[t - 2])
+
+
+def hurwitz_coeff_check(b):
+    """b_0 b_t <= max{b_1 b_{t-1}, b_2 b_{t-2}} on coefficients b_0..b_t,
+    vacuous for t <= 2.  On the even coefficients of the exchange polynomial
+    this is the Hurwitz corollary of the pairwise exchange inequality."""
+    if len(b) <= 3:
         return True
-    lhs = a[n] * a[0]
-    rhs = max(a[1] * a[n - 1], a[2] * a[n - 2])
-    return lhs <= rhs * (1.0 + RTOL) + RTOL * (1.0 + scale) ** 2
-
-
-def hurwitz_matrix(coeffs) -> np.ndarray:
-    """H[i,j] = a_{2j-i} (1-based) when 0 <= 2j-i <= n, else 0; n = nominal degree."""
-    a = np.asarray(coeffs, float)
-    n = len(a) - 1
-    H = np.zeros((n, n))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            idx = 2 * j - i
-            if 0 <= idx <= n:
-                H[i - 1, j - 1] = a[idx]
-    return H
-
-
-def hurwitz_minors_nonnegative(H):
-    """Numeric spot-check: every 2x2 minor of H is >= -RTOL * scale."""
-    H = np.asarray(H, float)
-    n = H.shape[0]
-    scale = 1.0 + float(np.max(np.abs(H))) ** 2 if H.size else 1.0
-    for r1 in range(n):
-        for r2 in range(r1 + 1, n):
-            for c1 in range(n):
-                for c2 in range(c1 + 1, n):
-                    m = H[r1, c1] * H[r2, c2] - H[r1, c2] * H[r2, c1]
-                    if m < -RTOL * scale:
-                        return False
-    return True
+    lhs, rhs = _hurwitz_sides(b)
+    return lhs <= rhs * (1.0 + RTOL) + 1e-300
 
 
 def verify_exchange_all_pairs(values, k):
     """Batch check of the pairwise exchange inequality (constants beta^i,
-    beta = k^4) and the even-polynomial Hurwitz inequality over every
+    beta = k^4, i <= 2) and the even-polynomial Hurwitz inequality over every
     unordered pair of size-k sets.
 
-    `values` maps every sorted size-k tuple to mu of that set.  A single walk
-    over the sets W between S n T and S u T supplies, bucketed by
-    a = |W n (S\\T)|, both the maxima M^{t-a}(S->T) = M over bucket a and the
-    sums b_{2a} used by the Hurwitz corollary.
+    `values` maps every sorted size-k tuple to mu of that set.  One
+    `pair_buckets` walk per pair supplies both the exchange maxima and the
+    Hurwitz coefficients b_{2a} = sums[a].
     """
     beta = float(k) ** 4
+    value = values.__getitem__
     sets = sorted(values)
     result = {
         "pairs": 0,
@@ -238,50 +187,15 @@ def verify_exchange_all_pairs(values, k):
         "hurwitz_failures": [],
         "max_measured_beta": 0.0,
     }
-    for ai in range(len(sets)):
-        S = sets[ai]
-        sS = set(S)
-        for bi in range(ai + 1, len(sets)):
-            T = sets[bi]
-            D1 = tuple(i for i in S if i not in T)
-            D2 = tuple(j for j in T if j not in sS)
-            t = len(D1)
-            core = tuple(i for i in S if i in T)
-            lhs = values[S] * values[T]
+    for ai, S in enumerate(sets):
+        for T in sets[ai + 1:]:
             result["pairs"] += 1
-            maxima = [0.0] * (t + 1)
-            sums = [0.0] * (t + 1)
-            for a in range(t + 1):
-                m = -math.inf
-                tot = 0.0
-                for A in combinations(D1, a):
-                    for B in combinations(D2, t - a):
-                        v = values[tuple(sorted(core + A + B))]
-                        tot += v
-                        if v > m:
-                            m = v
-                maxima[a] = m
-                sums[a] = tot
-            # pairwise exchange at i in {1, 2}
-            ok = lhs <= 0.0
-            measured = math.inf if not ok else 0.0
-            for i in (1, 2):
-                if lhs <= 0.0 or i > t:
-                    break
-                prod = maxima[t - i] * maxima[i]
-                if prod > 0.0:
-                    measured = min(measured, (lhs / prod) ** (1.0 / i))
-                    if beta**i * prod >= lhs * (1.0 - RTOL):
-                        ok = True
+            maxima, sums = pair_buckets(value, S, T)
+            ok, measured = _pair_verdict(values[S] * values[T], maxima, beta, 2)
             if not ok:
                 result["exchange_failures"].append((S, T, measured))
             if math.isfinite(measured):
                 result["max_measured_beta"] = max(result["max_measured_beta"], measured)
-            # even-polynomial Hurwitz corollary on b_{2a} = sums[a]
-            cands = [sums[1] * sums[t - 1]]
-            if t >= 2:
-                cands.append(sums[2] * sums[t - 2])
-            h_lhs = sums[0] * sums[t]
-            if t > 2 and h_lhs > max(cands) * (1.0 + RTOL) + 1e-300:
-                result["hurwitz_failures"].append((S, T, h_lhs, max(cands)))
+            if not hurwitz_coeff_check(sums):
+                result["hurwitz_failures"].append((S, T, *_hurwitz_sides(sums)))
     return result
