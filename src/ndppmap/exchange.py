@@ -3,9 +3,13 @@
 For a pair of size-k sets S, T at distance t, the i-exchanges E^i(S,T) are
 the subsets U of the symmetric difference with |U n S| = |U n T| = i.  One
 walk over the sets W between S n T and S u T, bucketed by |W n (S\\T)|,
-prices every pair check: the pairwise exchange inequality, its
-even-polynomial Hurwitz corollary and the batch verifier over all pairs.
-The strong basis exchange, which pairs single swaps element by element, is
+prices the per-pair checks: the pairwise exchange inequality and its
+even-polynomial Hurwitz corollary.  The batch verifier over all pairs sweeps
+the same buckets with arrays: its table, which must hold exactly the size-k
+subsets of its ground set, is laid out by colex rank, and the pairs are taken
+in blocks of PAIR_BLOCK, grouped by distance, one gather per (A, B) pattern.
+One pair verdict and one Hurwitz rule, written for arrays, judge both.  The
+strong basis exchange, which pairs single swaps element by element, is
 checked on its own for the core-set certificate.
 """
 
@@ -22,6 +26,7 @@ from .setdist import SetDistribution, as_set
 
 BRUTE_FORCE_CAP = 2 * 10**6
 RTOL = 1e-9  # relative slack of the exchange and Hurwitz inequalities
+PAIR_BLOCK = 1 << 15  # pairs per block of the all-pairs sweep
 
 
 @dataclass
@@ -84,22 +89,28 @@ def pair_buckets(value, S, T):
     return maxima, sums
 
 
-def _pair_verdict(lhs, maxima, beta, r):
-    """(passed, measured beta) of mu(S)mu(T) = lhs <= max_{i<=r} beta^i M^i(S->T) M^i(T->S).
+def _root(q, i):
+    """q ** (1/i) elementwise with Python's float power, which numpy's power
+    and square root do not match in the last bit."""
+    return q if i == 1 else np.array([x ** (1.0 / i) for x in q.tolist()])
 
-    The measured beta is the smallest (lhs / prod_i)^(1/i) over i <= r; the
-    pair passes when lhs <= 0 or beta^i prod_i >= lhs (1 - RTOL) for some i.
+
+def _pair_verdict(lhs, maxima, beta, r):
+    """(passed, measured beta) of mu(S)mu(T) = lhs <= max_{i<=r} beta^i M^i(S->T) M^i(T->S),
+    as arrays over pairs: lhs[p] and maxima[a][p] (bucket a of `pair_buckets`).
+
+    The measured beta is the smallest (lhs / prod_i)^(1/i) over i <= r with
+    prod_i > 0, inf if there is none and 0 when lhs <= 0; the pair passes when
+    lhs <= 0 or beta^i prod_i >= lhs (1 - RTOL) for some i.
     """
-    if lhs <= 0.0:
-        return True, 0.0
     t = len(maxima) - 1
-    ok, measured = False, math.inf
+    ok = lhs <= 0.0
+    measured = np.where(ok, 0.0, math.inf)
     for i in range(1, min(r, t) + 1):
         prod = maxima[t - i] * maxima[i]
-        if prod > 0.0:
-            measured = min(measured, (lhs / prod) ** (1.0 / i))
-            if beta**i * prod >= lhs * (1.0 - RTOL):
-                ok = True
+        pos = (prod > 0.0) & (lhs > 0.0)
+        measured[pos] = np.minimum(measured[pos], _root(lhs[pos] / prod[pos], i))
+        ok |= pos & (beta**i * prod >= lhs * (1.0 - RTOL))
     return ok, measured
 
 
@@ -112,9 +123,11 @@ def check_pair_exchange(mu: SetDistribution, S, T, r=2) -> ExchangeReport:
         return ExchangeReport((S, T), "pair_exchange", 1.0, True, distance=0, vacuous=True)
     maxima, _ = pair_buckets(mu.value, S, T)
     passed, measured = _pair_verdict(
-        mu.value(S) * mu.value(T), maxima, float(len(S)) ** 4, r
+        np.array([mu.value(S) * mu.value(T)]), np.array(maxima)[:, None], float(len(S)) ** 4, r
     )
-    return ExchangeReport((S, T), "pair_exchange", measured, passed, distance=t)
+    return ExchangeReport(
+        (S, T), "pair_exchange", float(measured[0]), bool(passed[0]), distance=t
+    )
 
 
 def check_strong_basis_exchange(mu: SetDistribution, S, T) -> ExchangeReport:
@@ -156,17 +169,83 @@ def exchange_polynomial(mu: SetDistribution, S, T) -> np.ndarray:
 
 def _hurwitz_sides(b):
     t = len(b) - 1
-    return b[0] * b[t], max(b[1] * b[t - 1], b[2] * b[t - 2])
+    return b[0] * b[t], np.maximum(b[1] * b[t - 1], b[2] * b[t - 2])
 
 
 def hurwitz_coeff_check(b):
     """b_0 b_t <= max{b_1 b_{t-1}, b_2 b_{t-2}} on coefficients b_0..b_t,
     vacuous for t <= 2.  On the even coefficients of the exchange polynomial
-    this is the Hurwitz corollary of the pairwise exchange inequality."""
+    this is the Hurwitz corollary of the pairwise exchange inequality.  Each
+    b_a may be an array over pairs; the verdict is then one per pair."""
     if len(b) <= 3:
         return True
     lhs, rhs = _hurwitz_sides(b)
     return lhs <= rhs * (1.0 + RTOL) + 1e-300
+
+
+def _table_layout(values, k):
+    """(sets, pos, colex, vals) of a table keyed by every size-k subset of its ground set.
+
+    sets is the sorted key list and column a of pos (k x N) the positions of
+    sets[a] in the sorted ground set.  colex maps a k x m array whose columns
+    are sets of positions to their colex ranks sum_j C(w_j, j+1), w sorted;
+    vals[colex(pos)] = values[sets].
+    """
+    sets = sorted(values)
+    if any(len(S) != k for S in sets):
+        raise DomainError(f"table keys must be size-{k} sets")
+    N = len(sets)
+    ground, pos = np.unique(np.array(sets, dtype=np.int64).reshape(N, k), return_inverse=True)
+    pos = pos.reshape(N, k).T.copy()
+    if (np.diff(pos, axis=0) <= 0).any() or N != math.comb(len(ground), k):
+        raise DomainError(
+            f"table keys are not the size-{k} subsets of their {len(ground)}-element ground set"
+        )
+    # A rank below N uses only terms below N, so clamping keeps int64 exact.
+    binom = np.array(
+        [[min(math.comb(w, j), N) for j in range(1, k + 1)] for w in range(len(ground))],
+        dtype=np.int64,
+    ).reshape(len(ground), k)
+    count = np.min_scalar_type(k)
+
+    def colex(W):
+        # w's place in its sorted column is the number of entries below it.
+        below = (W[:, None, :] > W[None, :, :]).view(np.uint8).sum(axis=1, dtype=count)
+        return binom[W, below].sum(axis=0)
+
+    vals = np.empty(N)
+    vals[colex(pos)] = [values[S] for S in sets]
+    return sets, pos, colex, vals
+
+
+def _sweep_buckets(vals, colex, U, t):
+    """`pair_buckets` for m pairs at distance t at once.  The rows of U
+    (k + t x m) hold each pair's core, then S\\T, then T\\S, each ascending;
+    every pattern (A, B) is gathered for all m pairs, in `pair_buckets`' order,
+    so each sum adds its terms in the same order."""
+    k = len(U) - t
+    core = list(range(k - t))
+    maxima, sums = [], []
+    for a in range(t + 1):
+        m, tot = -math.inf, 0.0
+        for A in combinations(range(k - t, k), a):
+            for B in combinations(range(k, k + t), t - a):
+                v = vals[colex(U[core + list(A) + list(B)])]
+                tot = tot + v
+                m = np.maximum(m, v)
+        maxima.append(m)
+        sums.append(tot)
+    return maxima, sums
+
+
+def _outside_first(X, inside):
+    """Each column of X with its entries not `inside` first, then the others,
+    both in their original order."""
+    out = np.cumsum(~inside, axis=0) - 1
+    dest = np.where(inside, out[-1] + np.cumsum(inside, axis=0), out)
+    R = np.empty_like(X)
+    np.put_along_axis(R, dest, X, axis=0)
+    return R
 
 
 def verify_exchange_all_pairs(values, k):
@@ -174,28 +253,54 @@ def verify_exchange_all_pairs(values, k):
     beta = k^4, i <= 2) and the even-polynomial Hurwitz inequality over every
     unordered pair of size-k sets.
 
-    `values` maps every sorted size-k tuple to mu of that set.  One
-    `pair_buckets` walk per pair supplies both the exchange maxima and the
-    Hurwitz coefficients b_{2a} = sums[a].
+    `values` maps every sorted size-k tuple over some ground set of labels to
+    mu of that set; any other key set raises DomainError.  The unordered pairs
+    (S, T), S < T, are swept in blocks of at most PAIR_BLOCK; within a block
+    the pairs at each distance share their (A, B) patterns, so
+    `_sweep_buckets` yields every pair's `pair_buckets` maxima and sums, to
+    which the pair verdict and the Hurwitz rule apply as arrays.  Failures
+    are listed in pair order.
     """
+    sets, pos, colex, vals = _table_layout(values, k)
     beta = float(k) ** 4
-    value = values.__getitem__
-    sets = sorted(values)
+    N = len(sets)
+    npairs = N * (N - 1) // 2
     result = {
-        "pairs": 0,
+        "pairs": npairs,
         "exchange_failures": [],
         "hurwitz_failures": [],
         "max_measured_beta": 0.0,
     }
-    for ai, S in enumerate(sets):
-        for T in sets[ai + 1:]:
-            result["pairs"] += 1
-            maxima, sums = pair_buckets(value, S, T)
-            ok, measured = _pair_verdict(values[S] * values[T], maxima, beta, 2)
-            if not ok:
-                result["exchange_failures"].append((S, T, measured))
-            if math.isfinite(measured):
-                result["max_measured_beta"] = max(result["max_measured_beta"], measured)
-            if not hurwitz_coeff_check(sums):
-                result["hurwitz_failures"].append((S, T, *_hurwitz_sides(sums)))
+    rows = np.arange(N)
+    first = rows * (2 * N - rows - 1) // 2  # linear index of the pair (a, a + 1)
+    own = vals[colex(pos)]
+    for p0 in range(0, npairs, PAIR_BLOCK):
+        p = np.arange(p0, min(p0 + PAIR_BLOCK, npairs))
+        a = np.searchsorted(first, p, side="right") - 1
+        b = p - first[a] + a + 1
+        SP, TP = pos[:, a], pos[:, b]
+        in_T = (SP[:, None, :] == TP[None, :, :]).any(axis=1)
+        in_S = (TP[:, None, :] == SP[None, :, :]).any(axis=1)
+        SP, TP = _outside_first(SP, in_T), _outside_first(TP, in_S)
+        dist = k - in_T.sum(axis=0)
+        exch, hurw = [], []
+        for t in range(1, k + 1):
+            sel = np.flatnonzero(dist == t)
+            if not len(sel):
+                continue
+            U = np.concatenate((SP[t:, sel], SP[:t, sel], TP[:t, sel]))
+            maxima, sums = _sweep_buckets(vals, colex, U, t)
+            ok, measured = _pair_verdict(own[a[sel]] * own[b[sel]], maxima, beta, 2)
+            finite = measured[np.isfinite(measured)]
+            if len(finite):
+                result["max_measured_beta"] = max(result["max_measured_beta"], float(finite.max()))
+            exch += [(sel[j], measured[j]) for j in np.flatnonzero(~ok)]
+            bad = np.flatnonzero(~np.broadcast_to(hurwitz_coeff_check(sums), sel.shape))
+            if len(bad):
+                lhs, rhs = _hurwitz_sides(sums)
+                hurw += [(sel[j], lhs[j], rhs[j]) for j in bad]
+        for q, beta_hat in sorted(exch):
+            result["exchange_failures"].append((sets[a[q]], sets[b[q]], float(beta_hat)))
+        for q, lhs, rhs in sorted(hurw):
+            result["hurwitz_failures"].append((sets[a[q]], sets[b[q]], float(lhs), float(rhs)))
     return result

@@ -134,7 +134,8 @@ class UniformDistribution(SetDistribution):
 
 
 def kernel_table(K: Kernel, k):
-    """All size-k principal minors of K, keyed by sorted index tuple."""
-    return {
-        S: principal_minor(K, S) for S in combinations(range(K.n), k)
-    }
+    """All size-k principal minors of K, keyed by sorted index tuple, priced
+    by one batched determinant; the empty set's minor is 1."""
+    sets = list(combinations(range(K.n), k))
+    S = np.array(sets, dtype=np.intp).reshape(len(sets), k)
+    return dict(zip(sets, np.linalg.det(K.entries[S[:, :, None], S[:, None, :]]).tolist()))

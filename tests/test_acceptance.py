@@ -21,16 +21,12 @@ from ndppmap import (
     brute_force_map,
     build_downup,
     build_plan,
-    check_strong_basis_exchange,
     compose_and_report,
-    conductance,
     induced_greedy,
     kernel_table,
     local_search,
-    map_inference,
     principal_minor,
     sample_walk,
-    spectral_gap,
     standard_greedy,
     superset_marginal,
     tv_distance,

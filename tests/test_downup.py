@@ -8,7 +8,6 @@ from ndppmap import (
     ChainMatrix,
     DomainError,
     InfeasibilityError,
-    Kernel,
     KernelDistribution,
     TableDistribution,
     UniformDistribution,

@@ -1,8 +1,10 @@
+import math
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from ndppmap import exchange
 from ndppmap import (
     CapacityError,
     DomainError,
@@ -17,6 +19,7 @@ from ndppmap import (
     kernel_table,
     verify_exchange_all_pairs,
 )
+from ndppmap.exchange import _hurwitz_sides, _pair_verdict, pair_buckets
 from ndppmap.instances import random_npsd, skew_block, sym_psd
 
 
@@ -218,3 +221,95 @@ class TestBatchVerifier:
             (S, T, pytest.approx(1e12), pytest.approx(8.1e-11))
         ]
         assert not hurwitz_coeff_check([1e6, 9e-6, 9e-6, 1e6])
+
+
+def per_pair_reference(values, k):
+    """The batch verifier's result, pair by pair in (S, T) order, from
+    `pair_buckets`, the pair verdict and the Hurwitz rule."""
+    sets = sorted(values)
+    res = {"pairs": 0, "exchange_failures": [], "hurwitz_failures": [], "max_measured_beta": 0.0}
+    for ai, S in enumerate(sets):
+        for T in sets[ai + 1:]:
+            res["pairs"] += 1
+            maxima, sums = pair_buckets(values.__getitem__, S, T)
+            ok, measured = _pair_verdict(
+                np.array([values[S] * values[T]]), np.array(maxima)[:, None], float(k) ** 4, 2
+            )
+            if not ok[0]:
+                res["exchange_failures"].append((S, T, float(measured[0])))
+            if math.isfinite(measured[0]):
+                res["max_measured_beta"] = max(res["max_measured_beta"], float(measured[0]))
+            if not hurwitz_coeff_check(sums):
+                lhs, rhs = _hurwitz_sides(sums)
+                res["hurwitz_failures"].append((S, T, float(lhs), float(rhs)))
+    return res
+
+
+def signed_table(labels, k, seed):
+    """Lognormal masses of widely spread magnitude, about a third of them
+    zero and a sixth negative."""
+    rng = np.random.default_rng(seed)
+    sets = list(combinations(labels, k))
+    sign = rng.choice([0.0, 0.0, -1.0, 1.0, 1.0, 1.0], size=len(sets))
+    return dict(zip(sets, (sign * rng.lognormal(0.0, 4.0, size=len(sets))).tolist()))
+
+
+class TestSweepMatchesPerPair:
+    @pytest.mark.parametrize(
+        "table, k",
+        [
+            (signed_table(range(7), 3, 0), 3),
+            (signed_table(range(9), 4, 2), 4),
+            (signed_table((2, 5, 9, 11, 14), 2, 2), 2),
+            (signed_table((3, 8, 10, 21, 40, 41, 1000), 3, 4), 3),
+            (signed_table(range(6), 1, 5), 1),
+            ({(4, 7, 9): 2.0}, 3),
+            (kernel_table(random_npsd(9, 6), 4), 4),
+        ],
+        ids=["signed-7-3", "signed-9-4", "labels-k2", "labels-k3", "k1",
+             "one-set", "kernel-9-4"],
+    )
+    def test_identical_results(self, table, k):
+        assert verify_exchange_all_pairs(table, k) == per_pair_reference(table, k)
+
+    def test_signed_table_reaches_every_verdict_path(self):
+        res = per_pair_reference(signed_table(range(9), 4, 2), 4)
+        beta_hats = [f[2] for f in res["exchange_failures"]]
+        # no positive product (inf) and a positive one too small (finite)
+        assert math.inf in beta_hats and any(map(math.isfinite, beta_hats))
+        assert res["hurwitz_failures"]
+
+    def test_measured_beta_is_python_float_power(self):
+        # numpy's power and square root round this root one unit lower
+        lhs = 9.562958764887671
+        maxima = [np.ones(1), np.full(1, 1e-9), np.ones(1)]
+        _, measured = _pair_verdict(np.array([lhs]), maxima, 16.0, 2)
+        assert measured[0] == lhs**0.5
+
+    def test_failures_in_pair_order_across_blocks(self, monkeypatch):
+        table = signed_table(range(9), 4, 2)
+        want = per_pair_reference(table, 4)
+        monkeypatch.setattr(exchange, "PAIR_BLOCK", 37)
+        got = verify_exchange_all_pairs(table, 4)
+        assert got == want
+        pairs = list(combinations(sorted(table), 2))
+        for key in ("exchange_failures", "hurwitz_failures"):
+            assert len({pairs.index(f[:2]) // 37 for f in got[key]}) > 1
+        assert len({len(set(S) - set(T)) for S, T, *_ in got["hurwitz_failures"]}) > 1
+
+
+class TestTableContract:
+    def test_missing_set_rejected(self):
+        table = kernel_table(random_npsd(5, 0), 2)
+        del table[(1, 3)]
+        with pytest.raises(DomainError):
+            verify_exchange_all_pairs(table, 2)
+
+    def test_wrong_k_rejected(self):
+        table = kernel_table(random_npsd(5, 0), 3)
+        with pytest.raises(DomainError):
+            verify_exchange_all_pairs(table, 2)
+
+    def test_unsorted_key_rejected(self):
+        with pytest.raises(DomainError):
+            verify_exchange_all_pairs({(0, 1): 1.0, (0, 2): 1.0, (2, 1): 1.0}, 2)

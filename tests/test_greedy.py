@@ -1,4 +1,3 @@
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -10,7 +9,6 @@ from ndppmap import (
     KernelDistribution,
     brute_force_map,
     induced_greedy,
-    principal_minor,
     standard_greedy,
 )
 from ndppmap.instances import random_npsd, skew_block

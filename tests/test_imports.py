@@ -1,12 +1,16 @@
-"""Static check that no module of the package imports a name it never uses."""
+"""Static check that no module of the package or of its tests imports a
+name it never uses."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "ndppmap"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "ndppmap"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(
+    TESTS.glob("*.py")
+)
 
 
 def unused_imports(path):
