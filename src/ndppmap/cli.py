@@ -18,7 +18,7 @@ from .errors import CapacityError, DomainError, InfeasibilityError, NdppError
 from .exchange import brute_force_map, verify_exchange_all_pairs
 from .kernel import load_kernel, save_kernel
 from .localsearch import SearchConfig, map_inference
-from .setdist import KernelDistribution, kernel_table
+from .setdist import KernelDistribution
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -44,7 +44,7 @@ def cmd_gen(args):
     elif kind == "random-npsd":
         K = instances.random_npsd(args.n, args.seed)
     elif kind == "sym-psd":
-        K = instances.identity_kernel(args.n) if args.identity else instances.sym_psd(args.n, args.seed)
+        K = instances.sym_psd(args.n, args.seed)
     elif kind == "lowrank-npsd":
         K = instances.lowrank_npsd(args.n, args.d, args.seed)
     else:  # pragma: no cover - argparse restricts choices
@@ -88,8 +88,7 @@ def cmd_map(args):
 
 
 def _suite_exchange(K, k, args):
-    table = kernel_table(K, k)
-    res = verify_exchange_all_pairs(table, k)
+    res = verify_exchange_all_pairs(KernelDistribution(K, k))
     return {
         "pairs": res["pairs"],
         "exchange_failures": len(res["exchange_failures"]),
@@ -162,7 +161,6 @@ def build_parser():
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--c", default="4,3,2", help="skew-block diagonal entries")
     g.add_argument("--x", default="100,200,300", help="skew-block off-diagonals")
-    g.add_argument("--identity", action="store_true", help="emit the identity (sym-psd)")
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen)
 

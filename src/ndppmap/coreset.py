@@ -81,13 +81,9 @@ def compose_and_report(mu: SetDistribution, plan: PartitionPlan, zeta=0.5):
         )
         Ci = plan.coresets[pi]
         pair = check_strong_basis_exchange(mu, Ci, W)
-        # witnesses hold (e, j) for each j in W \ C_i with a positive-mass swap
-        swaps = {w[-1]: w[0] for _, w in pair.witnesses if len(w) == 2}
-        if j not in swaps:
-            raise InfeasibilityError(
-                f"no positive-mass swap for j={j} against core-set {Ci}"
-            )
-        e = swaps[j]
+        if j not in pair.witnesses:
+            raise InfeasibilityError(f"no positive-mass swap for j={j} against core-set {Ci}")
+        e = pair.witnesses[j]
         W2 = as_set(set(W) - {j} | {e})
         prod = mu.value(as_set(set(Ci) - {e} | {j})) * mu.value(W2)
         beta_step = mu.value(Ci) * mu.value(W) / prod

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, compress
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .setdist import SetDistribution, as_set
 CHAIN_STATE_CAP = 20000
 CONDUCTANCE_STATE_CAP = 22
 CUT_BLOCK = 1 << 15  # cuts per block of the exact conductance sweep
+CHEEGER_TOL = 1e-9  # absolute slack of both sides of the Cheeger sandwich
 
 
 @dataclass
@@ -27,6 +29,13 @@ class ChainMatrix:
     states: list  # sorted size-k tuples carrying positive mass
     P: np.ndarray  # row-stochastic transition matrix
     pi: np.ndarray  # stationary density (normalized mu over states)
+
+    @cached_property
+    def spectrum(self):
+        """Ascending eigenvalues of P, from its reversible symmetrization."""
+        s = np.sqrt(self.pi)
+        A = (s[:, None] * self.P) / s[None, :]
+        return np.linalg.eigvalsh(0.5 * (A + A.T))
 
 
 class FieldDistribution(SetDistribution):
@@ -62,11 +71,8 @@ def apply_field(mu: SetDistribution, lam) -> FieldDistribution:
     if len(lam) != mu.n:
         raise DomainError(f"field has {len(lam)} entries, ground set has {mu.n}")
     out = FieldDistribution(mu, lam)
-    if math.comb(mu.n, mu.k) <= CHAIN_STATE_CAP:
-        if not any(
-            out.value(S) > 0.0 for S in combinations(range(mu.n), mu.k)
-        ):
-            raise InfeasibilityError("field leaves no size-k subset with positive mass")
+    if math.comb(mu.n, mu.k) <= CHAIN_STATE_CAP and not (out.tabulate() > 0.0).any():
+        raise InfeasibilityError("field leaves no size-k subset with positive mass")
     return out
 
 
@@ -76,16 +82,19 @@ def build_downup(mu: SetDistribution, n, k, l) -> ChainMatrix:
     The matrix is the composition D_{k->l} U_{l->k} acting on k-sets, which is
     exactly the two-step drop/re-complete algorithm.
     """
+    if (n, k) != (mu.n, mu.k):
+        raise DomainError(f"(n, k) = ({n}, {k}) but mu is over ({mu.n}, {mu.k})")
     if not 0 <= l <= k <= n:
         raise DomainError(f"need 0 <= l <= k <= n, got n={n}, k={k}, l={l}")
     if math.comb(n, k) > CHAIN_STATE_CAP:
         raise CapacityError(f"C({n},{k}) exceeds chain cap {CHAIN_STATE_CAP}")
-    vals = {S: mu.value(S) for S in combinations(range(n), k)}
-    states = [S for S, v in vals.items() if v > 0.0]
+    vals = mu.tabulate()
+    support = vals > 0.0
+    states = list(compress(combinations(range(n), k), support))
     if not states:
         raise InfeasibilityError("mu has empty support on size-k subsets")
     m = len(states)
-    w = np.array([vals[S] for S in states])
+    w = vals[support]
     pi = w / w.sum()
     if k == l:
         return ChainMatrix(states, np.eye(m), pi)
@@ -103,19 +112,11 @@ def build_downup(mu: SetDistribution, n, k, l) -> ChainMatrix:
     return ChainMatrix(states, P, pi)
 
 
-def _symmetrized_spectrum(C: ChainMatrix):
-    s = np.sqrt(C.pi)
-    A = (s[:, None] * C.P) / s[None, :]
-    A = 0.5 * (A + A.T)
-    return np.linalg.eigvalsh(A)
-
-
 def spectral_gap(C: ChainMatrix) -> float:
     """1 - lambda_2 of the transition matrix (via the reversible symmetrization)."""
     if len(C.states) < 2:
         return 1.0
-    ev = _symmetrized_spectrum(C)
-    return float(1.0 - ev[-2])
+    return float(1.0 - C.spectrum[-2])
 
 
 @dataclass
@@ -174,12 +175,12 @@ def conductance(C: ChainMatrix) -> ConductanceResult:
     return ConductanceResult(True, best, best, best)
 
 
-def cheeger_ok(gap, cond: ConductanceResult, tol=1e-9):
+def cheeger_ok(gap, cond: ConductanceResult):
     """Phi^2 / 2 <= 1 - lambda_2 <= 2 Phi, checked only when Phi is exact."""
     if not cond.exact:
         return True
     phi = cond.value
-    return phi * phi / 2.0 <= gap + tol and gap <= 2.0 * phi + tol
+    return phi * phi / 2.0 <= gap + CHEEGER_TOL and gap <= 2.0 * phi + CHEEGER_TOL
 
 
 def sample_walk(mu: SetDistribution, S0, l, steps, seed):
@@ -252,8 +253,8 @@ def chain_checks(C: ChainMatrix, n=None, k=None, l=None):
     row_err = float(np.max(np.abs(P.sum(axis=1) - 1.0)))
     F = pi[:, None] * P
     rev_err = float(np.max(np.abs(F - F.T)))
-    ev = _symmetrized_spectrum(C)
-    gap = float(1.0 - ev[-2]) if len(ev) > 1 else 1.0
+    ev = C.spectrum
+    gap = spectral_gap(C)
     cond = conductance(C)
     stat_err = float(np.max(np.abs(pi @ P - pi)))
     report = {

@@ -5,19 +5,19 @@ the subsets U of the symmetric difference with |U n S| = |U n T| = i.  One
 walk over the sets W between S n T and S u T, bucketed by |W n (S\\T)|,
 prices the per-pair checks: the pairwise exchange inequality and its
 even-polynomial Hurwitz corollary.  The batch verifier over all pairs sweeps
-the same buckets with arrays: its table, which must hold exactly the size-k
-subsets of its ground set, is laid out by colex rank, and the pairs are taken
-in blocks of PAIR_BLOCK, grouped by distance, one gather per (A, B) pattern.
-One pair verdict and one Hurwitz rule, written for arrays, judge both.  The
-strong basis exchange, which pairs single swaps element by element, is
-checked on its own for the core-set certificate.
+the same buckets with arrays: it lays mu.tabulate() out by colex rank and
+takes the pairs in blocks of PAIR_BLOCK, grouped by distance, one gather per
+(A, B) pattern.  One pair verdict and one Hurwitz rule, written for arrays,
+judge both.  The brute-force argmax reads the same table.  The strong basis
+exchange, which pairs single swaps element by element, is checked on its own
+for the core-set certificate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -35,23 +35,25 @@ class ExchangeReport:
     variant: str  # pair_exchange | strong_basis
     measured_beta: float
     passed: bool
-    witnesses: list = field(default_factory=list)
+    witnesses: dict = field(default_factory=dict)  # strong basis: j -> its best i
     distance: int = 0
     vacuous: bool = False
 
 
 def brute_force_map(mu: SetDistribution, n, k):
-    """Exact argmax of mu over size-k subsets of [n], smallest set on ties."""
+    """Exact argmax of mu over size-k subsets of [n], smallest set on ties;
+    NaN never wins, and (None, -inf) when nothing exceeds -inf."""
+    if (n, k) != (mu.n, mu.k):
+        raise DomainError(f"(n, k) = ({n}, {k}) but mu is over ({mu.n}, {mu.k})")
     if not 0 <= k <= n:
         raise DomainError(f"k={k} outside 0..n={n}")
     if math.comb(n, k) > BRUTE_FORCE_CAP:
         raise CapacityError(f"C({n},{k}) exceeds brute-force cap {BRUTE_FORCE_CAP}")
-    best, best_val = None, -math.inf
-    for S in combinations(range(n), k):
-        v = float(mu.value(S))
-        if v > best_val:
-            best, best_val = S, v
-    return best, best_val
+    vals = mu.tabulate()
+    i = int(np.argmax(np.where(np.isnan(vals), -math.inf, vals)))
+    if not vals[i] > -math.inf:
+        return None, -math.inf
+    return next(islice(combinations(range(n), k), i, None)), float(vals[i])
 
 
 def _sides(S, T):
@@ -132,7 +134,8 @@ def check_pair_exchange(mu: SetDistribution, S, T, r=2) -> ExchangeReport:
 
 def check_strong_basis_exchange(mu: SetDistribution, S, T) -> ExchangeReport:
     """Strong basis exchange: for every j in T\\S some i in S\\T has
-    mu(S)mu(T) <= beta * mu(S-i+j) mu(T+i-j); reports the max-over-j minimal beta."""
+    mu(S)mu(T) <= beta * mu(S-i+j) mu(T+i-j); reports the max-over-j minimal
+    beta, and as witnesses the map j -> i of each j's best positive-mass swap."""
     S, T, D1, D2 = _sides(S, T)
     t = len(D1)
     if t == 0:
@@ -140,18 +143,14 @@ def check_strong_basis_exchange(mu: SetDistribution, S, T) -> ExchangeReport:
     lhs = mu.value(S) * mu.value(T)
     if lhs <= 0.0:
         return ExchangeReport((S, T), "strong_basis", 0.0, True, distance=t)
-    worst, witnesses = 0.0, []
+    worst, witnesses = 0.0, {}
     for j in D2:
-        best, best_i = math.inf, None
+        best = math.inf
         for i in D1:
             prod = mu.value(as_set(set(S) - {i} | {j})) * mu.value(as_set(set(T) - {j} | {i}))
-            if prod > 0.0:
-                beta = lhs / prod
-                if beta < best:
-                    best, best_i = beta, i
-        if best > worst:
-            worst = best
-        witnesses.append((1, (best_i, j) if best_i is not None else (j,)))
+            if prod > 0.0 and lhs / prod < best:
+                best, witnesses[j] = lhs / prod, i
+        worst = max(worst, best)
     return ExchangeReport(
         (S, T), "strong_basis", worst, math.isfinite(worst), witnesses, t
     )
@@ -181,41 +180,6 @@ def hurwitz_coeff_check(b):
         return True
     lhs, rhs = _hurwitz_sides(b)
     return lhs <= rhs * (1.0 + RTOL) + 1e-300
-
-
-def _table_layout(values, k):
-    """(sets, pos, colex, vals) of a table keyed by every size-k subset of its ground set.
-
-    sets is the sorted key list and column a of pos (k x N) the positions of
-    sets[a] in the sorted ground set.  colex maps a k x m array whose columns
-    are sets of positions to their colex ranks sum_j C(w_j, j+1), w sorted;
-    vals[colex(pos)] = values[sets].
-    """
-    sets = sorted(values)
-    if any(len(S) != k for S in sets):
-        raise DomainError(f"table keys must be size-{k} sets")
-    N = len(sets)
-    ground, pos = np.unique(np.array(sets, dtype=np.int64).reshape(N, k), return_inverse=True)
-    pos = pos.reshape(N, k).T.copy()
-    if (np.diff(pos, axis=0) <= 0).any() or N != math.comb(len(ground), k):
-        raise DomainError(
-            f"table keys are not the size-{k} subsets of their {len(ground)}-element ground set"
-        )
-    # A rank below N uses only terms below N, so clamping keeps int64 exact.
-    binom = np.array(
-        [[min(math.comb(w, j), N) for j in range(1, k + 1)] for w in range(len(ground))],
-        dtype=np.int64,
-    ).reshape(len(ground), k)
-    count = np.min_scalar_type(k)
-
-    def colex(W):
-        # w's place in its sorted column is the number of entries below it.
-        below = (W[:, None, :] > W[None, :, :]).view(np.uint8).sum(axis=1, dtype=count)
-        return binom[W, below].sum(axis=0)
-
-    vals = np.empty(N)
-    vals[colex(pos)] = [values[S] for S in sets]
-    return sets, pos, colex, vals
 
 
 def _sweep_buckets(vals, colex, U, t):
@@ -248,22 +212,38 @@ def _outside_first(X, inside):
     return R
 
 
-def verify_exchange_all_pairs(values, k):
+def verify_exchange_all_pairs(mu: SetDistribution):
     """Batch check of the pairwise exchange inequality (constants beta^i,
     beta = k^4, i <= 2) and the even-polynomial Hurwitz inequality over every
-    unordered pair of size-k sets.
+    unordered pair of size-k subsets of [n].
 
-    `values` maps every sorted size-k tuple over some ground set of labels to
-    mu of that set; any other key set raises DomainError.  The unordered pairs
-    (S, T), S < T, are swept in blocks of at most PAIR_BLOCK; within a block
-    the pairs at each distance share their (A, B) patterns, so
-    `_sweep_buckets` yields every pair's `pair_buckets` maxima and sums, to
-    which the pair verdict and the Hurwitz rule apply as arrays.  Failures
-    are listed in pair order.
+    mu.tabulate() is laid out by colex rank.  The unordered pairs (S, T),
+    S < T, are swept in blocks of at most PAIR_BLOCK; within a block the
+    pairs at each distance share their (A, B) patterns, so `_sweep_buckets`
+    yields every pair's `pair_buckets` maxima and sums, to which the pair
+    verdict and the Hurwitz rule apply as arrays.  Failures are listed in
+    pair order.
     """
-    sets, pos, colex, vals = _table_layout(values, k)
+    n, k = mu.n, mu.k
+    N = math.comb(n, k)
+    sets = list(combinations(range(n), k))
+    pos = np.array(sets, dtype=np.int64).reshape(N, k).T.copy()  # column a is sets[a]
+    # A rank below N uses only terms below N, so clamping keeps int64 exact.
+    binom = np.array(
+        [[min(math.comb(w, j), N) for j in range(1, k + 1)] for w in range(n)], dtype=np.int64
+    ).reshape(n, k)
+    count = np.min_scalar_type(k)
+
+    def colex(W):
+        """Colex ranks sum_j C(w_j, j+1), w sorted, of the columns of W; w's
+        place in its sorted column is the number of entries below it."""
+        below = (W[:, None, :] > W[None, :, :]).view(np.uint8).sum(axis=1, dtype=count)
+        return binom[W, below].sum(axis=0)
+
+    own = mu.tabulate()
+    vals = np.empty(N)
+    vals[colex(pos)] = own
     beta = float(k) ** 4
-    N = len(sets)
     npairs = N * (N - 1) // 2
     result = {
         "pairs": npairs,
@@ -273,7 +253,6 @@ def verify_exchange_all_pairs(values, k):
     }
     rows = np.arange(N)
     first = rows * (2 * N - rows - 1) // 2  # linear index of the pair (a, a + 1)
-    own = vals[colex(pos)]
     for p0 in range(0, npairs, PAIR_BLOCK):
         p = np.arange(p0, min(p0 + PAIR_BLOCK, npairs))
         a = np.searchsorted(first, p, side="right") - 1

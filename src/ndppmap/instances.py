@@ -8,10 +8,6 @@ from .errors import DomainError
 from .kernel import Kernel
 
 
-def identity_kernel(n) -> Kernel:
-    return Kernel(np.eye(n))
-
-
 def random_npsd(n, seed) -> Kernel:
     """A + S with A = G^T G / n symmetric PSD and S skew-symmetric; nPSD by
     construction since the skew part drops out of L + L^T."""
@@ -29,7 +25,7 @@ def sym_psd(n, seed) -> Kernel:
     return Kernel((G.T @ G) / n)
 
 
-def skew_block(c, x, validate=True) -> Kernel:
+def skew_block(c, x) -> Kernel:
     """Block-diagonal kernel of 2x2 blocks [[c_i, x_i], [-x_i, c_i]].
 
     The greedy-failure regime needs c strictly decreasing > 1, x strictly
@@ -39,13 +35,12 @@ def skew_block(c, x, validate=True) -> Kernel:
     x = [float(v) for v in x]
     if len(c) != len(x) or not c:
         raise DomainError("c and x must be nonempty lists of equal length")
-    if validate:
-        if any(ci <= 1.0 for ci in c) or any(c[i] <= c[i + 1] for i in range(len(c) - 1)):
-            raise DomainError("c must be strictly decreasing with every c_i > 1")
-        if any(x[i] >= x[i + 1] for i in range(len(x) - 1)):
-            raise DomainError("x must be strictly increasing")
-        if min(x) < 10.0 * max(c):
-            raise DomainError("need min x >= 10 * max c")
+    if any(ci <= 1.0 for ci in c) or any(c[i] <= c[i + 1] for i in range(len(c) - 1)):
+        raise DomainError("c must be strictly decreasing with every c_i > 1")
+    if any(x[i] >= x[i + 1] for i in range(len(x) - 1)):
+        raise DomainError("x must be strictly increasing")
+    if min(x) < 10.0 * max(c):
+        raise DomainError("need min x >= 10 * max c")
     n = 2 * len(c)
     L = np.zeros((n, n))
     for i, (ci, xi) in enumerate(zip(c, x)):

@@ -29,6 +29,14 @@ def _normalize_indices(S, n):
     return idx
 
 
+def _check_finite(name, M):
+    """DomainError naming the first five NaN or infinite entries of M, if any."""
+    finite = np.isfinite(M)
+    if not finite.all():
+        bad = [tuple(ix) for ix in np.argwhere(~finite)[:5].tolist()]
+        raise DomainError(f"non-finite {name} entries at {', '.join(map(str, bad))}")
+
+
 @dataclass(frozen=True)
 class Kernel:
     """Dense kernel matrix with an optional rank-d factorization (B, C)."""
@@ -40,11 +48,15 @@ class Kernel:
         L = np.asarray(self.entries, dtype=float)
         if L.ndim != 2 or L.shape[0] != L.shape[1] or L.shape[0] < 1:
             raise DomainError(f"kernel must be square, n >= 1; got shape {L.shape}")
-        object.__setattr__(self, "entries", L)
         if self.lowrank is not None:
             B, C = (np.asarray(M, dtype=float) for M in self.lowrank)
             if B.shape[0] != L.shape[0] or C.shape != (B.shape[1], B.shape[1]):
                 raise DomainError("low-rank factor shapes inconsistent with kernel")
+            _check_finite("factor B", B)
+            _check_finite("factor C", C)
+        _check_finite("kernel", L)
+        object.__setattr__(self, "entries", L)
+        if self.lowrank is not None:
             err = np.max(np.abs(L - B @ C @ B.T))
             if err > LOWRANK_RTOL * (1.0 + np.max(np.abs(L))):
                 raise DomainError(f"B C B^T deviates from entries by {err:.3e}")

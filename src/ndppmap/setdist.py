@@ -6,13 +6,16 @@ r-neighbourhoods through the same Schur complement, kernel.condition_on.
 
 from __future__ import annotations
 
-from itertools import combinations
+import math
+from itertools import combinations, islice
 
 import numpy as np
 
 from . import charpoly
-from .errors import ConditioningError
+from .errors import ConditioningError, DomainError
 from .kernel import Kernel, _normalize_indices, condition_on, principal_minor
+
+TABLE_BLOCK = 1 << 15  # sets per batched determinant of kernel_table
 
 
 def as_set(S):
@@ -33,8 +36,8 @@ def neighborhood(S, r, n):
 class SetDistribution:
     """Evaluation oracle for an unnormalized density mu on size-k subsets of [n].
 
-    Subclasses implement value(); marginal(), neighborhood_values() and
-    restrict() default to enumeration and are overridden where a faster
+    Subclasses implement value(); tabulate(), marginal(), neighborhood_values()
+    and restrict() default to enumeration and are overridden where a faster
     route exists.
     """
 
@@ -44,6 +47,10 @@ class SetDistribution:
 
     def value(self, S) -> float:
         raise NotImplementedError
+
+    def tabulate(self) -> np.ndarray:
+        """mu of every size-k subset of [n], in combinations(range(n), k) order."""
+        return np.fromiter(map(self.value, combinations(range(self.n), self.k)), float)
 
     def marginal(self, Y) -> float:
         """sum of mu(S) over size-k supersets S of Y."""
@@ -75,6 +82,9 @@ class KernelDistribution(SetDistribution):
 
     def value(self, S):
         return principal_minor(self.kernel, S)
+
+    def tabulate(self):
+        return kernel_table(self.kernel, self.k)
 
     def marginal(self, Y):
         return charpoly.superset_marginal(self.kernel, Y, self.k)
@@ -117,11 +127,14 @@ class KernelDistribution(SetDistribution):
 
 
 class TableDistribution(SetDistribution):
-    """mu backed by an explicit table mapping sorted index tuples to masses."""
+    """mu backed by an explicit table mapping size-k sets to masses; a set
+    missing from the table has mass 0."""
 
     def __init__(self, n, k, table):
         super().__init__(n, k)
-        self.table = {as_set(S): float(v) for S, v in table.items()}
+        self.table = {_normalize_indices(S, self.n): float(v) for S, v in table.items()}
+        if len(self.table) != len(table) or any(len(S) != self.k for S in self.table):
+            raise DomainError(f"table keys must be distinct size-{self.k} sets")
 
     def value(self, S):
         return self.table.get(as_set(S), 0.0)
@@ -134,8 +147,12 @@ class UniformDistribution(SetDistribution):
 
 
 def kernel_table(K: Kernel, k):
-    """All size-k principal minors of K, keyed by sorted index tuple, priced
-    by one batched determinant; the empty set's minor is 1."""
-    sets = list(combinations(range(K.n), k))
-    S = np.array(sets, dtype=np.intp).reshape(len(sets), k)
-    return dict(zip(sets, np.linalg.det(K.entries[S[:, :, None], S[:, None, :]]).tolist()))
+    """det(L_S) of every size-k subset S of [n], in combinations(range(n), k)
+    order, priced by one batched determinant per TABLE_BLOCK sets; the empty
+    set's minor is 1."""
+    sets = combinations(range(K.n), k)
+    out = np.empty(math.comb(K.n, k))
+    for b0 in range(0, len(out), TABLE_BLOCK):
+        S = np.array(list(islice(sets, TABLE_BLOCK)), dtype=np.intp)  # m x k, also for k = 0
+        out[b0 : b0 + len(S)] = np.linalg.det(K.entries[S[:, :, None], S[:, None, :]])
+    return out

@@ -2,8 +2,8 @@
 pass/fail line under ``pytest -v``) per criterion.
 
 The shared batch covers 205 seeded nPSD kernels with n <= 8 and
-k in {2, 3, 4}; every size-k principal minor is tabulated once and reused
-by the exchange, Hurwitz, pipeline, and bound checks.
+k in {2, 3, 4}; the exchange, Hurwitz, pipeline, and bound checks read
+every size-k principal minor from `mu.tabulate()`.
 """
 
 import json
@@ -23,7 +23,6 @@ from ndppmap import (
     build_plan,
     compose_and_report,
     induced_greedy,
-    kernel_table,
     local_search,
     principal_minor,
     sample_walk,
@@ -49,13 +48,13 @@ ZETA = 0.5
 
 @pytest.fixture(scope="module")
 def batch():
-    """205 seeded kernels with their full size-k minor tables."""
+    """205 seeded kernels with their size-k distributions."""
     out = []
     seed = 0
     for n, k, count in BATCH_CONFIGS:
         for _ in range(count):
             K = random_npsd(n, seed)
-            out.append((n, k, seed, K, kernel_table(K, k)))
+            out.append((n, k, seed, K, KernelDistribution(K, k)))
             seed += 1
     return out
 
@@ -63,15 +62,14 @@ def batch():
 @pytest.fixture(scope="module")
 def exchange_results(batch):
     """The batch verifier's result for every kernel, shared by criteria 1 and 2."""
-    return [verify_exchange_all_pairs(table, k) for n, k, seed, K, table in batch]
+    return [verify_exchange_all_pairs(mu) for n, k, seed, K, mu in batch]
 
 
 @pytest.fixture(scope="module")
 def pipeline(batch):
     """Greedy + LS2 pipeline runs over the batch, with brute-force optima."""
     runs = []
-    for n, k, seed, K, table in batch:
-        mu = KernelDistribution(K, k)
+    for n, k, seed, K, mu in batch:
         g = induced_greedy(mu)
         S, trace = local_search(
             mu, g.final_set, SearchConfig(r=2, zeta=ZETA, max_iters=10000)
@@ -80,7 +78,7 @@ def pipeline(batch):
             {
                 "n": n,
                 "k": k,
-                "opt": table[max(table, key=table.get)],
+                "opt": float(mu.tabulate().max()),
                 "greedy_value": g.final_value,
                 "final_value": mu.value(S),
                 "iterations": trace.iterations,
@@ -92,7 +90,7 @@ def pipeline(batch):
 def test_criterion_1_exchange_theorem_zero_failures(batch, exchange_results):
     total_pairs = 0
     worst = 0.0
-    for (n, k, seed, K, table), res in zip(batch, exchange_results):
+    for (n, k, seed, K, mu), res in zip(batch, exchange_results):
         assert not res["exchange_failures"], (n, k, seed, res["exchange_failures"][:3])
         total_pairs += res["pairs"]
         worst = max(worst, res["max_measured_beta"])
@@ -104,7 +102,7 @@ def test_criterion_1_exchange_theorem_zero_failures(batch, exchange_results):
 
 
 def test_criterion_2_even_polynomial_hurwitz_zero_failures(batch, exchange_results):
-    for (n, k, seed, K, table), res in zip(batch, exchange_results):
+    for (n, k, seed, K, mu), res in zip(batch, exchange_results):
         assert not res["hurwitz_failures"], (n, k, seed, res["hurwitz_failures"][:3])
     print("criterion 2: 0 Hurwitz failures over the same pairs")
 

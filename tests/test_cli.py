@@ -27,14 +27,6 @@ class TestGen:
         assert principal_minor(K, (0, 1)) == pytest.approx(10016.0)
         assert principal_minor(K, (4, 5)) == pytest.approx(90004.0)
 
-    def test_sym_psd_identity(self, tmp_path, capsys):
-        path = str(tmp_path / "id.knl")
-        code, _, _ = run_cli(
-            ["gen", "sym-psd", "--n", "5", "--identity", "--out", path], capsys
-        )
-        assert code == 0
-        assert np.array_equal(load_kernel(path).entries, np.eye(5))
-
     def test_lowrank_reconstruction(self, tmp_path, capsys):
         path = str(tmp_path / "lr.knl")
         code, rep, _ = run_cli(
@@ -101,6 +93,14 @@ class TestExitCodes:
         path.write_text("2\n1 2 3\n")
         code, _, _ = run_cli(["map", "--kernel", str(path), "--k", "1"], capsys)
         assert code == 4
+
+    def test_non_finite_kernel_usage(self, tmp_path, capsys):
+        path = tmp_path / "nan.knl"
+        path.write_text("3\n1 0 0\n0 nan 0\n0 0 inf\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["map", "--kernel", str(path), "--k", "2"])
+        assert exc.value.code == 4
+        assert "non-finite kernel entries at (1, 1), (2, 2)" in capsys.readouterr().err
 
     def test_bad_flag_usage(self, capsys):
         code, _, _ = run_cli(["map", "--nonsense"], capsys)

@@ -12,7 +12,7 @@ from ndppmap import (
     coreset_map,
     neighborhood,
 )
-from ndppmap.instances import random_npsd, random_partition, skew_block, sym_psd
+from ndppmap.instances import random_npsd, random_partition, sym_psd
 
 
 def diag_distribution(values, k):
@@ -46,7 +46,8 @@ class TestCoresetMap:
         # Over all of [4], item 2 has the largest marginal through the pair
         # (2, 3); item 3 lies outside the part, and no pair of the part
         # holds item 2 with positive mass.
-        mu = KernelDistribution(skew_block([0, 0], [1, 2], validate=False), 2)
+        L = np.array([[0.0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]])
+        mu = KernelDistribution(Kernel(L), 2)
         assert mu.value((0, 1)) > 0.0
         assert coreset_map(mu, (0, 1, 2)) == (0, 1)
 

@@ -152,6 +152,13 @@ class TestBuildDownup:
             assert rep["ok"], rep
             assert rep["gap"] > 0.0
 
+    def test_n_k_must_match_mu(self):
+        mu = UniformDistribution(5, 2)
+        with pytest.raises(DomainError):
+            build_downup(mu, 6, 2, 1)
+        with pytest.raises(DomainError):
+            build_downup(mu, 5, 3, 1)
+
     def test_field_commutation(self):
         mu = KernelDistribution(random_npsd(6, 11), 2)
         lam = random_field(6, seed=5)
@@ -177,6 +184,17 @@ class TestSpectralGap:
         C = build_downup(UniformDistribution(4, 2), 4, 2, 1)
         ev = np.sort(np.real(np.linalg.eigvals(C.P)))
         assert spectral_gap(C) == pytest.approx(1.0 - ev[-2], abs=1e-9)
+
+    def test_one_eigenproblem_per_chain(self, monkeypatch):
+        # 35 states take conductance's Cheeger path, which reads the gap too
+        C = build_downup(UniformDistribution(7, 3), 7, 3, 2)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: calls.append(1) or eigvalsh(A))
+        rep = chain_checks(C, 7, 3, 2)
+        assert not conductance(C).exact and "conductance_bounds" in rep
+        assert spectral_gap(C) == rep["gap"]
+        assert len(calls) == 1
 
 
 class TestConductance:

@@ -4,12 +4,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ndppmap import exchange
+from ndppmap import exchange, setdist
 from ndppmap import (
     CapacityError,
     DomainError,
     Kernel,
     KernelDistribution,
+    SetDistribution,
+    TableDistribution,
     UniformDistribution,
     brute_force_map,
     check_pair_exchange,
@@ -20,7 +22,7 @@ from ndppmap import (
     verify_exchange_all_pairs,
 )
 from ndppmap.exchange import _hurwitz_sides, _pair_verdict, pair_buckets
-from ndppmap.instances import random_npsd, skew_block, sym_psd
+from ndppmap.instances import lowrank_npsd, random_npsd, skew_block, sym_psd
 
 
 class TestBruteForceMap:
@@ -44,10 +46,43 @@ class TestBruteForceMap:
         with pytest.raises(CapacityError):
             brute_force_map(mu, 60, 10)
 
+    def test_n_k_must_match_mu(self):
+        mu = KernelDistribution(Kernel(np.eye(4)), 2)
+        with pytest.raises(DomainError):
+            brute_force_map(mu, 5, 2)
+        with pytest.raises(DomainError):
+            brute_force_map(mu, 4, 3)
+
+    def test_smallest_set_wins_ties_and_nan_never_wins(self):
+        mu = TableDistribution(4, 2, {(0, 1): math.nan, (0, 3): 2.0, (1, 2): 2.0})
+        assert brute_force_map(mu, 4, 2) == ((0, 3), 2.0)
+
+    def test_nothing_above_minus_inf(self):
+        table = {S: -math.inf for S in combinations(range(4), 2)}
+        table[(1, 3)] = math.nan
+        assert brute_force_map(TableDistribution(4, 2, table), 4, 2) == (None, -math.inf)
+
     def test_k_above_n_rejected(self):
         mu = KernelDistribution(Kernel(np.eye(3)), 5)
         with pytest.raises(DomainError):
             brute_force_map(mu, 3, 5)
+
+
+class TestTabulate:
+    @pytest.mark.parametrize("n, k", [(7, 3), (6, 0), (5, 5), (4, 6)])
+    def test_kernel_route_matches_enumeration(self, n, k):
+        mu = KernelDistribution(lowrank_npsd(n, 3, n + k), k)
+        want = [mu.value(S) for S in combinations(range(n), k)]
+        got = mu.tabulate()
+        assert got.dtype == float and got.shape == (math.comb(n, k),)
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+        assert SetDistribution.tabulate(mu) == pytest.approx(want, rel=0, abs=0)
+
+    def test_blocks_do_not_change_values(self, monkeypatch):
+        K = random_npsd(9, 4)
+        whole = kernel_table(K, 4)
+        monkeypatch.setattr(setdist, "TABLE_BLOCK", 10)
+        assert np.array_equal(kernel_table(K, 4), whole)
 
 
 class TestPairExchange:
@@ -106,6 +141,15 @@ class TestStrongBasisExchange:
         rep = check_strong_basis_exchange(mu, (0, 1), (2, 3))
         # products factorize over elements, so every swap is exact
         assert rep.measured_beta == pytest.approx(1.0)
+        # each j in T \\ S maps to its swap partner i in S \\ T
+        assert set(rep.witnesses) == {2, 3} and set(rep.witnesses.values()) <= {0, 1}
+
+    def test_witnesses_skip_j_without_positive_swap(self):
+        table = {(0, 1, 2): 1.0, (3, 4, 5): 1.0, (1, 2, 3): 1.0, (0, 4, 5): 1.0}
+        rep = check_strong_basis_exchange(TableDistribution(6, 3, table), (0, 1, 2), (3, 4, 5))
+        # j = 3 pairs with i = 0 (mu(1, 2, 3) mu(0, 4, 5) > 0); no i serves 4 or 5
+        assert rep.witnesses == {3: 0}
+        assert rep.measured_beta == math.inf and not rep.passed
 
     def test_projection_like_kernel_finite(self):
         K = sym_psd(8, seed=6)
@@ -190,18 +234,16 @@ def swap_beta(value, S, T, r=2):
 
 class TestBatchVerifier:
     def test_consistent_with_per_pair_check(self):
-        K = random_npsd(6, seed=27)
-        table = kernel_table(K, 3)
-        res = verify_exchange_all_pairs(table, 3)
+        mu = KernelDistribution(random_npsd(6, seed=27), 3)
+        res = verify_exchange_all_pairs(mu)
         assert res["pairs"] == 10 * 19  # C(20,2)
         assert not res["exchange_failures"]
         assert not res["hurwitz_failures"]
-        mu = KernelDistribution(K, 3)
         worst = 0.0
         for S in combinations(range(6), 3):
             for T in combinations(range(6), 3):
                 if S < T:
-                    ref = swap_beta(table.__getitem__, S, T)
+                    ref = swap_beta(mu.value, S, T)
                     assert check_pair_exchange(mu, S, T).measured_beta == pytest.approx(
                         ref, rel=1e-9
                     )
@@ -213,7 +255,7 @@ class TestBatchVerifier:
         S, T = (0, 1, 2), (3, 4, 5)
         table = {W: 1e-6 for W in combinations(range(6), 3)}
         table[S] = table[T] = 1e6
-        res = verify_exchange_all_pairs(table, 3)
+        res = verify_exchange_all_pairs(TableDistribution(6, 3, table))
         # M^1 = M^2 = 1e-6 on both sides: beta_1 = 1e24, beta_2 = 1e12
         assert res["exchange_failures"] == [(S, T, pytest.approx(1e12))]
         # b = (1e6, 9e-6, 9e-6, 1e6): b_0 b_3 = 1e12 > b_1 b_2 = 8.1e-11
@@ -223,17 +265,18 @@ class TestBatchVerifier:
         assert not hurwitz_coeff_check([1e6, 9e-6, 9e-6, 1e6])
 
 
-def per_pair_reference(values, k):
+def per_pair_reference(mu):
     """The batch verifier's result, pair by pair in (S, T) order, from
-    `pair_buckets`, the pair verdict and the Hurwitz rule."""
-    sets = sorted(values)
+    `pair_buckets`, the pair verdict and the Hurwitz rule on mu.value."""
+    values = {S: mu.value(S) for S in combinations(range(mu.n), mu.k)}
+    sets = list(values)
     res = {"pairs": 0, "exchange_failures": [], "hurwitz_failures": [], "max_measured_beta": 0.0}
     for ai, S in enumerate(sets):
         for T in sets[ai + 1:]:
             res["pairs"] += 1
             maxima, sums = pair_buckets(values.__getitem__, S, T)
             ok, measured = _pair_verdict(
-                np.array([values[S] * values[T]]), np.array(maxima)[:, None], float(k) ** 4, 2
+                np.array([values[S] * values[T]]), np.array(maxima)[:, None], float(mu.k) ** 4, 2
             )
             if not ok[0]:
                 res["exchange_failures"].append((S, T, float(measured[0])))
@@ -245,35 +288,33 @@ def per_pair_reference(values, k):
     return res
 
 
-def signed_table(labels, k, seed):
-    """Lognormal masses of widely spread magnitude, about a third of them
-    zero and a sixth negative."""
+def signed_table(n, k, seed):
+    """Lognormal masses of widely spread magnitude over the size-k subsets of
+    [n], about a third of them zero and a sixth negative."""
     rng = np.random.default_rng(seed)
-    sets = list(combinations(labels, k))
+    sets = list(combinations(range(n), k))
     sign = rng.choice([0.0, 0.0, -1.0, 1.0, 1.0, 1.0], size=len(sets))
-    return dict(zip(sets, (sign * rng.lognormal(0.0, 4.0, size=len(sets))).tolist()))
+    masses = (sign * rng.lognormal(0.0, 4.0, size=len(sets))).tolist()
+    return TableDistribution(n, k, dict(zip(sets, masses)))
 
 
 class TestSweepMatchesPerPair:
     @pytest.mark.parametrize(
-        "table, k",
+        "mu",
         [
-            (signed_table(range(7), 3, 0), 3),
-            (signed_table(range(9), 4, 2), 4),
-            (signed_table((2, 5, 9, 11, 14), 2, 2), 2),
-            (signed_table((3, 8, 10, 21, 40, 41, 1000), 3, 4), 3),
-            (signed_table(range(6), 1, 5), 1),
-            ({(4, 7, 9): 2.0}, 3),
-            (kernel_table(random_npsd(9, 6), 4), 4),
+            signed_table(7, 3, 0),
+            signed_table(9, 4, 2),
+            signed_table(6, 1, 5),
+            TableDistribution(3, 3, {(0, 1, 2): 2.0}),
+            KernelDistribution(random_npsd(9, 6), 4),
         ],
-        ids=["signed-7-3", "signed-9-4", "labels-k2", "labels-k3", "k1",
-             "one-set", "kernel-9-4"],
+        ids=["signed-7-3", "signed-9-4", "k1", "one-set", "kernel-9-4"],
     )
-    def test_identical_results(self, table, k):
-        assert verify_exchange_all_pairs(table, k) == per_pair_reference(table, k)
+    def test_identical_results(self, mu):
+        assert verify_exchange_all_pairs(mu) == per_pair_reference(mu)
 
     def test_signed_table_reaches_every_verdict_path(self):
-        res = per_pair_reference(signed_table(range(9), 4, 2), 4)
+        res = per_pair_reference(signed_table(9, 4, 2))
         beta_hats = [f[2] for f in res["exchange_failures"]]
         # no positive product (inf) and a positive one too small (finite)
         assert math.inf in beta_hats and any(map(math.isfinite, beta_hats))
@@ -287,29 +328,35 @@ class TestSweepMatchesPerPair:
         assert measured[0] == lhs**0.5
 
     def test_failures_in_pair_order_across_blocks(self, monkeypatch):
-        table = signed_table(range(9), 4, 2)
-        want = per_pair_reference(table, 4)
+        mu = signed_table(9, 4, 2)
+        want = per_pair_reference(mu)
         monkeypatch.setattr(exchange, "PAIR_BLOCK", 37)
-        got = verify_exchange_all_pairs(table, 4)
+        got = verify_exchange_all_pairs(mu)
         assert got == want
-        pairs = list(combinations(sorted(table), 2))
+        pairs = list(combinations(combinations(range(9), 4), 2))
         for key in ("exchange_failures", "hurwitz_failures"):
             assert len({pairs.index(f[:2]) // 37 for f in got[key]}) > 1
         assert len({len(set(S) - set(T)) for S, T, *_ in got["hurwitz_failures"]}) > 1
 
 
-class TestTableContract:
-    def test_missing_set_rejected(self):
-        table = kernel_table(random_npsd(5, 0), 2)
-        del table[(1, 3)]
-        with pytest.raises(DomainError):
-            verify_exchange_all_pairs(table, 2)
-
+class TestTableDistributionKeys:
     def test_wrong_k_rejected(self):
-        table = kernel_table(random_npsd(5, 0), 3)
         with pytest.raises(DomainError):
-            verify_exchange_all_pairs(table, 2)
+            TableDistribution(5, 2, {(0, 1, 2): 1.0})
 
-    def test_unsorted_key_rejected(self):
+    def test_repeated_index_rejected(self):
         with pytest.raises(DomainError):
-            verify_exchange_all_pairs({(0, 1): 1.0, (0, 2): 1.0, (2, 1): 1.0}, 2)
+            TableDistribution(5, 2, {(1, 1): 1.0})
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(DomainError):
+            TableDistribution(5, 2, {(0, 5): 1.0})
+
+    def test_same_set_twice_rejected(self):
+        with pytest.raises(DomainError):
+            TableDistribution(5, 2, {(0, 2): 1.0, (2, 0): 2.0})
+
+    def test_missing_set_has_mass_zero(self):
+        mu = TableDistribution(4, 2, {(2, 1): 3.0})
+        assert mu.value((1, 2)) == 3.0 and mu.value((0, 1)) == 0.0
+        assert mu.tabulate().tolist() == [0.0, 0.0, 0.0, 3.0, 0.0, 0.0]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from ndppmap import (
     principal_minor,
     save_kernel,
 )
-from ndppmap.instances import lowrank_npsd, random_npsd, skew_block
+from ndppmap.instances import lowrank_npsd, random_npsd
 
 
 def cofactor_det(M):
@@ -39,7 +41,7 @@ class TestPrincipalMinor:
         assert principal_minor(Kernel(np.eye(3)), []) == 1.0
 
     def test_skew_block_pair(self):
-        K = skew_block([2], [10], validate=False)
+        K = Kernel(np.array([[2.0, 10.0], [-10.0, 2.0]]))
         assert principal_minor(K, [0, 1]) == pytest.approx(2**2 + 10**2)
 
     def test_matches_cofactor_expansion(self):
@@ -135,6 +137,24 @@ def test_lowrank_consistency():
         BS = B[list(S)]
         lr = float(np.linalg.det(BS @ C @ BS.T))
         assert principal_minor(K, S) == pytest.approx(lr, rel=1e-8, abs=1e-10)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_entries_rejected(self, bad):
+        L = np.eye(3)
+        L[0, 2] = bad
+        with pytest.raises(DomainError, match=r"kernel entries at \(0, 2\)"):
+            Kernel(L)
+
+    def test_lowrank_factors_rejected(self):
+        B, C = np.ones((4, 2)), np.eye(2)
+        B[3, 1] = math.nan
+        with pytest.raises(DomainError, match=r"factor B entries at \(3, 1\)"):
+            Kernel.from_lowrank(B, C)
+        C[0, 1] = math.inf
+        with pytest.raises(DomainError, match=r"factor C entries at \(0, 1\)"):
+            Kernel(np.eye(4), lowrank=(np.ones((4, 2)), C))
 
 
 class TestKernelIO:

@@ -142,7 +142,8 @@ class TestGenericRoute:
     @pytest.mark.parametrize("r, restrict", [(1, False), (2, False), (2, True)])
     def test_table_matches_kernel(self, K, k, S0, r, restrict):
         cfg = SearchConfig(r=r, zeta=0.5)
-        table = TableDistribution(K.n, k, kernel_table(K, k))
+        minors = dict(zip(combinations(range(K.n), k), kernel_table(K, k)))
+        table = TableDistribution(K.n, k, minors)
         mu = KernelDistribution(K, k)
         if restrict:  # element i + 1 becomes i, so S0 names other elements
             table, mu = table.restrict(range(1, K.n)), mu.restrict(range(1, K.n))
