@@ -11,6 +11,10 @@ det(L_Y) * e_t(spectrum of L^Y) with t = k - |Y|, where L^Y is the Schur
 complement from kernel.condition_on.  A numerically singular pin can still
 have nonsingular supersets, so its marginal is summed over its one-element
 extensions instead.
+
+step_marginals prices the marginal of S u {i} for every i outside S from one
+conditioning on S and one eigendecomposition of L^S, and re-prices the
+candidates near the maximum by superset_marginal.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from .errors import CapacityError, ConditioningError, DomainError
 from .kernel import Kernel, _normalize_indices, condition_on, principal_minor
 
 SINGULAR_PIN_CAP = 1000
+EIGENBASIS_COND_LIMIT = 1e8  # 1-norm cond(V) above which L^S = V diag(lam) V^-1 is not used
+REPRICE_RTOL = 1e-12  # re-pricing window, relative to the step's scale and cond(V)
 
 
 def superset_marginal(K: Kernel, Y, k):
@@ -60,3 +66,50 @@ def superset_marginal(K: Kernel, Y, k):
         return detY * float(e[t].real)
 
     return marginal(idx, k - len(idx))
+
+
+def step_marginals(K: Kernel, S, k):
+    """(candidates, values): the marginal of S u {i} for every i outside S,
+    in increasing i, from one conditioning on S; None when S is a singular
+    pin or L^S has an eigenbasis with cond(V) above EIGENBASIS_COND_LIMIT.
+
+    With L^S = V diag(lam) V^-1 and t = k - |S|, Jacobi's identity for the
+    minors of I + x L^S gives the marginal of S u {i} as
+
+        det(L_S) * sum_j V_ij (V^-1)_ji lam_j e_{t-1}(lam without lam_j).
+
+    Every candidate within REPRICE_RTOL * cond(V) * scale of the maximum,
+    where scale bounds the terms of that sum in absolute value, is re-priced
+    by superset_marginal.  The maximum, its ties and its value are then
+    exactly those of one superset_marginal call per candidate.
+    """
+    idx = _normalize_indices(S, K.n)
+    if not len(idx) < k <= K.n:
+        raise DomainError(f"need |S| < k <= n, got |S|={len(idx)}, k={k}, n={K.n}")
+    cands = [i for i in range(K.n) if i not in idx]
+    if K.rank_d is not None and k > K.rank_d:
+        return cands, [0.0] * len(cands)  # every k x k principal minor vanishes
+    try:
+        M, det_S = condition_on(K, idx)
+        lam, V = np.linalg.eig(M.entries)
+        W = np.linalg.inv(V)
+    except (ConditioningError, np.linalg.LinAlgError):
+        return None
+    cond = np.linalg.norm(V, 1) * np.linalg.norm(W, 1)
+    if not cond <= EIGENBASIS_COND_LIMIT:  # also NaN: L^S may be defective
+        return None
+    # Row j of E[0] holds e_0..e_{t-1} of lam without lam_j, and E[1] those of
+    # |lam|: the product recurrence with the j-th factor left out of row j.
+    m, t = len(lam), k - len(idx)
+    factors = np.stack([lam, np.abs(lam)])[:, None, :] * (1.0 - np.eye(m))
+    E = np.zeros((2, m, t), dtype=complex)
+    E[:, :, 0] = 1.0
+    for j in range(m if t > 1 else 0):
+        E[:, :, 1:] += factors[:, :, j, None] * E[:, :, :-1]
+    VW = V * W.T  # VW[i, j] = V_ij (V^-1)_ji
+    vals = det_S * (VW @ (lam * E[0, :, -1])).real
+    scale = abs(det_S) * (np.abs(VW) @ (np.abs(lam) * E[1, :, -1].real)).max()
+    near = np.flatnonzero(vals >= vals.max() - REPRICE_RTOL * cond * scale)
+    for p in near.tolist():
+        vals[p] = superset_marginal(K, idx + (cands[p],), k)
+    return cands, vals.tolist()

@@ -60,6 +60,21 @@ class FieldDistribution(SetDistribution):
                 factor *= self.lam[i]
         return self.base.value(S) * factor
 
+    def tabulate(self):
+        """The base table times each set's field product, multiplied in the
+        set's order as value() does (a forced entry counts as 1); a set that
+        holds a deleted element or misses a forced one is 0."""
+        sets = np.array(list(combinations(range(self.n), self.k)), dtype=np.intp)
+        sets = sets.reshape(-1, self.k)
+        lam = np.where(np.isinf(self.lam), 1.0, self.lam)
+        factor = np.ones(len(sets))
+        for c in range(self.k):
+            factor *= lam[sets[:, c]]
+        out = self.base.tabulate() * factor
+        forced_in = np.isin(sets, list(self.forced)).sum(axis=1)
+        out[(forced_in < len(self.forced)) | np.isin(sets, list(self.deleted)).any(axis=1)] = 0.0
+        return out
+
 
 def apply_field(mu: SetDistribution, lam) -> FieldDistribution:
     """Reweight mu by the external field lam (one nonnegative entry per

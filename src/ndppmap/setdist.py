@@ -1,7 +1,8 @@
 """Unnormalized densities over size-k subsets, exposed as evaluation oracles.
 
-KernelDistribution prices its marginals (charpoly.superset_marginal) and its
-r-neighbourhoods through the same Schur complement, kernel.condition_on.
+KernelDistribution prices its marginals (charpoly.superset_marginal), a
+greedy step's marginals (charpoly.step_marginals) and its r-neighbourhoods
+through the same Schur complement, kernel.condition_on.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ def neighborhood(S, r, n):
 class SetDistribution:
     """Evaluation oracle for an unnormalized density mu on size-k subsets of [n].
 
-    Subclasses implement value(); tabulate(), marginal(), neighborhood_values()
-    and restrict() default to enumeration and are overridden where a faster
-    route exists.
+    Subclasses implement value(); tabulate(), marginal(), step_marginals(),
+    neighborhood_values() and restrict() default to enumeration and are
+    overridden where a faster route exists.
     """
 
     def __init__(self, n, k):
@@ -60,6 +61,14 @@ class SetDistribution:
         for extra in combinations(rest, self.k - len(Y)):
             total += self.value(Y + extra)
         return total
+
+    def step_marginals(self, S):
+        """(candidates, values, conditioned): every i outside S in increasing
+        order, the marginal of S u {i} for each, and whether one conditioning
+        on S priced them; here one marginal() call per candidate."""
+        S = as_set(S)
+        cands = [i for i in range(self.n) if i not in S]
+        return cands, [self.marginal(as_set(S + (i,))) for i in cands], False
 
     def neighborhood_values(self, S, r):
         """mu over the r-neighborhood of S, keyed by sorted index tuple."""
@@ -88,6 +97,15 @@ class KernelDistribution(SetDistribution):
 
     def marginal(self, Y):
         return charpoly.superset_marginal(self.kernel, Y, self.k)
+
+    def step_marginals(self, S):
+        """One conditioning on S prices every candidate (charpoly.step_marginals);
+        a singular pin or an ill-conditioned eigenbasis of L^S falls back to
+        one marginal per candidate."""
+        priced = charpoly.step_marginals(self.kernel, S, self.k)
+        if priced is None:
+            return super().step_marginals(S)
+        return (*priced, True)
 
     def restrict(self, P):
         """The sub-kernel on P, keeping its factors so marginals keep the rank bound."""

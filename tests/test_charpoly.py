@@ -14,6 +14,7 @@ from ndppmap import (
     principal_minor,
     superset_marginal,
 )
+from ndppmap.charpoly import step_marginals
 from ndppmap.instances import lowrank_npsd, random_npsd
 
 
@@ -240,3 +241,21 @@ class TestHighPrecisionOracle:
         Y, k = (5,), 4
         want = mp_marginal(K, Y, k)
         assert superset_marginal(K, Y, k) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "make, S, k",
+        [
+            (lambda: random_npsd(40, seed=6), (3, 17), 6),
+            (lambda: lowrank_npsd(60, 8, seed=7), (5,), 4),
+        ],
+        ids=["dense-n40", "lowrank-n60"],
+    )
+    def test_step_marginals(self, make, S, k):
+        # The median candidate lies well below the maximum, so its value comes
+        # from the eigendecomposition, not from re-pricing.
+        K = make()
+        cands, vals = step_marginals(K, S, k)
+        p = int(np.argsort(vals)[len(vals) // 2])
+        assert vals[p] < 0.99 * max(vals)
+        want = mp_marginal(K, S + (cands[p],), k)
+        assert vals[p] == pytest.approx(want, rel=1e-9)

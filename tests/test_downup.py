@@ -9,6 +9,7 @@ from ndppmap import (
     DomainError,
     InfeasibilityError,
     KernelDistribution,
+    SetDistribution,
     TableDistribution,
     UniformDistribution,
     apply_field,
@@ -114,6 +115,18 @@ class TestApplyField:
         for S in combinations(range(6), 3):
             expect = mu.value(S) * np.prod([lam[i] for i in S])
             assert nu.value(S) == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "head",
+        [[math.inf], [math.inf, math.inf], [0.0], [0.0, 0.0], [0.0, math.inf], []],
+        ids=["forced", "two-forced", "deleted", "two-deleted", "mixed", "plain"],
+    )
+    def test_table_equals_enumerated_values(self, head):
+        mu = KernelDistribution(random_npsd(8, 6), 3)
+        nu = downup.FieldDistribution(mu, np.r_[head, random_field(8 - len(head), seed=7)])
+        want = [nu.value(S) for S in combinations(range(8), 3)]
+        assert np.array_equal(nu.tabulate(), want)
+        assert np.array_equal(SetDistribution.tabulate(nu), want)
 
     def test_empty_support_rejected(self):
         mu = UniformDistribution(4, 2)

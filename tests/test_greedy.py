@@ -7,11 +7,95 @@ from ndppmap import (
     InfeasibilityError,
     Kernel,
     KernelDistribution,
+    SetDistribution,
     brute_force_map,
     induced_greedy,
+    principal_minor,
     standard_greedy,
 )
-from ndppmap.instances import random_npsd, skew_block
+from ndppmap.instances import lowrank_npsd, random_npsd, skew_block
+
+
+class PerCandidate(KernelDistribution):
+    """A kernel distribution priced by the base class: one marginal per candidate."""
+
+    step_marginals = SetDistribution.step_marginals
+
+
+def relabelled_skew_block(seed):
+    c = [5.0, 4.0, 3.0, 2.0, 1.5]
+    x = [60.0, 61.0, 62.0, 63.0, 130.0]
+    perm = np.random.default_rng(seed).permutation(10)
+    return Kernel(skew_block(c, x).entries[np.ix_(perm, perm)])
+
+
+STEP_KERNELS = {
+    "dense": (lambda: random_npsd(24, 5), 6),
+    "lowrank-k-le-d": (lambda: lowrank_npsd(24, 12, 5), 6),
+    "lowrank-k-eq-d": (lambda: lowrank_npsd(16, 3, 5), 3),
+    "lowrank-k-gt-d": (lambda: lowrank_npsd(16, 3, 5), 4),
+    "skew-block": (lambda: skew_block([4, 3, 2], [100, 200, 300]), 4),
+    "relabelled-skew-block": (lambda: relabelled_skew_block(3), 4),
+}
+
+
+class TestStepMarginals:
+    @pytest.mark.parametrize("name", STEP_KERNELS)
+    def test_matches_per_candidate_marginals(self, name):
+        make, k = STEP_KERNELS[name]
+        K = make()
+        mu = KernelDistribution(K, k)
+        S = ()
+        for _ in range(k):
+            cands, vals, _ = mu.step_marginals(S)
+            ref_cands, want, _ = PerCandidate(K, k).step_marginals(S)
+            assert cands == ref_cands
+            scale = max(abs(v) for v in want)
+            assert np.abs(np.subtract(vals, want)).max() <= 1e-12 * scale
+            best = max(want)
+            if best <= 0.0:
+                assert K.rank_d is not None and k > K.rank_d
+                return
+            S = tuple(sorted(S + (cands[want.index(best)],)))
+
+    @pytest.mark.parametrize("name", [n for n in STEP_KERNELS if n != "lowrank-k-gt-d"])
+    def test_same_greedy_as_per_candidate(self, name):
+        make, k = STEP_KERNELS[name]
+        K = make()
+        fast, ref = induced_greedy(KernelDistribution(K, k)), induced_greedy(PerCandidate(K, k))
+        assert (fast.picks, fast.final_set, fast.final_value) == (
+            ref.picks,
+            ref.final_set,
+            ref.final_value,
+        )
+        assert ref.per_candidate_steps == k and ref.conditioned_steps == 0
+
+    def test_one_step_marginals_call_per_step(self, monkeypatch):
+        mu = KernelDistribution(random_npsd(12, 4), 5)
+        calls = []
+        original = mu.step_marginals
+        monkeypatch.setattr(mu, "step_marginals", lambda S: calls.append(S) or original(S))
+        trace = induced_greedy(mu)
+        assert len(calls) == 5
+        assert trace.conditioned_steps == 5 and trace.per_candidate_steps == 0
+
+    def test_singular_pin_falls_back(self):
+        # A skew-symmetric kernel has a zero diagonal, so L_S of the first
+        # pick is singular and every later odd-size pin is too.
+        M = np.random.default_rng(9).normal(size=(10, 10))
+        K = Kernel(M - M.T)
+        fast, ref = induced_greedy(KernelDistribution(K, 4)), induced_greedy(PerCandidate(K, 4))
+        assert fast.picks == ref.picks and fast.final_value == ref.final_value
+        assert fast.per_candidate_steps >= 1
+        assert fast.conditioned_steps + fast.per_candidate_steps == 4
+
+    def test_defective_eigenbasis_falls_back(self):
+        # I plus a strictly upper triangle of ones: every L^S is again unit
+        # upper triangular, one Jordan block, so no eigenbasis exists.
+        K = Kernel(np.eye(6) + np.triu(np.ones((6, 6)), 1))
+        fast, ref = induced_greedy(KernelDistribution(K, 3)), induced_greedy(PerCandidate(K, 3))
+        assert fast.picks == ref.picks and fast.final_set == (0, 1, 2)
+        assert fast.per_candidate_steps == 3 and fast.conditioned_steps == 0
 
 
 class TestInducedGreedy:
@@ -66,6 +150,19 @@ class TestInducedGreedy:
 
 
 class TestStandardGreedy:
+    @pytest.mark.parametrize(
+        "K", [random_npsd(16, 2), skew_block([5, 4, 3, 2], [100, 200, 300, 400])],
+        ids=["dense", "skew-block"],
+    )
+    def test_batched_step_equals_principal_minors(self, K):
+        trace = standard_greedy(K, 4)
+        S = ()
+        for pick, val in trace.picks:
+            vals = {i: principal_minor(K, S + (i,)) for i in range(K.n) if i not in S}
+            best = max(vals.values())
+            assert (pick, val) == (min(i for i, v in vals.items() if v == best), best)
+            S = tuple(sorted(S + (pick,)))
+
     def test_diagonal(self):
         trace = standard_greedy(Kernel(np.diag([5.0, 4.0, 3.0])), 2)
         assert trace.final_set == (0, 1)
