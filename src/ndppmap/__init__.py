@@ -23,9 +23,7 @@ from .errors import (
 from .exchange import (
     ExchangeReport,
     brute_force_map,
-    check_pair_exchange,
     check_strong_basis_exchange,
-    exchange_polynomial,
     hurwitz_coeff_check,
     verify_exchange_all_pairs,
 )
@@ -48,7 +46,6 @@ from .setdist import (
     KernelDistribution,
     SetDistribution,
     TableDistribution,
-    UniformDistribution,
     kernel_table,
     neighborhood,
 )

@@ -201,11 +201,12 @@ def cheeger_ok(gap, cond: ConductanceResult):
 def sample_walk(mu: SetDistribution, S0, l, steps, seed):
     """Seeded trajectory of the k<->l down-up walk started at the size-k set S0.
 
-    Each up-step enumerates the C(n-l, k-l) supersets of the retained core
-    once, caches their normalized cumulative distribution, and samples
-    proportionally to mu by searching it for one uniform draw.  That is the
-    arithmetic of `Generator.choice(len(cands), p=probs)`, so trajectories
-    are reproducible bit-for-bit per seed and equal to choice-based ones.
+    Each up-step prices the C(n-l, k-l) supersets of the retained core once,
+    by one `mu.completions` call, caches their normalized cumulative
+    distribution, and samples proportionally to mu by searching it for one
+    uniform draw.  That is the arithmetic of
+    `Generator.choice(len(cands), p=probs)`, so trajectories are reproducible
+    bit-for-bit per seed and equal to choice-based ones on the same weights.
     """
     S0 = as_set(S0)
     k = mu.k
@@ -227,7 +228,7 @@ def sample_walk(mu: SetDistribution, S0, l, steps, seed):
         if core not in up_cache:
             rest = [i for i in range(mu.n) if i not in core]
             cands = [tuple(sorted(core + extra)) for extra in combinations(rest, k - l)]
-            wts = np.array([max(mu.value(S), 0.0) for S in cands])
+            wts = np.maximum(mu.completions(core, rest, k - l), 0.0)
             total = wts.sum()
             if total > 0.0:
                 cdf = (wts / total).cumsum()

@@ -1,16 +1,15 @@
 """Brute-force MAP oracle and exchange-inequality verification.
 
 For a pair of size-k sets S, T at distance t, the i-exchanges E^i(S,T) are
-the subsets U of the symmetric difference with |U n S| = |U n T| = i.  One
-walk over the sets W between S n T and S u T, bucketed by |W n (S\\T)|,
-prices the per-pair checks: the pairwise exchange inequality and its
-even-polynomial Hurwitz corollary.  The batch verifier over all pairs sweeps
-the same buckets with arrays: it lays mu.tabulate() out by colex rank and
-takes the pairs in blocks of PAIR_BLOCK, grouped by distance, one gather per
-(A, B) pattern.  One pair verdict and one Hurwitz rule, written for arrays,
-judge both.  The brute-force argmax reads the same table.  The strong basis
-exchange, which pairs single swaps element by element, is checked on its own
-for the core-set certificate.
+the subsets U of the symmetric difference with |U n S| = |U n T| = i.  The
+sets W between S n T and S u T, bucketed by |W n (S\\T)|, carry both the
+pairwise exchange inequality and its even-polynomial Hurwitz corollary.  The
+verifier over all pairs sweeps those buckets with arrays: it lays
+mu.tabulate() out by colex rank and takes the pairs in blocks of PAIR_BLOCK,
+grouped by distance, one gather per (A, B) pattern, and judges them with one
+pair verdict and one Hurwitz rule.  The brute-force argmax reads the same
+table.  The strong basis exchange, which pairs single swaps element by
+element, is checked on its own for the core-set certificate.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ PAIR_BLOCK = 1 << 15  # pairs per block of the all-pairs sweep
 @dataclass
 class ExchangeReport:
     pair: tuple
-    variant: str  # pair_exchange | strong_basis
     measured_beta: float
     passed: bool
     witnesses: dict = field(default_factory=dict)  # strong basis: j -> its best i
@@ -65,32 +63,6 @@ def _sides(S, T):
     return S, T, D1, D2
 
 
-def pair_buckets(value, S, T):
-    """Walk the sets W between S n T and S u T once, for sorted tuples S, T.
-
-    Returns (maxima, sums), each of length t + 1 with t = d(S, T): bucket a
-    holds the largest and the summed value(W) over W with |W n (S\\T)| = a.
-    So maxima[t - i] = M^i(S->T), maxima[i] = M^i(T->S), and sums[a] is the
-    coefficient b_{2a} of the exchange polynomial.
-    """
-    core = tuple(i for i in S if i in T)
-    D1 = tuple(i for i in S if i not in T)
-    D2 = tuple(j for j in T if j not in S)
-    t = len(D1)
-    maxima, sums = [], []
-    for a in range(t + 1):
-        m, tot = -math.inf, 0.0
-        for A in combinations(D1, a):
-            for B in combinations(D2, t - a):
-                v = value(tuple(sorted(core + A + B)))
-                tot += v
-                if v > m:
-                    m = v
-        maxima.append(m)
-        sums.append(tot)
-    return maxima, sums
-
-
 def _root(q, i):
     """q ** (1/i) elementwise with Python's float power, which numpy's power
     and square root do not match in the last bit."""
@@ -99,7 +71,7 @@ def _root(q, i):
 
 def _pair_verdict(lhs, maxima, beta, r):
     """(passed, measured beta) of mu(S)mu(T) = lhs <= max_{i<=r} beta^i M^i(S->T) M^i(T->S),
-    as arrays over pairs: lhs[p] and maxima[a][p] (bucket a of `pair_buckets`).
+    as arrays over pairs: lhs[p] and maxima[a][p] (bucket a of `_sweep_buckets`).
 
     The measured beta is the smallest (lhs / prod_i)^(1/i) over i <= r with
     prod_i > 0, inf if there is none and 0 when lhs <= 0; the pair passes when
@@ -116,22 +88,6 @@ def _pair_verdict(lhs, maxima, beta, r):
     return ok, measured
 
 
-def check_pair_exchange(mu: SetDistribution, S, T, r=2) -> ExchangeReport:
-    """(r, beta)-approximate exchange with beta = k^4:
-    mu(S)mu(T) <= max_{i<=r} beta^i M^i(S->T) M^i(T->S)."""
-    S, T, D1, _ = _sides(S, T)
-    t = len(D1)
-    if t == 0:
-        return ExchangeReport((S, T), "pair_exchange", 1.0, True, distance=0, vacuous=True)
-    maxima, _ = pair_buckets(mu.value, S, T)
-    passed, measured = _pair_verdict(
-        np.array([mu.value(S) * mu.value(T)]), np.array(maxima)[:, None], float(len(S)) ** 4, r
-    )
-    return ExchangeReport(
-        (S, T), "pair_exchange", float(measured[0]), bool(passed[0]), distance=t
-    )
-
-
 def check_strong_basis_exchange(mu: SetDistribution, S, T) -> ExchangeReport:
     """Strong basis exchange: for every j in T\\S some i in S\\T has
     mu(S)mu(T) <= beta * mu(S-i+j) mu(T+i-j); reports the max-over-j minimal
@@ -139,10 +95,10 @@ def check_strong_basis_exchange(mu: SetDistribution, S, T) -> ExchangeReport:
     S, T, D1, D2 = _sides(S, T)
     t = len(D1)
     if t == 0:
-        return ExchangeReport((S, T), "strong_basis", 1.0, True, distance=0, vacuous=True)
+        return ExchangeReport((S, T), 1.0, True, distance=0, vacuous=True)
     lhs = mu.value(S) * mu.value(T)
     if lhs <= 0.0:
-        return ExchangeReport((S, T), "strong_basis", 0.0, True, distance=t)
+        return ExchangeReport((S, T), 0.0, True, distance=t)
     worst, witnesses = 0.0, {}
     for j in D2:
         best = math.inf
@@ -151,19 +107,7 @@ def check_strong_basis_exchange(mu: SetDistribution, S, T) -> ExchangeReport:
             if prod > 0.0 and lhs / prod < best:
                 best, witnesses[j] = lhs / prod, i
         worst = max(worst, best)
-    return ExchangeReport(
-        (S, T), "strong_basis", worst, math.isfinite(worst), witnesses, t
-    )
-
-
-def exchange_polynomial(mu: SetDistribution, S, T) -> np.ndarray:
-    """Coefficients b_0..b_{2t} with b_{2i} = sum of mu(W) over W between S n T
-    and S u T with |W n (S\\T)| = i; odd coefficients vanish, b_0 = mu(T),
-    b_{2t} = mu(S)."""
-    S, T, D1, _ = _sides(S, T)
-    b = np.zeros(2 * len(D1) + 1)
-    b[::2] = pair_buckets(mu.value, S, T)[1]
-    return b
+    return ExchangeReport((S, T), worst, math.isfinite(worst), witnesses, t)
 
 
 def _hurwitz_sides(b):
@@ -183,10 +127,14 @@ def hurwitz_coeff_check(b):
 
 
 def _sweep_buckets(vals, colex, U, t):
-    """`pair_buckets` for m pairs at distance t at once.  The rows of U
-    (k + t x m) hold each pair's core, then S\\T, then T\\S, each ascending;
-    every pattern (A, B) is gathered for all m pairs, in `pair_buckets`' order,
-    so each sum adds its terms in the same order."""
+    """(maxima, sums) of m pairs at distance t at once, each a length-(t + 1)
+    list of arrays over the pairs: bucket a holds the largest and the summed
+    mu(W) over W = core u A u B with A of size a in S\\T and B of size t - a
+    in T\\S.  So maxima[t - i] = M^i(S->T), maxima[i] = M^i(T->S), and
+    sums[a] is the coefficient b_{2a} of the exchange polynomial.  The rows
+    of U (k + t x m) hold each pair's core, then S\\T, then T\\S, each
+    ascending; every pattern (A, B) is gathered for all m pairs, each sum
+    adding its terms in combinations order of A, then of B."""
     k = len(U) - t
     core = list(range(k - t))
     maxima, sums = [], []
@@ -220,7 +168,7 @@ def verify_exchange_all_pairs(mu: SetDistribution):
     mu.tabulate() is laid out by colex rank.  The unordered pairs (S, T),
     S < T, are swept in blocks of at most PAIR_BLOCK; within a block the
     pairs at each distance share their (A, B) patterns, so `_sweep_buckets`
-    yields every pair's `pair_buckets` maxima and sums, to which the pair
+    yields every pair's bucket maxima and sums, to which the pair
     verdict and the Hurwitz rule apply as arrays.  Failures are listed in
     pair order.
     """

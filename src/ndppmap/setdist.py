@@ -1,14 +1,18 @@
 """Unnormalized densities over size-k subsets, exposed as evaluation oracles.
 
-KernelDistribution prices its marginals (charpoly.superset_marginal), a
-greedy step's marginals (charpoly.step_marginals) and its r-neighbourhoods
-through the same Schur complement, kernel.condition_on.
+Every set of completions of a core Y, mu(Y u D) over the size-s D drawn from
+a pool, has one route: completions(Y, pool, s).  The table of every size-k
+set, the base marginal, the r-neighbourhood and the down-up walk's up-step
+all read it.  KernelDistribution overrides it with one Schur complement,
+kernel.condition_on, which also prices its marginals
+(charpoly.superset_marginal) and a greedy step's marginals
+(charpoly.step_marginals).
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -16,7 +20,7 @@ from . import charpoly
 from .errors import ConditioningError, DomainError
 from .kernel import Kernel, _normalize_indices, condition_on, principal_minor
 
-TABLE_BLOCK = 1 << 15  # sets per batched determinant of kernel_table
+TABLE_BLOCK = 1 << 15  # completions per batched determinant
 
 
 def as_set(S):
@@ -37,9 +41,10 @@ def neighborhood(S, r, n):
 class SetDistribution:
     """Evaluation oracle for an unnormalized density mu on size-k subsets of [n].
 
-    Subclasses implement value(); tabulate(), marginal(), step_marginals(),
-    neighborhood_values() and restrict() default to enumeration and are
-    overridden where a faster route exists.
+    Subclasses implement value().  completions() enumerates through it, and
+    tabulate(), marginal(), neighborhood_values() and restrict() read
+    completions(); KernelDistribution overrides completions(), tabulate(),
+    marginal(), step_marginals() and restrict() with faster routes.
     """
 
     def __init__(self, n, k):
@@ -49,17 +54,24 @@ class SetDistribution:
     def value(self, S) -> float:
         raise NotImplementedError
 
+    def completions(self, core, pool, s) -> np.ndarray:
+        """mu(core u D) for every size-s D in combinations(pool, s), in that
+        order, for a sorted tuple core and a sorted pool disjoint from it."""
+        return np.fromiter(
+            (self.value(tuple(sorted(core + D))) for D in combinations(pool, s)), float
+        )
+
     def tabulate(self) -> np.ndarray:
         """mu of every size-k subset of [n], in combinations(range(n), k) order."""
-        return np.fromiter(map(self.value, combinations(range(self.n), self.k)), float)
+        return self.completions((), range(self.n), self.k)
 
     def marginal(self, Y) -> float:
-        """sum of mu(S) over size-k supersets S of Y."""
+        """sum of mu(S) over size-k supersets S of Y, added left to right."""
         Y = as_set(Y)
         rest = [i for i in range(self.n) if i not in Y]
         total = 0.0
-        for extra in combinations(rest, self.k - len(Y)):
-            total += self.value(Y + extra)
+        for v in self.completions(Y, rest, self.k - len(Y)).tolist():
+            total += v
         return total
 
     def step_marginals(self, S):
@@ -71,19 +83,31 @@ class SetDistribution:
         return cands, [self.marginal(as_set(S + (i,))) for i in cands], False
 
     def neighborhood_values(self, S, r):
-        """mu over the r-neighborhood of S, keyed by sorted index tuple."""
-        return {T: float(self.value(T)) for T in neighborhood(S, r, self.n)}
+        """mu over the r-neighborhood of S, keyed by sorted index tuple, in
+        neighborhood()'s order: for each core Y = S minus s <= r of its
+        elements, the completions of Y by s elements outside S."""
+        S = as_set(S)
+        outside = [i for i in range(self.n) if i not in S]
+        out = {}
+        for s in range(min(r, len(S), len(outside)) + 1):
+            adds = list(combinations(outside, s))
+            for drop in combinations(S, s):
+                core = tuple(i for i in S if i not in drop)
+                for add, v in zip(adds, self.completions(core, outside, s).tolist()):
+                    out[tuple(sorted(core + add))] = v
+        return out
 
     def restrict(self, P):
         """mu on the size-k subsets of P, its i-th smallest element relabelled i."""
         P = _normalize_indices(P, self.n)
         sets = combinations(range(len(P)), self.k)
-        table = {S: self.value(tuple(P[i] for i in S)) for S in sets}
+        table = dict(zip(sets, self.completions((), P, self.k).tolist()))
         return TableDistribution(len(P), self.k, table)
 
 
 class KernelDistribution(SetDistribution):
-    """mu(S) = det(L_S); marginals and neighbourhoods via Schur complements."""
+    """mu(S) = det(L_S); completions, marginals and greedy steps via Schur
+    complements."""
 
     def __init__(self, kernel: Kernel, k):
         super().__init__(kernel.n, k)
@@ -91,6 +115,29 @@ class KernelDistribution(SetDistribution):
 
     def value(self, S):
         return principal_minor(self.kernel, S)
+
+    def completions(self, core, pool, s):
+        """One conditioning on the core: mu(core u D) = det(L_core) det((L^core)_D)
+        on the Schur complement from condition_on, one batched determinant per
+        TABLE_BLOCK completions; a singular core falls back to enumeration.
+        The one size-0 completion is the core's own minor, with no complement
+        to form."""
+        if s == 0:
+            return np.array([self.value(core)])
+        try:
+            M, det_core = condition_on(self.kernel, core)
+        except ConditioningError:
+            return super().completions(core, pool, s)
+        adds = combinations(pool, s)
+        out = np.empty(math.comb(len(pool), s))
+        for b0 in range(0, len(out), TABLE_BLOCK):
+            m = min(TABLE_BLOCK, len(out) - b0)
+            D = np.fromiter(chain.from_iterable(islice(adds, m)), np.intp, m * s).reshape(m, s)
+            # Index i sits at position i - |{c in core : c < i}| of M.
+            P = D - np.searchsorted(core, D)
+            blocks = M.entries[P[:, :, None], P[:, None, :]]
+            out[b0 : b0 + m] = det_core * np.linalg.det(blocks)
+        return out
 
     def tabulate(self):
         return kernel_table(self.kernel, self.k)
@@ -114,34 +161,8 @@ class KernelDistribution(SetDistribution):
         lowrank = None if K.lowrank is None else (K.lowrank[0][P], K.lowrank[1])
         return KernelDistribution(Kernel(K.submatrix(P), lowrank=lowrank), self.k)
 
-    def neighborhood_values(self, S, r):
-        """mu over the r-neighborhood of S, conditioning each retained core once.
-
-        For a core Y = S \\ U, every completion D of the same size as U costs
-        det(L_Y) * det((L^Y)_D) on the Schur complement from condition_on,
-        all of them in one batched small determinant; a singular core falls
-        back to direct determinants.
-        """
-        S = as_set(S)
-        outside = [i for i in range(self.n) if i not in S]
-        out = {S: principal_minor(self.kernel, S)}
-        for s in range(1, min(r, len(S), len(outside)) + 1):
-            adds = list(combinations(outside, s))
-            A = np.array(adds)
-            for drop in combinations(S, s):
-                core = tuple(i for i in S if i not in drop)
-                try:
-                    M, det_core = condition_on(self.kernel, core)
-                except ConditioningError:
-                    vals = [principal_minor(self.kernel, core + add) for add in adds]
-                else:
-                    # Index i sits at position i - |{c in core : c < i}| of M.
-                    P = A - np.searchsorted(core, A)
-                    blocks = M.entries[P[:, :, None], P[:, None, :]]
-                    vals = (det_core * np.linalg.det(blocks)).tolist()
-                for add, v in zip(adds, vals):
-                    out[tuple(sorted(core + add))] = v
-        return out
+    # perfbench/spans.py traces the scan through this class's own binding.
+    neighborhood_values = SetDistribution.neighborhood_values
 
 
 class TableDistribution(SetDistribution):
@@ -158,19 +179,7 @@ class TableDistribution(SetDistribution):
         return self.table.get(as_set(S), 0.0)
 
 
-class UniformDistribution(SetDistribution):
-    def value(self, S):
-        S = as_set(S)
-        return 1.0 if len(S) == self.k and len(set(S)) == self.k else 0.0
-
-
 def kernel_table(K: Kernel, k):
     """det(L_S) of every size-k subset S of [n], in combinations(range(n), k)
-    order, priced by one batched determinant per TABLE_BLOCK sets; the empty
-    set's minor is 1."""
-    sets = combinations(range(K.n), k)
-    out = np.empty(math.comb(K.n, k))
-    for b0 in range(0, len(out), TABLE_BLOCK):
-        S = np.array(list(islice(sets, TABLE_BLOCK)), dtype=np.intp)  # m x k, also for k = 0
-        out[b0 : b0 + len(S)] = np.linalg.det(K.entries[S[:, :, None], S[:, None, :]])
-    return out
+    order: the completions of the empty core; the empty set's minor is 1."""
+    return KernelDistribution(K, k).completions((), range(K.n), k)

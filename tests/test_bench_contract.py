@@ -43,6 +43,16 @@ def test_traced_map_counts(monkeypatch):
     assert counts["localsearch"] == [report["iterations"]]
 
 
+def test_traced_table_span(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    K = skew_block([4, 3, 2], [100, 200, 300])
+    with tracer.tracing(0):
+        exchange.brute_force_map(KernelDistribution(K, 2), K.n, 2)
+    assert [span.name for span in tracer.spans].count("setdist.kernel_table") == 1
+
+
 # Every ndppmap call in perfbench/workloads.py, with its arguments as written there.
 PERFBENCH_CALLS = [
     (exchange.brute_force_map, "mu", "K.n", "k"),

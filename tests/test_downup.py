@@ -11,7 +11,6 @@ from ndppmap import (
     KernelDistribution,
     SetDistribution,
     TableDistribution,
-    UniformDistribution,
     apply_field,
     build_downup,
     conductance,
@@ -22,6 +21,11 @@ from ndppmap import (
 from ndppmap import downup
 from ndppmap.downup import chain_checks, cheeger_ok, empirical_density
 from ndppmap.instances import random_field, random_npsd
+
+
+def uniform(n, k):
+    """mu = 1 on every size-k subset of [n]."""
+    return TableDistribution(n, k, {S: 1.0 for S in combinations(range(n), k)})
 
 
 def brute_conductance(C):
@@ -56,7 +60,7 @@ def random_chain(m, seed):
 CUT_CHAINS = {
     "m1": lambda: build_downup(TableDistribution(3, 2, {(0, 1): 1.0}), 3, 2, 1),
     "m2": lambda: random_chain(2, 1),
-    "m3": lambda: build_downup(UniformDistribution(3, 2), 3, 2, 1),
+    "m3": lambda: build_downup(uniform(3, 2), 3, 2, 1),
     "m7": lambda: random_chain(7, 2),
     "m15": lambda: build_downup(KernelDistribution(random_npsd(6, 13), 2), 6, 2, 1),
     "m20": lambda: build_downup(KernelDistribution(random_npsd(6, 4242), 3), 6, 3, 1),
@@ -97,13 +101,13 @@ class TestApplyField:
             assert nu.value(S) == pytest.approx(mu.value(S))
 
     def test_zero_entry_deletes(self):
-        mu = UniformDistribution(4, 2)
+        mu = uniform(4, 2)
         nu = apply_field(mu, [0.0, 1.0, 1.0, 1.0])
         assert nu.value((0, 1)) == 0.0
         assert nu.value((1, 2)) == 1.0
 
     def test_infinite_entry_forces(self):
-        mu = UniformDistribution(4, 2)
+        mu = uniform(4, 2)
         nu = apply_field(mu, [math.inf, 1.0, 1.0, 1.0])
         assert nu.value((1, 2)) == 0.0
         assert nu.value((0, 2)) == 1.0
@@ -129,12 +133,12 @@ class TestApplyField:
         assert np.array_equal(SetDistribution.tabulate(nu), want)
 
     def test_empty_support_rejected(self):
-        mu = UniformDistribution(4, 2)
+        mu = uniform(4, 2)
         with pytest.raises(InfeasibilityError):
             apply_field(mu, [0.0, 0.0, 0.0, 0.0])
 
     def test_negative_field_rejected(self):
-        mu = UniformDistribution(4, 2)
+        mu = uniform(4, 2)
         for bad in (-1.0, math.nan):
             with pytest.raises(DomainError):
                 apply_field(mu, [bad, 1.0, 1.0, 1.0])
@@ -142,7 +146,7 @@ class TestApplyField:
 
 class TestBuildDownup:
     def test_uniform_three_states(self):
-        C = build_downup(UniformDistribution(3, 2), 3, 2, 1)
+        C = build_downup(uniform(3, 2), 3, 2, 1)
         # each off-diagonal neighbor reached with prob 1/2 * 1/2, self-loop 1/2
         expect = np.full((3, 3), 0.25)
         np.fill_diagonal(expect, 0.5)
@@ -150,7 +154,7 @@ class TestBuildDownup:
         assert np.allclose(C.pi, 1.0 / 3.0)
 
     def test_k_equals_l_identity(self):
-        C = build_downup(UniformDistribution(4, 2), 4, 2, 2)
+        C = build_downup(uniform(4, 2), 4, 2, 2)
         assert np.array_equal(C.P, np.eye(6))
 
     def test_stationarity_seeded(self):
@@ -166,7 +170,7 @@ class TestBuildDownup:
             assert rep["gap"] > 0.0
 
     def test_n_k_must_match_mu(self):
-        mu = UniformDistribution(5, 2)
+        mu = uniform(5, 2)
         with pytest.raises(DomainError):
             build_downup(mu, 6, 2, 1)
         with pytest.raises(DomainError):
@@ -183,7 +187,7 @@ class TestBuildDownup:
 
 class TestSpectralGap:
     def test_identity_chain(self):
-        C = build_downup(UniformDistribution(4, 2), 4, 2, 2)
+        C = build_downup(uniform(4, 2), 4, 2, 2)
         assert spectral_gap(C) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_state_closed_form(self):
@@ -194,13 +198,13 @@ class TestSpectralGap:
         assert spectral_gap(C) == pytest.approx(p + q)
 
     def test_matches_independent_eigensolver(self):
-        C = build_downup(UniformDistribution(4, 2), 4, 2, 1)
+        C = build_downup(uniform(4, 2), 4, 2, 1)
         ev = np.sort(np.real(np.linalg.eigvals(C.P)))
         assert spectral_gap(C) == pytest.approx(1.0 - ev[-2], abs=1e-9)
 
     def test_one_eigenproblem_per_chain(self, monkeypatch):
         # 35 states take conductance's Cheeger path, which reads the gap too
-        C = build_downup(UniformDistribution(7, 3), 7, 3, 2)
+        C = build_downup(uniform(7, 3), 7, 3, 2)
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: calls.append(1) or eigvalsh(A))
@@ -264,7 +268,7 @@ class TestConductance:
 
 class TestSampleWalk:
     def test_k_equals_l_constant(self):
-        mu = UniformDistribution(5, 2)
+        mu = uniform(5, 2)
         traj = sample_walk(mu, (1, 3), 2, 50, seed=0)
         assert traj == [(1, 3)] * 51
 
@@ -277,7 +281,7 @@ class TestSampleWalk:
         assert a != c
 
     def test_uniform_frequencies(self):
-        mu = UniformDistribution(5, 2)
+        mu = uniform(5, 2)
         traj = sample_walk(mu, (0, 1), 1, 20000, seed=7)
         states = list(combinations(range(5), 2))
         emp = empirical_density(traj, states)
