@@ -47,7 +47,6 @@ from .setdist import (
     SetDistribution,
     TableDistribution,
     kernel_table,
-    neighborhood,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -16,7 +16,8 @@ from itertools import combinations, compress
 import numpy as np
 
 from .errors import CapacityError, DomainError, InfeasibilityError, TrappedStateError
-from .setdist import SetDistribution, as_set
+from .kernel import _normalize_indices
+from .setdist import SetDistribution, as_set, subsets
 
 CHAIN_STATE_CAP = 20000
 CONDUCTANCE_STATE_CAP = 22
@@ -40,40 +41,34 @@ class ChainMatrix:
 
 class FieldDistribution(SetDistribution):
     """(lambda * mu)(S) = mu(S) * prod_{i in S} lambda_i, with zero and
-    infinite entries realized as support restriction."""
+    infinite entries realized as support restriction (mass exactly +0.0);
+    completions() are the base's times each set's field product."""
 
     def __init__(self, base: SetDistribution, lam: np.ndarray):
         super().__init__(base.n, base.k)
         self.base = base
         self.lam = lam
-        self.forced = frozenset(np.flatnonzero(np.isinf(self.lam)).tolist())
-        self.deleted = frozenset(np.flatnonzero(self.lam == 0.0).tolist())
+
+    def _field(self, sets):
+        """Each row's field product, in row order with a forced entry counted as
+        1.0, and whether the row lies in the support, for sorted rows of sets."""
+        forced = np.isinf(self.lam)
+        lam = np.where(forced, 1.0, self.lam)
+        factor = np.ones(len(sets))
+        for c in range(sets.shape[1]):
+            factor *= lam[sets[:, c]]
+        inside = (forced[sets].sum(axis=1) == forced.sum()) & (self.lam[sets] != 0.0).all(axis=1)
+        return factor, inside
 
     def value(self, S):
-        S = as_set(S)
-        sset = set(S)
-        if not self.forced <= sset or sset & self.deleted:
-            return 0.0
-        factor = 1.0
-        for i in S:
-            if i not in self.forced:
-                factor *= self.lam[i]
-        return self.base.value(S) * factor
+        S = _normalize_indices(S, self.n)
+        factor, inside = self._field(np.array([S], dtype=np.intp))
+        return self.base.value(S) * factor[0] if inside[0] else 0.0
 
-    def tabulate(self):
-        """The base table times each set's field product, multiplied in the
-        set's order as value() does (a forced entry counts as 1); a set that
-        holds a deleted element or misses a forced one is 0."""
-        sets = np.array(list(combinations(range(self.n), self.k)), dtype=np.intp)
-        sets = sets.reshape(-1, self.k)
-        lam = np.where(np.isinf(self.lam), 1.0, self.lam)
-        factor = np.ones(len(sets))
-        for c in range(self.k):
-            factor *= lam[sets[:, c]]
-        out = self.base.tabulate() * factor
-        forced_in = np.isin(sets, list(self.forced)).sum(axis=1)
-        out[(forced_in < len(self.forced)) | np.isin(sets, list(self.deleted)).any(axis=1)] = 0.0
-        return out
+    def completions(self, core, D):
+        core_rows = np.broadcast_to(np.array(core, dtype=np.intp), (len(D), len(core)))
+        factor, inside = self._field(np.sort(np.hstack((core_rows, D)), axis=1))
+        return np.where(inside, self.base.completions(core, D) * factor, 0.0)
 
 
 def apply_field(mu: SetDistribution, lam) -> FieldDistribution:
@@ -81,6 +76,8 @@ def apply_field(mu: SetDistribution, lam) -> FieldDistribution:
     element: 0 deletes it, inf forces it); errors out on empty support
     whenever the state space is small enough to enumerate."""
     lam = np.asarray(lam, dtype=float)
+    if lam.ndim != 1:
+        raise DomainError(f"field must be one-dimensional, got shape {lam.shape}")
     if np.any(lam < 0) or np.any(np.isnan(lam)):
         raise DomainError("field entries must be nonnegative")
     if len(lam) != mu.n:
@@ -226,9 +223,9 @@ def sample_walk(mu: SetDistribution, S0, l, steps, seed):
         keep_idx = rng.choice(k, size=l, replace=False)
         core = tuple(sorted(cur[i] for i in keep_idx))
         if core not in up_cache:
-            rest = [i for i in range(mu.n) if i not in core]
-            cands = [tuple(sorted(core + extra)) for extra in combinations(rest, k - l)]
-            wts = np.maximum(mu.completions(core, rest, k - l), 0.0)
+            D = subsets([i for i in range(mu.n) if i not in core], k - l)
+            cands = [tuple(sorted(core + tuple(extra))) for extra in D.tolist()]
+            wts = np.maximum(mu.completions(core, D), 0.0)
             total = wts.sum()
             if total > 0.0:
                 cdf = (wts / total).cumsum()

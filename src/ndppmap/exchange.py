@@ -21,7 +21,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .setdist import SetDistribution, as_set
+from .setdist import SetDistribution, as_set, subsets
 
 BRUTE_FORCE_CAP = 2 * 10**6
 RTOL = 1e-9  # relative slack of the exchange and Hurwitz inequalities
@@ -174,8 +174,7 @@ def verify_exchange_all_pairs(mu: SetDistribution):
     """
     n, k = mu.n, mu.k
     N = math.comb(n, k)
-    sets = list(combinations(range(n), k))
-    pos = np.array(sets, dtype=np.int64).reshape(N, k).T.copy()  # column a is sets[a]
+    pos = subsets(range(n), k).T.copy()  # column a is the a-th set in combinations order
     # A rank below N uses only terms below N, so clamping keeps int64 exact.
     binom = np.array(
         [[min(math.comb(w, j), N) for j in range(1, k + 1)] for w in range(n)], dtype=np.int64
@@ -187,6 +186,9 @@ def verify_exchange_all_pairs(mu: SetDistribution):
         place in its sorted column is the number of entries below it."""
         below = (W[:, None, :] > W[None, :, :]).view(np.uint8).sum(axis=1, dtype=count)
         return binom[W, below].sum(axis=0)
+
+    def label(a):
+        return tuple(pos[:, a].tolist())
 
     own = mu.tabulate()
     vals = np.empty(N)
@@ -227,7 +229,7 @@ def verify_exchange_all_pairs(mu: SetDistribution):
                 lhs, rhs = _hurwitz_sides(sums)
                 hurw += [(sel[j], lhs[j], rhs[j]) for j in bad]
         for q, beta_hat in sorted(exch):
-            result["exchange_failures"].append((sets[a[q]], sets[b[q]], float(beta_hat)))
+            result["exchange_failures"].append((label(a[q]), label(b[q]), float(beta_hat)))
         for q, lhs, rhs in sorted(hurw):
-            result["hurwitz_failures"].append((sets[a[q]], sets[b[q]], float(lhs), float(rhs)))
+            result["hurwitz_failures"].append((label(a[q]), label(b[q]), float(lhs), float(rhs)))
     return result

@@ -3,9 +3,10 @@
 induced_greedy maximizes the superset marginal mu(S u {i}) at every step
 and carries a crude C(n,k)-factor guarantee; each step prices all its
 candidates with one mu.step_marginals call, which a kernel answers from one
-conditioning on S.  standard_greedy is the classic det(L_{S u i}) baseline
+conditioning on S.  standard_greedy is the classic mu(S u {i}) baseline
 kept to reproduce its failure on nonsymmetric kernels (all odd minors of a
-skew block vanish); each step is one batched determinant.
+skew block vanish); each step is one mu.completions call over the sets
+S u {i}, which a kernel prices with one batched determinant.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasibilityError
-from .kernel import Kernel, principal_minor
 from .setdist import SetDistribution, as_set
 
 
@@ -52,20 +52,21 @@ def induced_greedy(mu: SetDistribution) -> GreedyTrace:
     return trace
 
 
-def standard_greedy(K: Kernel, k) -> GreedyTrace:
-    """Classic greedy on det(L_{S u i}); ties (including all-zero) take the
-    smallest index, so it may end on a zero-determinant set.  Each step takes
-    one batched determinant over the sorted index sets S u {i}."""
+def standard_greedy(mu: SetDistribution) -> GreedyTrace:
+    """Classic greedy on mu(S u {i}) up to size mu.k; ties (including
+    all-zero) take the smallest index, so it may end on a zero-mass set.
+    Each step prices the sorted sets S u {i} as completions of the empty
+    core, which conditions on nothing."""
     trace = GreedyTrace()
     S = ()
-    for _ in range(k):
-        cands = [i for i in range(K.n) if i not in S]
+    for _ in range(mu.k):
+        cands = [i for i in range(mu.n) if i not in S]
         A = np.array([as_set(S + (i,)) for i in cands], dtype=np.intp)
-        vals = np.linalg.det(K.entries[A[:, :, None], A[:, None, :]]).tolist()
+        vals = mu.completions((), A).tolist()
         best = max(vals)
         pick = next(i for i, v in zip(cands, vals) if v == best)
         S = as_set(S + (pick,))
         trace.picks.append((pick, float(best)))
     trace.final_set = S
-    trace.final_value = principal_minor(K, S)
+    trace.final_value = float(mu.value(S))
     return trace

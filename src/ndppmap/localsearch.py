@@ -94,7 +94,7 @@ def map_inference(K: Kernel, k, cfg: SearchConfig | None = None, init="induced")
         cfg = SearchConfig(cfg.r, cfg.zeta, default_max_iters(K, k))
     t0 = time.perf_counter()
     mu = KernelDistribution(K, k)
-    g = induced_greedy(mu) if init == "induced" else standard_greedy(K, k)
+    g = induced_greedy(mu) if init == "induced" else standard_greedy(mu)
     S, trace = local_search(mu, g.final_set, cfg)
     report = {
         "set": list(S),

@@ -1,9 +1,10 @@
 """Unnormalized densities over size-k subsets, exposed as evaluation oracles.
 
-Every set of completions of a core Y, mu(Y u D) over the size-s D drawn from
-a pool, has one route: completions(Y, pool, s).  The table of every size-k
-set, the base marginal, the r-neighbourhood and the down-up walk's up-step
-all read it.  KernelDistribution overrides it with one Schur complement,
+Every set of completions of a core Y, mu(Y u D[i]) over the rows of an index
+array D that the caller builds once with subsets(pool, s), has one route:
+completions(Y, D).  The table, the base marginal, the r-neighbourhood, the
+down-up walk's up-step and the standard greedy's step all read it.
+KernelDistribution overrides it with one Schur complement,
 kernel.condition_on, which also prices its marginals
 (charpoly.superset_marginal) and a greedy step's marginals
 (charpoly.step_marginals).
@@ -12,7 +13,7 @@ kernel.condition_on, which also prices its marginals
 from __future__ import annotations
 
 import math
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -20,22 +21,21 @@ from . import charpoly
 from .errors import ConditioningError, DomainError
 from .kernel import Kernel, _normalize_indices, condition_on, principal_minor
 
-TABLE_BLOCK = 1 << 15  # completions per batched determinant
+TABLE_BLOCK = 1 << 15  # rows of D per batched determinant
 
 
 def as_set(S):
     return tuple(sorted(int(i) for i in S))
 
 
-def neighborhood(S, r, n):
-    """Yield every size-k set within r swaps of S (S included), each once."""
-    S = as_set(S)
-    outside = [i for i in range(n) if i not in S]
-    for s in range(0, min(r, len(S), len(outside)) + 1):
-        for drop in combinations(S, s):
-            kept = tuple(i for i in S if i not in drop)
-            for add in combinations(outside, s):
-                yield tuple(sorted(kept + add))
+def subsets(pool, s):
+    """The rows of combinations(pool, s), in that order, as an int array of
+    shape (C(len(pool), s), s) and of the smallest dtype that holds every
+    element of the sequence pool, so that a full table's index array stays
+    small."""
+    dtype = np.min_scalar_type(max(pool, default=0))
+    m = math.comb(len(pool), s)
+    return np.fromiter(chain.from_iterable(combinations(pool, s)), dtype, m * s).reshape(m, s)
 
 
 class SetDistribution:
@@ -43,8 +43,9 @@ class SetDistribution:
 
     Subclasses implement value().  completions() enumerates through it, and
     tabulate(), marginal(), neighborhood_values() and restrict() read
-    completions(); KernelDistribution overrides completions(), tabulate(),
-    marginal(), step_marginals() and restrict() with faster routes.
+    completions() over index arrays from subsets(); KernelDistribution
+    overrides completions(), tabulate(), marginal(), step_marginals() and
+    restrict() with faster routes.
     """
 
     def __init__(self, n, k):
@@ -54,23 +55,23 @@ class SetDistribution:
     def value(self, S) -> float:
         raise NotImplementedError
 
-    def completions(self, core, pool, s) -> np.ndarray:
-        """mu(core u D) for every size-s D in combinations(pool, s), in that
-        order, for a sorted tuple core and a sorted pool disjoint from it."""
+    def completions(self, core, D) -> np.ndarray:
+        """mu(core u D[i]) for every row D[i] of the int array D, in row
+        order, for a sorted tuple core whose elements are not in D."""
         return np.fromiter(
-            (self.value(tuple(sorted(core + D))) for D in combinations(pool, s)), float
+            (self.value(tuple(sorted(core + tuple(row)))) for row in D.tolist()), float, len(D)
         )
 
     def tabulate(self) -> np.ndarray:
         """mu of every size-k subset of [n], in combinations(range(n), k) order."""
-        return self.completions((), range(self.n), self.k)
+        return self.completions((), subsets(range(self.n), self.k))
 
     def marginal(self, Y) -> float:
         """sum of mu(S) over size-k supersets S of Y, added left to right."""
         Y = as_set(Y)
         rest = [i for i in range(self.n) if i not in Y]
         total = 0.0
-        for v in self.completions(Y, rest, self.k - len(Y)).tolist():
+        for v in self.completions(Y, subsets(rest, self.k - len(Y))).tolist():
             total += v
         return total
 
@@ -83,17 +84,18 @@ class SetDistribution:
         return cands, [self.marginal(as_set(S + (i,))) for i in cands], False
 
     def neighborhood_values(self, S, r):
-        """mu over the r-neighborhood of S, keyed by sorted index tuple, in
-        neighborhood()'s order: for each core Y = S minus s <= r of its
-        elements, the completions of Y by s elements outside S."""
+        """mu over every size-k set within r swaps of S, keyed by sorted index
+        tuple: for each s <= r, one index array D of the size-s sets outside S
+        and one completions(Y, D) call per core Y = S minus s of its elements."""
         S = as_set(S)
         outside = [i for i in range(self.n) if i not in S]
         out = {}
         for s in range(min(r, len(S), len(outside)) + 1):
-            adds = list(combinations(outside, s))
+            D = subsets(outside, s)
+            adds = list(map(tuple, D.tolist()))
             for drop in combinations(S, s):
                 core = tuple(i for i in S if i not in drop)
-                for add, v in zip(adds, self.completions(core, outside, s).tolist()):
+                for add, v in zip(adds, self.completions(core, D).tolist()):
                     out[tuple(sorted(core + add))] = v
         return out
 
@@ -101,7 +103,7 @@ class SetDistribution:
         """mu on the size-k subsets of P, its i-th smallest element relabelled i."""
         P = _normalize_indices(P, self.n)
         sets = combinations(range(len(P)), self.k)
-        table = dict(zip(sets, self.completions((), P, self.k).tolist()))
+        table = dict(zip(sets, self.completions((), subsets(P, self.k)).tolist()))
         return TableDistribution(len(P), self.k, table)
 
 
@@ -116,27 +118,24 @@ class KernelDistribution(SetDistribution):
     def value(self, S):
         return principal_minor(self.kernel, S)
 
-    def completions(self, core, pool, s):
-        """One conditioning on the core: mu(core u D) = det(L_core) det((L^core)_D)
+    def completions(self, core, D):
+        """One conditioning on the core: mu(core u D[i]) = det(L_core) det((L^core)_D[i])
         on the Schur complement from condition_on, one batched determinant per
-        TABLE_BLOCK completions; a singular core falls back to enumeration.
-        The one size-0 completion is the core's own minor, with no complement
-        to form."""
-        if s == 0:
-            return np.array([self.value(core)])
+        TABLE_BLOCK rows of D; a singular core falls back to enumeration.  A
+        size-0 completion is the core's own minor, with no complement to form."""
+        if D.shape[1] == 0:
+            return np.full(len(D), self.value(core))
         try:
             M, det_core = condition_on(self.kernel, core)
         except ConditioningError:
-            return super().completions(core, pool, s)
-        adds = combinations(pool, s)
-        out = np.empty(math.comb(len(pool), s))
-        for b0 in range(0, len(out), TABLE_BLOCK):
-            m = min(TABLE_BLOCK, len(out) - b0)
-            D = np.fromiter(chain.from_iterable(islice(adds, m)), np.intp, m * s).reshape(m, s)
+            return super().completions(core, D)
+        out = np.empty(len(D))
+        for b0 in range(0, len(D), TABLE_BLOCK):
+            P = D[b0 : b0 + TABLE_BLOCK]
             # Index i sits at position i - |{c in core : c < i}| of M.
-            P = D - np.searchsorted(core, D)
-            blocks = M.entries[P[:, :, None], P[:, None, :]]
-            out[b0 : b0 + m] = det_core * np.linalg.det(blocks)
+            P = P - np.searchsorted(core, P)
+            # One expression, so no block of minors outlives its determinant.
+            out[b0 : b0 + len(P)] = det_core * np.linalg.det(M.entries[P[..., None], P[:, None]])
         return out
 
     def tabulate(self):
@@ -182,4 +181,4 @@ class TableDistribution(SetDistribution):
 def kernel_table(K: Kernel, k):
     """det(L_S) of every size-k subset S of [n], in combinations(range(n), k)
     order: the completions of the empty core; the empty set's minor is 1."""
-    return KernelDistribution(K, k).completions((), range(K.n), k)
+    return KernelDistribution(K, k).completions((), subsets(range(K.n), k))

@@ -121,7 +121,7 @@ def test_criterion_3_local_to_global_bound(pipeline):
 def test_criterion_4_greedy_failure_reproduction():
     K = skew_block([4.0, 3.0, 2.0], [100.0, 200.0, 300.0])
     mu = KernelDistribution(K, 2)
-    g = standard_greedy(K, 2)
+    g = standard_greedy(KernelDistribution(K, 2))
     assert g.final_set == (0, 1)
     assert g.final_value == pytest.approx(4.0**2 + 100.0**2)  # 10016
     opt_set, opt = brute_force_map(mu, 6, 2)

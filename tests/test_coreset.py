@@ -10,9 +10,9 @@ from ndppmap import (
     build_plan,
     compose_and_report,
     coreset_map,
-    neighborhood,
 )
 from ndppmap.instances import random_npsd, random_partition, sym_psd
+from test_localsearch import neighborhood
 
 
 def diag_distribution(values, k):

@@ -143,6 +143,18 @@ class TestApplyField:
             with pytest.raises(DomainError):
                 apply_field(mu, [bad, 1.0, 1.0, 1.0])
 
+    def test_out_of_range_set_rejected(self):
+        nu = apply_field(uniform(4, 2), [1.0, 1.0, 1.0, 0.0])
+        for bad in ((-1, 2), (2, 4)):
+            with pytest.raises(DomainError):
+                nu.value(bad)
+
+    def test_field_must_be_one_dimensional(self):
+        mu = uniform(4, 2)
+        for bad in (1.0, np.ones((4, 1)), np.ones((4, 2))):
+            with pytest.raises(DomainError):
+                apply_field(mu, bad)
+
 
 class TestBuildDownup:
     def test_uniform_three_states(self):

@@ -8,6 +8,7 @@ from ndppmap import (
     Kernel,
     KernelDistribution,
     SetDistribution,
+    TableDistribution,
     brute_force_map,
     induced_greedy,
     principal_minor,
@@ -155,7 +156,7 @@ class TestStandardGreedy:
         ids=["dense", "skew-block"],
     )
     def test_batched_step_equals_principal_minors(self, K):
-        trace = standard_greedy(K, 4)
+        trace = standard_greedy(KernelDistribution(K, 4))
         S = ()
         for pick, val in trace.picks:
             vals = {i: principal_minor(K, S + (i,)) for i in range(K.n) if i not in S}
@@ -163,15 +164,23 @@ class TestStandardGreedy:
             assert (pick, val) == (min(i for i, v in vals.items() if v == best), best)
             S = tuple(sorted(S + (pick,)))
 
+    def test_table_follows_argmax_rule(self):
+        # A table has mass only on size-k sets, so the first step ties at 0
+        # and takes the smallest index; the last step takes the argmax.
+        mu = TableDistribution(5, 2, {(0, 3): 2.0, (0, 4): 7.0, (1, 2): 9.0})
+        trace = standard_greedy(mu)
+        assert trace.picks == [(0, 0.0), (4, 7.0)]
+        assert (trace.final_set, trace.final_value) == ((0, 4), 7.0)
+
     def test_diagonal(self):
-        trace = standard_greedy(Kernel(np.diag([5.0, 4.0, 3.0])), 2)
+        trace = standard_greedy(KernelDistribution(Kernel(np.diag([5.0, 4.0, 3.0])), 2))
         assert trace.final_set == (0, 1)
         assert trace.final_value == pytest.approx(20.0)
 
     def test_skew_block_failure(self):
         # picks the first blocks while the optimum is the last two blocks
         K = skew_block([5, 4, 3, 2], [100, 200, 300, 400])
-        trace = standard_greedy(K, 4)
+        trace = standard_greedy(KernelDistribution(K, 4))
         assert trace.final_set == (0, 1, 2, 3)
         mu = KernelDistribution(K, 4)
         opt_set, opt = brute_force_map(mu, 8, 4)
@@ -185,7 +194,7 @@ class TestStandardGreedy:
         L = np.zeros((4, 4))
         L[0, 0] = 1.0
         L[2, 3], L[3, 2] = 5.0, -5.0
-        trace = standard_greedy(Kernel(L), 2)
+        trace = standard_greedy(KernelDistribution(Kernel(L), 2))
         assert trace.final_set == (0, 1)
         assert trace.final_value == pytest.approx(0.0)
         opt_set, opt = brute_force_map(KernelDistribution(Kernel(L), 2), 4, 2)

@@ -18,9 +18,21 @@ from ndppmap import (
     kernel_table,
     local_search,
     map_inference,
-    neighborhood,
 )
 from ndppmap.instances import lowrank_npsd, random_npsd, skew_block
+
+
+def neighborhood(S, r, n):
+    """Yield every size-k set within r swaps of S (S included), each once:
+    the per-set reference for neighborhood_values and the search's
+    certificate."""
+    S = tuple(sorted(S))
+    outside = [i for i in range(n) if i not in S]
+    for s in range(0, min(r, len(S), len(outside)) + 1):
+        for drop in combinations(S, s):
+            kept = tuple(i for i in S if i not in drop)
+            for add in combinations(outside, s):
+                yield tuple(sorted(kept + add))
 
 
 class TestNeighborhood:

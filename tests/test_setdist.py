@@ -1,7 +1,9 @@
-"""SetDistribution.completions, the one route that prices mu(core u D) over
-the size-s D of a pool, and the callers that read it."""
+"""SetDistribution.completions, the one route that prices mu(core u D[i])
+over the rows of an index array D, setdist.subsets, the one enumeration that
+builds D, and the callers that read them."""
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -19,7 +21,9 @@ from ndppmap import (
     sample_walk,
 )
 from ndppmap import setdist
-from ndppmap.instances import lowrank_npsd, random_npsd, sym_psd
+from ndppmap.downup import FieldDistribution
+from ndppmap.instances import lowrank_npsd, random_field, random_npsd, sym_psd
+from ndppmap.setdist import subsets
 
 
 def skew_kernel(n, seed):
@@ -29,19 +33,35 @@ def skew_kernel(n, seed):
 
 
 class CountingKernel(KernelDistribution):
-    """Records the core of every completions call and counts value calls."""
+    """Records the core and the index array of every completions call and
+    counts value calls."""
 
     def __init__(self, kernel, k):
         super().__init__(kernel, k)
-        self.cores, self.values = [], 0
+        self.cores, self.arrays, self.values = [], [], 0
 
-    def completions(self, core, pool, s):
+    def completions(self, core, D):
         self.cores.append(core)
-        return super().completions(core, pool, s)
+        self.arrays.append(D)
+        return super().completions(core, D)
 
     def value(self, S):
         self.values += 1
         return super().value(S)
+
+
+class TestSubsets:
+    @pytest.mark.parametrize(
+        "pool, s",
+        [(range(6), 0), (range(6), 3), (range(6), 6), (range(6), 7), ([3, 7, 255], 2),
+         ([], 0), (range(300), 2)],
+    )
+    def test_rows_are_combinations(self, pool, s):
+        D = subsets(pool, s)
+        assert D.shape == (math.comb(len(pool), s), s)
+        assert D.tolist() == [list(c) for c in combinations(pool, s)]
+        assert np.issubdtype(D.dtype, np.integer)
+        assert np.iinfo(D.dtype).max >= max(pool, default=0)
 
 
 class TestCompletions:
@@ -55,8 +75,9 @@ class TestCompletions:
         for core in [(), (4,), (0, 7), (1, 3, 8)]:
             pool = [i for i in range(9) if i not in core]
             for s in range(4):
-                got = mu.completions(core, pool, s)
-                want = SetDistribution.completions(mu, core, pool, s)
+                D = subsets(pool, s)
+                got = mu.completions(core, D)
+                want = SetDistribution.completions(mu, core, D)
                 assert got.shape == want.shape == (math.comb(len(pool), s),)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -67,7 +88,7 @@ class TestCompletions:
         mu = KernelDistribution(K, 3)
         pool = [0, 1, 3, 4, 5, 6]
         want = [principal_minor(K, (2,) + D) for D in combinations(pool, 2)]
-        assert mu.completions((2,), pool, 2).tolist() == want
+        assert mu.completions((2,), subsets(pool, 2)).tolist() == want
 
     @pytest.mark.parametrize("n, k", [(7, 3), (6, 0), (5, 5), (4, 6)])
     def test_empty_core_is_the_table(self, n, k):
@@ -75,11 +96,12 @@ class TestCompletions:
         mu = KernelDistribution(K, k)
         sets = list(combinations(range(n), k))
         enumerated = np.fromiter(map(mu.value, sets), float)
-        assert np.array_equal(SetDistribution.completions(mu, (), range(n), k), enumerated)
+        D = subsets(range(n), k)
+        assert np.array_equal(SetDistribution.completions(mu, (), D), enumerated)
         # the kernel route is one batched determinant over the sets
         S = np.array(sets, dtype=np.intp).reshape(len(sets), k)
         batched = np.linalg.det(K.entries[S[:, :, None], S[:, None, :]])
-        assert np.array_equal(mu.completions((), range(n), k), batched)
+        assert np.array_equal(mu.completions((), D), batched)
         assert np.array_equal(kernel_table(K, k), batched)
 
     @pytest.mark.parametrize(
@@ -92,8 +114,8 @@ class TestCompletions:
     )
     def test_edge_sizes(self, mu):
         core, pool = (0, 2, 4), [1, 3, 5]
-        assert mu.completions(core, pool, 0).tolist() == [mu.value(core)]
-        empty = mu.completions(core, pool, 4)
+        assert mu.completions(core, subsets(pool, 0)).tolist() == [mu.value(core)]
+        empty = mu.completions(core, subsets(pool, 4))
         assert empty.dtype == float and empty.shape == (0,)
 
     def test_base_marginal_sums_left_to_right(self):
@@ -108,11 +130,23 @@ class TestCompletions:
 
     def test_blocks_do_not_change_values(self, monkeypatch):
         mu = KernelDistribution(random_npsd(11, 8), 5)
-        core, pool = (1, 6), [0, 2, 3, 4, 5, 7, 8, 9, 10]
-        whole = mu.completions(core, pool, 3)
+        core, D = (1, 6), subsets([0, 2, 3, 4, 5, 7, 8, 9, 10], 3)
+        whole = mu.completions(core, D)
         monkeypatch.setattr(setdist, "TABLE_BLOCK", 7)
         assert len(whole) > 7
-        assert np.array_equal(mu.completions(core, pool, 3), whole)
+        assert np.array_equal(mu.completions(core, D), whole)
+
+    def test_table_memory(self):
+        # The index array of all C(24, 8) sets is one byte an entry, and no
+        # block of minors outlives its determinant.
+        K = random_npsd(24, 0)
+        tracemalloc.start()
+        try:
+            kernel_table(K, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 42 * 2**20
 
 
 class TestCallCounts:
@@ -122,6 +156,9 @@ class TestCallCounts:
         S = (1, 3, 4, 8)
         vals = mu.neighborhood_values(S, r)
         assert len(mu.cores) == len(set(mu.cores)) == sum(math.comb(4, s) for s in range(r + 1))
+        # one index array per size s, shared by that size's cores
+        assert len({id(D) for D in mu.arrays}) == r + 1
+        assert all(D.shape[1] == 4 - len(core) for core, D in zip(mu.cores, mu.arrays))
         assert mu.values == 1  # S itself, the core's one size-0 completion
         assert len(vals) == sum(math.comb(4, s) * math.comb(5, s) for s in range(r + 1))
 
@@ -133,3 +170,76 @@ class TestCallCounts:
         assert all(len(core) == l for core in mu.cores)
         assert mu.values == 1  # the start's support check, none per candidate
         assert len(set(traj)) > 1
+
+
+def signed_table(n, k, seed):
+    """Masses of both signs, so a deleted element times a negative base
+    value would give -0.0."""
+    rng = np.random.default_rng(seed)
+    return TableDistribution(n, k, {S: rng.normal() for S in combinations(range(n), k)})
+
+
+class TestFieldCompletions:
+    """A field's completions are its base's completions times each set's
+    field product; a set that holds a deleted element or misses a forced
+    one is exactly +0.0."""
+
+    @staticmethod
+    def field(base, seed):
+        lam = random_field(base.n, seed=seed)
+        lam[1], lam[4] = 0.0, math.inf  # element 1 deleted, element 4 forced
+        return FieldDistribution(base, lam)
+
+    @pytest.mark.parametrize(
+        "base",
+        [KernelDistribution(random_npsd(8, 5), 4), signed_table(8, 4, 6)],
+        ids=["kernel", "table"],
+    )
+    def test_matches_enumeration(self, base):
+        nu = self.field(base, 3)
+        for core in [(), (4,), (1,), (0, 6), (2, 4, 7)]:
+            pool = [i for i in range(8) if i not in core]
+            for s in range(5 - len(core)):
+                D = subsets(pool, s)
+                got = nu.completions(core, D)
+                want = SetDistribution.completions(nu, core, D)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * np.max(
+                    np.abs(want), initial=1.0
+                )
+                assert not np.signbit(got[want == 0.0]).any()
+
+    def test_off_support_is_positive_zero(self):
+        nu = self.field(signed_table(7, 3, 2), 4)
+        D = subsets(range(7), 3)
+        off = [1 in S or 4 not in S for S in combinations(range(7), 3)]
+        got = nu.completions((), D)
+        assert got[off].tolist() == [0.0] * sum(off)
+        assert not np.signbit(got[off]).any()
+        assert (got[np.logical_not(off)] != 0.0).all()
+        assert not any(np.signbit(nu.value(S)) for S in combinations(range(7), 3) if 1 in S)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_table_is_base_table_times_product(self, seed):
+        base = KernelDistribution(random_npsd(9, seed), 4)
+        nu = self.field(base, seed)
+        lam = np.where(np.isinf(nu.lam), 1.0, nu.lam)
+        want = base.tabulate()
+        for j, S in enumerate(combinations(range(9), 4)):
+            factor = np.ones(1)
+            for i in S:
+                factor *= lam[i]
+            want[j] = want[j] * factor[0] if 4 in S and 1 not in S else 0.0
+        assert np.array_equal(nu.tabulate(), want)
+
+    def test_walk_and_scan_price_through_base_completions(self):
+        base = CountingKernel(random_npsd(9, 7), 4)
+        nu = FieldDistribution(base, random_field(9, seed=8))
+        traj = sample_walk(nu, (0, 1, 2, 3), 2, 300, seed=3)
+        assert len(set(traj)) > 1
+        assert len(base.cores) == len(set(base.cores)) > 1
+        assert base.values == 1  # the start's support check
+        base.cores, base.values = [], 0
+        nu.neighborhood_values((0, 2, 5, 7), 2)
+        assert len(base.cores) == len(set(base.cores)) == 1 + 4 + 6
+        assert base.values == 1  # the scan's one size-0 completion, S itself
