@@ -54,8 +54,7 @@ def local_search(mu: SetDistribution, S0, cfg: SearchConfig):
     while True:
         vals = mu.neighborhood_values(cur, cfg.r)
         trace.neighborhood_evals += len(vals)
-        best = min(vals, key=lambda T: (-vals[T], T))  # the argmax, smallest set on ties
-        best_val = vals[best]
+        best, best_val = vals.best()  # the argmax, smallest set on ties
         if cur_val >= cfg.zeta * best_val:
             trace.certified_local_max = True
             return cur, trace

@@ -3,7 +3,9 @@
 Every set of completions of a core Y, mu(Y u D[i]) over the rows of an index
 array D that the caller builds once with subsets(pool, s), has one route:
 completions(Y, D).  The table, the base marginal, the r-neighbourhood, the
-down-up walk's up-step and the standard greedy's step all read it.
+down-up walk's up-step and the standard greedy's step all read it.  An
+r-scan keeps its (Y, D, values) blocks as a Neighborhood, whose best() labels
+only the rows at the maximum.
 KernelDistribution overrides it with one Schur complement,
 kernel.condition_on, which also prices its marginals
 (charpoly.superset_marginal) and a greedy step's marginals
@@ -84,20 +86,18 @@ class SetDistribution:
         return cands, [self.marginal(as_set(S + (i,))) for i in cands], False
 
     def neighborhood_values(self, S, r):
-        """mu over every size-k set within r swaps of S, keyed by sorted index
-        tuple: for each s <= r, one index array D of the size-s sets outside S
-        and one completions(Y, D) call per core Y = S minus s of its elements."""
+        """mu over every size-k set within r swaps of S, as a Neighborhood: for
+        each s <= r, one index array D of the size-s sets outside S and one
+        completions(Y, D) call per core Y = S minus s of its elements."""
         S = as_set(S)
         outside = [i for i in range(self.n) if i not in S]
-        out = {}
+        blocks = []
         for s in range(min(r, len(S), len(outside)) + 1):
             D = subsets(outside, s)
-            adds = list(map(tuple, D.tolist()))
             for drop in combinations(S, s):
                 core = tuple(i for i in S if i not in drop)
-                for add, v in zip(adds, self.completions(core, D).tolist()):
-                    out[tuple(sorted(core + add))] = v
-        return out
+                blocks.append((core, D, self.completions(core, D)))
+        return Neighborhood(blocks)
 
     def restrict(self, P):
         """mu on the size-k subsets of P, its i-th smallest element relabelled i."""
@@ -105,6 +105,35 @@ class SetDistribution:
         sets = combinations(range(len(P)), self.k)
         table = dict(zip(sets, self.completions((), subsets(P, self.k)).tolist()))
         return TableDistribution(len(P), self.k, table)
+
+
+class Neighborhood:
+    """The (core, D, values) blocks of one r-scan, in scan order: values[i] is
+    mu(core u D[i]).  len() is the number of sets priced; a set's sorted label
+    is built only where it is asked for."""
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+        self.count = sum(len(v) for _, _, v in blocks)
+
+    def __len__(self):
+        return self.count
+
+    def items(self):
+        """(sorted set, value) for every priced set, in scan order."""
+        for core, D, vals in self.blocks:
+            for row, v in zip(D.tolist(), vals.tolist()):
+                yield tuple(sorted(core + tuple(row))), v
+
+    def best(self):
+        """(set, value) of the largest value; among exact ties (+0.0 == -0.0),
+        the smallest sorted set, labelling only the rows that attain it."""
+        top = max(vals.max() for _, _, vals in self.blocks)
+        return min(
+            (tuple(sorted(core + tuple(D[j].tolist()))), float(vals[j]))
+            for core, D, vals in self.blocks
+            for j in np.flatnonzero(vals == top)
+        )
 
 
 class KernelDistribution(SetDistribution):

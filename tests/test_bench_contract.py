@@ -7,6 +7,7 @@ still bind to its function's signature."""
 
 import importlib
 import inspect
+import math
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,9 @@ def test_traced_map_counts(monkeypatch):
     assert report["iterations"] >= 1
     assert len(counts["setdist.neighborhood"]) == report["iterations"] + 1
     assert sum(counts["setdist.neighborhood"]) == report["neighborhood_evals"]
+    # each scan counts every set within r = 2 swaps, not a zero from its return type
+    scan = sum(math.comb(k, s) * math.comb(K.n - k, s) for s in range(3))
+    assert counts["setdist.neighborhood"] == [scan] * (report["iterations"] + 1)
     assert counts["greedy"] == [k]
     assert counts["localsearch"] == [report["iterations"]]
 

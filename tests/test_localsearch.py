@@ -54,7 +54,7 @@ class TestNeighborhood:
     def test_restricted_ground(self):
         mu = KernelDistribution(random_npsd(6, seed=2), 2)
         P = (1, 3, 4)
-        got = mu.restrict(P).neighborhood_values((0, 1), 1)
+        got = dict(mu.restrict(P).neighborhood_values((0, 1), 1).items())
         assert sorted(got) == [(0, 1), (0, 2), (1, 2)]
         for T, v in got.items():
             assert v == pytest.approx(mu.value([P[i] for i in T]), rel=1e-12)
@@ -131,7 +131,7 @@ class TestLocalSearch:
         S = (0, 2, 5)
         for K in (random_npsd(7, seed=19), skew):
             mu = KernelDistribution(K, 3)
-            vals = mu.neighborhood_values(S, 2)
+            vals = dict(mu.neighborhood_values(S, 2).items())
             expect = {T: mu.value(T) for T in neighborhood(S, 2, 7)}
             assert set(vals) == set(expect)
             for T, v in vals.items():

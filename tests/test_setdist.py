@@ -24,6 +24,7 @@ from ndppmap import setdist
 from ndppmap.downup import FieldDistribution
 from ndppmap.instances import lowrank_npsd, random_field, random_npsd, sym_psd
 from ndppmap.setdist import subsets
+from test_localsearch import neighborhood
 
 
 def skew_kernel(n, seed):
@@ -147,6 +148,64 @@ class TestCompletions:
         finally:
             tracemalloc.stop()
         assert peak <= 42 * 2**20
+
+
+def old_rule(d):
+    """The dict scan's argmax: the largest value, the smallest set on ties."""
+    best = min(d, key=lambda T: (-d[T], T))
+    return best, d[best]
+
+
+class TestNeighborhoodResult:
+    """neighborhood_values returns the scan's (core, D, values) blocks; best()
+    must pick what the dict scan picked, with the picked set's own value."""
+
+    def test_tie_across_cores_takes_smaller_set(self):
+        # Scan order for S = (0, 1), r = 1: (0, 1), then the core (1,) with
+        # (1, 2), (1, 3), (1, 4), then the core (0,) with (0, 2), ...
+        table = {S: 1.0 for S in combinations(range(5), 2)}
+        table[(1, 4)] = table[(0, 2)] = 5.0
+        nb = TableDistribution(5, 2, table).neighborhood_values((0, 1), 1)
+        order = [T for T, _ in nb.items()]
+        assert order.index((1, 4)) < order.index((0, 2))
+        assert nb.best() == ((0, 2), 5.0) == old_rule(dict(nb.items()))
+
+    def test_signed_zero_tie(self):
+        table = {S: -1.0 for S in combinations(range(5), 2)}
+        table[(1, 2)], table[(0, 3)] = 0.0, -0.0
+        nb = TableDistribution(5, 2, table).neighborhood_values((0, 1), 1)
+        best = nb.best()
+        assert best == ((0, 3), 0.0) and np.signbit(best[1])
+        assert repr(best) == repr(old_rule(dict(nb.items())))
+
+    def test_skew_kernel_exact_zeros(self):
+        mu = KernelDistribution(skew_kernel(7, 19), 3)
+        with pytest.raises(ConditioningError):
+            condition_on(mu.kernel, (0,))
+        for r in (1, 2, 3):
+            nb = mu.neighborhood_values((0, 2, 5), r)
+            d = dict(nb.items())
+            # Odd skew minors are rounding noise; the singleton cores (s = 2)
+            # enumerate, and many of those minors come out exactly 0.0.
+            assert r == 1 or sum(v == 0.0 for v in d.values()) > 5
+            assert repr(nb.best()) == repr(old_rule(d))
+
+    @pytest.mark.parametrize(
+        "K, k, S",
+        [(random_npsd(9, 1), 4, (1, 3, 4, 8)), (lowrank_npsd(9, 3, 2), 3, (0, 4, 7)),
+         (sym_psd(8, 3), 5, (0, 1, 2, 3, 6)), (random_npsd(6, 4), 4, (0, 2, 3, 5))],
+        ids=["dense", "lowrank", "sym_psd", "r-exceeds-outside"],
+    )
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_matches_dict_scan(self, K, k, S, r):
+        nb = KernelDistribution(K, k).neighborhood_values(S, r)
+        pairs = list(nb.items())
+        d = dict(pairs)
+        assert len(nb) == len(pairs) == len(d) == sum(
+            math.comb(k, s) * math.comb(K.n - k, s) for s in range(r + 1)
+        )
+        assert sorted(d) == sorted(neighborhood(S, r, K.n))
+        assert repr(nb.best()) == repr(old_rule(d))
 
 
 class TestCallCounts:
