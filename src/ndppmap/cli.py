@@ -8,7 +8,6 @@ failure, 2 infeasibility, 3 capacity, 4 usage.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import time
@@ -151,9 +150,7 @@ def cmd_verify(args):
     return EXIT_OK if passed else EXIT_VERIFY
 
 
-@functools.cache
 def build_parser():
-    """The argument parser, built on first use and shared by later calls."""
     ap = argparse.ArgumentParser(prog="ndppmap")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -199,12 +199,11 @@ def sample_walk(mu: SetDistribution, S0, l, steps, seed):
     """Seeded trajectory of the k<->l down-up walk started at the size-k set S0.
 
     Each up-step prices the C(n-l, k-l) supersets of the retained core once,
-    by one `mu.completions` call over an index array D, caches D with the
-    normalized cumulative distribution, and samples proportionally to mu by
-    searching it for one uniform draw; a row becomes a set when first drawn.
-    That is the arithmetic of `Generator.choice(len(D), p=probs)`, so
-    trajectories are reproducible bit-for-bit per seed and equal to
-    choice-based ones on the same weights.
+    by one `mu.completions` call, caches their normalized cumulative
+    distribution, and samples proportionally to mu by searching it for one
+    uniform draw.  That is the arithmetic of
+    `Generator.choice(len(cands), p=probs)`, so trajectories are reproducible
+    bit-for-bit per seed and equal to choice-based ones on the same weights.
     """
     S0 = as_set(S0)
     k = mu.k
@@ -225,6 +224,7 @@ def sample_walk(mu: SetDistribution, S0, l, steps, seed):
         core = tuple(sorted(cur[i] for i in keep_idx))
         if core not in up_cache:
             D = subsets([i for i in range(mu.n) if i not in core], k - l)
+            cands = [tuple(sorted(core + tuple(extra))) for extra in D.tolist()]
             wts = np.maximum(mu.completions(core, D), 0.0)
             total = wts.sum()
             if total > 0.0:
@@ -232,14 +232,11 @@ def sample_walk(mu: SetDistribution, S0, l, steps, seed):
                 cdf /= cdf[-1]
             else:
                 cdf = None
-            up_cache[core] = (D, cdf, [None] * len(D))
-        D, cdf, labels = up_cache[core]
+            up_cache[core] = (cands, cdf)
+        cands, cdf = up_cache[core]
         if cdf is None:
             raise TrappedStateError(f"no positive-mass superset of {core}", state=core)
-        j = int(cdf.searchsorted(rng.random(), side="right"))
-        if labels[j] is None:
-            labels[j] = tuple(sorted(core + tuple(D[j].tolist())))
-        cur = labels[j]
+        cur = cands[cdf.searchsorted(rng.random(), side="right")]
         traj.append(cur)
     return traj
 

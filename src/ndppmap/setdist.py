@@ -127,12 +127,16 @@ class Neighborhood:
 
     def best(self):
         """(set, value) of the largest value; among exact ties (+0.0 == -0.0),
-        the smallest sorted set, labelling only the rows that attain it."""
-        top = max(vals.max() for _, _, vals in self.blocks)
+        the smallest sorted set, labelling only the rows that attain it.  NaN
+        never wins, as in exchange.brute_force_map: (None, -inf) when every
+        value is NaN."""
+        tops = [np.fmax.reduce(vals) for _, _, vals in self.blocks]  # NaN-free
+        top = max((t for t in tops if not np.isnan(t)), default=-math.inf)
         return min(
-            (tuple(sorted(core + tuple(D[j].tolist()))), float(vals[j]))
-            for core, D, vals in self.blocks
-            for j in np.flatnonzero(vals == top)
+            ((tuple(sorted(core + tuple(D[j].tolist()))), float(vals[j]))
+             for core, D, vals in self.blocks
+             for j in np.flatnonzero(vals == top)),
+            default=(None, -math.inf),
         )
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ndppmap import load_kernel, principal_minor
-from ndppmap.cli import build_parser, main
+from ndppmap.cli import main
 
 
 def run_cli(args, capsys):
@@ -162,32 +162,3 @@ class TestVerify:
             ["verify", "--kernel", path, "--k", "2", "--suite", "exchange"], capsys
         )
         assert code == 1 and not rep["passed"]
-
-
-class TestSharedParser:
-    def test_map_verify_map_in_one_process(self, tmp_path, capsys):
-        # One parser serves every call of a process; no option of one call
-        # may leak into the next (the second map takes the default --init).
-        path = str(tmp_path / "r.knl")
-        run_cli(["gen", "random-npsd", "--n", "6", "--seed", "3", "--out", path], capsys)
-        calls = [
-            ["map", "--kernel", path, "--k", "3", "--r", "1", "--init", "standard"],
-            ["verify", "--kernel", path, "--k", "2", "--seed", "1"],
-            ["map", "--kernel", path, "--k", "3"],
-        ]
-
-        def report(argv):
-            code, rep, _ = run_cli(argv, capsys)
-            assert code == 0
-            rep.pop("timing")
-            return rep
-
-        separate = []
-        for argv in calls:
-            build_parser.cache_clear()
-            separate.append(report(argv))
-        build_parser.cache_clear()
-        shared = [report(argv) for argv in calls]
-        assert build_parser.cache_info().misses == 1
-        assert shared == separate
-        assert [rep.get("init") for rep in shared] == ["standard", None, "induced"]

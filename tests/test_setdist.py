@@ -178,6 +178,21 @@ class TestNeighborhoodResult:
         assert best == ((0, 3), 0.0) and np.signbit(best[1])
         assert repr(best) == repr(old_rule(dict(nb.items())))
 
+    def test_nan_never_wins(self):
+        # Scan order as above.  A NaN next to the maximum in a later core must
+        # not hide that block's maximum; a NaN at S itself, the first set
+        # priced, must not win or leave no row at the maximum.
+        table = {S: 1.0 for S in combinations(range(5), 2)}
+        table[(0, 2)], table[(0, 3)] = math.nan, 5.0
+        nb = TableDistribution(5, 2, table).neighborhood_values((0, 1), 1)
+        assert nb.best() == ((0, 3), 5.0) == old_rule(dict(nb.items()))
+        table[(0, 1)] = math.nan
+        nb = TableDistribution(5, 2, table).neighborhood_values((0, 1), 1)
+        assert nb.best() == ((0, 3), 5.0)
+        table = {S: math.nan for S in combinations(range(5), 2)}
+        nb = TableDistribution(5, 2, table).neighborhood_values((0, 1), 1)
+        assert nb.best() == (None, -math.inf)
+
     def test_skew_kernel_exact_zeros(self):
         mu = KernelDistribution(skew_kernel(7, 19), 3)
         with pytest.raises(ConditioningError):
