@@ -8,9 +8,9 @@ supersets S of Y is the coefficient of lambda^(n-k) in
 Conditioning on Y reads that coefficient off directly: every such S is
 Y u D with det(L_S) = det(L_Y) * det((L^Y)_D), so the marginal is
 det(L_Y) * e_t(spectrum of L^Y) with t = k - |Y|, where L^Y is the Schur
-complement from kernel.condition_on.  A numerically singular pin can still
-have nonsingular supersets, so its marginal is summed over its one-element
-extensions instead.
+complement that kernel.condition_on returns as an array.  A numerically
+singular pin can still have nonsingular supersets, so its marginal is summed
+over its one-element extensions instead.
 
 step_marginals prices the marginal of S u {i} for every i outside S from one
 conditioning on S and one eigendecomposition of L^S, and re-prices the
@@ -61,7 +61,7 @@ def superset_marginal(K: Kernel, Y, k):
         # e_0..e_t of the eigenvalues: the coefficients of prod (1 + lambda_i x).
         e = np.zeros(t + 1, dtype=complex)
         e[0] = 1.0
-        for lam in np.linalg.eigvals(M.entries):
+        for lam in np.linalg.eigvals(M):
             e[1:] += lam * e[:-1]
         return detY * float(e[t].real)
 
@@ -71,7 +71,8 @@ def superset_marginal(K: Kernel, Y, k):
 def step_marginals(K: Kernel, S, k):
     """(candidates, values): the marginal of S u {i} for every i outside S,
     in increasing i, from one conditioning on S; None when S is a singular
-    pin or L^S has an eigenbasis with cond(V) above EIGENBASIS_COND_LIMIT.
+    pin, L^S has an eigenbasis with cond(V) above EIGENBASIS_COND_LIMIT, or
+    a value overflows to inf or NaN.
 
     With L^S = V diag(lam) V^-1 and t = k - |S|, Jacobi's identity for the
     minors of I + x L^S gives the marginal of S u {i} as
@@ -91,7 +92,7 @@ def step_marginals(K: Kernel, S, k):
         return cands, [0.0] * len(cands)  # every k x k principal minor vanishes
     try:
         M, det_S = condition_on(K, idx)
-        lam, V = np.linalg.eig(M.entries)
+        lam, V = np.linalg.eig(M)
         W = np.linalg.inv(V)
     except (ConditioningError, np.linalg.LinAlgError):
         return None
@@ -108,6 +109,8 @@ def step_marginals(K: Kernel, S, k):
         E[:, :, 1:] += factors[:, :, j, None] * E[:, :, :-1]
     VW = V * W.T  # VW[i, j] = V_ij (V^-1)_ji
     vals = det_S * (VW @ (lam * E[0, :, -1])).real
+    if not np.isfinite(vals).all():
+        return None
     scale = abs(det_S) * (np.abs(VW) @ (np.abs(lam) * E[1, :, -1].real)).max()
     near = np.flatnonzero(vals >= vals.max() - REPRICE_RTOL * cond * scale)
     for p in near.tolist():

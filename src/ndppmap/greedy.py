@@ -28,6 +28,15 @@ class GreedyTrace:
     per_candidate_steps: int = 0  # steps priced by one marginal per candidate
 
 
+def _pick(cands, vals):
+    """(candidate, value) at the largest value, by the rule of
+    Neighborhood.best() and exchange.brute_force_map: NaN never wins (it
+    reads as -inf) and ties go to the first, smallest, candidate."""
+    vals = np.where(np.isnan(vals), -np.inf, vals)
+    j = int(np.argmax(vals))
+    return cands[j], float(vals[j])
+
+
 def induced_greedy(mu: SetDistribution) -> GreedyTrace:
     """Grow S one element at a time to size mu.k, maximizing the marginal
     mu(S u {i}); ties go to the smallest index."""
@@ -39,14 +48,13 @@ def induced_greedy(mu: SetDistribution) -> GreedyTrace:
             trace.conditioned_steps += 1
         else:
             trace.per_candidate_steps += 1
-        best = max(vals)
+        pick, best = _pick(cands, vals)
         if best <= 0.0:
             raise InfeasibilityError(
                 f"all marginals vanish extending {S}; mu is zero on extensions"
             )
-        pick = next(i for i, v in zip(cands, vals) if v == best)
         S = as_set(S + (pick,))
-        trace.picks.append((pick, float(best)))
+        trace.picks.append((pick, best))
     trace.final_set = S
     trace.final_value = float(mu.value(S))
     return trace
@@ -62,11 +70,9 @@ def standard_greedy(mu: SetDistribution) -> GreedyTrace:
     for _ in range(mu.k):
         cands = [i for i in range(mu.n) if i not in S]
         A = np.array([as_set(S + (i,)) for i in cands], dtype=np.intp)
-        vals = mu.completions((), A).tolist()
-        best = max(vals)
-        pick = next(i for i, v in zip(cands, vals) if v == best)
+        pick, best = _pick(cands, mu.completions((), A))
         S = as_set(S + (pick,))
-        trace.picks.append((pick, float(best)))
+        trace.picks.append((pick, best))
     trace.final_set = S
     trace.final_value = float(mu.value(S))
     return trace

@@ -49,7 +49,9 @@ def skew_block(c, x) -> Kernel:
 
 
 def lowrank_npsd(n, d, seed) -> Kernel:
-    """L = B C B^T with C + C^T PSD, so L is nPSD whatever B is."""
+    """L = B C B^T with C + C^T PSD, so L is nPSD whatever B is; d >= 1."""
+    if d < 1:
+        raise DomainError(f"need rank d >= 1, got d={d}")
     rng = np.random.default_rng(seed)
     B = rng.normal(size=(n, d))
     P = rng.normal(size=(d, d))

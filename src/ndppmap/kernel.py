@@ -2,14 +2,17 @@
 
 A kernel is an n x n real matrix L, optionally carried together with a
 low-rank factorization L = B C B^T.  The induced set function is
-S -> det(L_S), the principal minor on rows/columns S.  condition_on is the
-one conditioning step: superset marginals and neighbourhood prices are both
-read off its Schur complement.
+S -> det(L_S), the principal minor on rows/columns S.  A Kernel is checked
+once, where it is built, and keeps read-only copies of its arrays.
+condition_on is the one conditioning step: it returns the Schur complement as
+a plain array, and superset marginals and neighbourhood prices are both read
+off it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +32,13 @@ def _normalize_indices(S, n):
     return idx
 
 
+def _frozen(M):
+    """A read-only float copy of M, so no later write to M reaches a checked kernel."""
+    M = np.array(M, dtype=float)
+    M.flags.writeable = False
+    return M
+
+
 def _check_finite(name, M):
     """DomainError naming the first five NaN or infinite entries of M, if any."""
     finite = np.isfinite(M)
@@ -39,17 +49,18 @@ def _check_finite(name, M):
 
 @dataclass(frozen=True)
 class Kernel:
-    """Dense kernel matrix with an optional rank-d factorization (B, C)."""
+    """Dense kernel matrix with an optional rank-d factorization (B, C), each
+    kept as a read-only copy that was checked once, here."""
 
     entries: np.ndarray
     lowrank: tuple | None = None
 
     def __post_init__(self):
-        L = np.asarray(self.entries, dtype=float)
+        L = _frozen(self.entries)
         if L.ndim != 2 or L.shape[0] != L.shape[1] or L.shape[0] < 1:
             raise DomainError(f"kernel must be square, n >= 1; got shape {L.shape}")
         if self.lowrank is not None:
-            B, C = (np.asarray(M, dtype=float) for M in self.lowrank)
+            B, C = (_frozen(M) for M in self.lowrank)
             if B.shape[0] != L.shape[0] or C.shape != (B.shape[1], B.shape[1]):
                 raise DomainError("low-rank factor shapes inconsistent with kernel")
             _check_finite("factor B", B)
@@ -58,7 +69,7 @@ class Kernel:
         object.__setattr__(self, "entries", L)
         if self.lowrank is not None:
             err = np.max(np.abs(L - B @ C @ B.T))
-            if err > LOWRANK_RTOL * (1.0 + np.max(np.abs(L))):
+            if err > LOWRANK_RTOL * (1.0 + self.max_abs):
                 raise DomainError(f"B C B^T deviates from entries by {err:.3e}")
             object.__setattr__(self, "lowrank", (B, C))
 
@@ -76,17 +87,13 @@ class Kernel:
         C = np.asarray(C, dtype=float)
         return cls(B @ C @ B.T, lowrank=(B, C))
 
+    @cached_property
     def max_abs(self):
         return float(np.max(np.abs(self.entries)))
 
     def zero_threshold(self, size):
         """Magnitudes below this are treated as a zero determinant of order `size`."""
-        return 1e-12 * (1.0 + self.max_abs()) ** size
-
-    def submatrix(self, rows, cols=None):
-        rows = list(rows)
-        cols = rows if cols is None else list(cols)
-        return self.entries[np.ix_(rows, cols)]
+        return 1e-12 * (1.0 + self.max_abs) ** size
 
 
 def principal_minor(K: Kernel, S):
@@ -94,7 +101,7 @@ def principal_minor(K: Kernel, S):
     idx = _normalize_indices(S, K.n)
     if not idx:
         return 1.0
-    return float(np.linalg.det(K.submatrix(idx)))
+    return float(np.linalg.det(K.entries[np.ix_(idx, idx)]))
 
 
 def is_npsd(K: Kernel):
@@ -105,21 +112,24 @@ def is_npsd(K: Kernel):
 
 
 def condition_on(K: Kernel, Y):
-    """Schur complement L^Y = L_Yt - L_{Yt,Y} L_Y^{-1} L_{Y,Yt} over Yt = [n] \\ Y.
+    """Schur complement L^Y = L_R - L_{R,Y} L_Y^{-1} L_{Y,R} over R = [n] \\ Y.
 
-    Returns (conditioned Kernel over the sorted remaining indices, det(L_Y)).
-    For any D inside the remainder, det(L_{Y u D}) = det(L_Y) * det((L^Y)_D).
+    Returns (L^Y as an array over the sorted R, det(L_Y)); (L, 1.0) for Y empty.
+    For any D inside R, det(L_{Y u D}) = det(L_Y) * det((L^Y)_D).
     """
     idx = _normalize_indices(Y, K.n)
     if not idx:
-        return K, 1.0
-    rest = [i for i in range(K.n) if i not in idx]
-    LY = K.submatrix(idx)
-    detY = float(np.linalg.det(LY))
-    if abs(detY) <= K.zero_threshold(len(idx)):
+        return K.entries, 1.0
+    m = len(idx)
+    rest = np.ones(K.n, dtype=bool)
+    rest[list(idx)] = False
+    order = np.concatenate((idx, np.flatnonzero(rest)))
+    G = K.entries[np.ix_(order, order)]  # rows and columns in the order (Y, R)
+    detY = float(np.linalg.det(G[:m, :m]))
+    if abs(detY) <= K.zero_threshold(m):
         raise ConditioningError(f"singular L_Y for Y={idx}", det=detY)
-    cross = K.submatrix(rest, idx) @ np.linalg.solve(LY, K.submatrix(idx, rest))
-    return Kernel(K.submatrix(rest) - cross), detY
+    # No NaN/inf re-check: |L^Y| <~ m^2 1e12 max|L| is finite unless max|L| >~ 1e290.
+    return G[m:, m:] - G[m:, :m] @ np.linalg.solve(G[:m, :m], G[:m, m:]), detY
 
 
 def load_kernel(path):

@@ -71,7 +71,7 @@ def local_search(mu: SetDistribution, S0, cfg: SearchConfig):
 
 def default_max_iters(K: Kernel, k):
     # Generous multiple of the provable log_{1/zeta}(OPT / mu(S0)) step count.
-    return int(64 * k * (1 + math.log2(1 + K.max_abs() * K.n)))
+    return int(64 * k * (1 + math.log2(1 + K.max_abs * K.n)))
 
 
 def map_inference(K: Kernel, k, cfg: SearchConfig | None = None, init="induced"):

@@ -7,9 +7,9 @@ down-up walk's up-step and the standard greedy's step all read it.  An
 r-scan keeps its (Y, D, values) blocks as a Neighborhood, whose best() labels
 only the rows at the maximum.
 KernelDistribution overrides it with one Schur complement,
-kernel.condition_on, which also prices its marginals
-(charpoly.superset_marginal) and a greedy step's marginals
-(charpoly.step_marginals).
+kernel.condition_on, a plain array over the core's complement, which also
+prices its marginals (charpoly.superset_marginal) and a greedy step's
+marginals (charpoly.step_marginals).
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ class KernelDistribution(SetDistribution):
             # Index i sits at position i - |{c in core : c < i}| of M.
             P = P - np.searchsorted(core, P)
             # One expression, so no block of minors outlives its determinant.
-            out[b0 : b0 + len(P)] = det_core * np.linalg.det(M.entries[P[..., None], P[:, None]])
+            out[b0 : b0 + len(P)] = det_core * np.linalg.det(M[P[..., None], P[:, None]])
         return out
 
     def tabulate(self):
@@ -191,7 +191,7 @@ class KernelDistribution(SetDistribution):
         P = list(_normalize_indices(P, self.n))
         K = self.kernel
         lowrank = None if K.lowrank is None else (K.lowrank[0][P], K.lowrank[1])
-        return KernelDistribution(Kernel(K.submatrix(P), lowrank=lowrank), self.k)
+        return KernelDistribution(Kernel(K.entries[np.ix_(P, P)], lowrank=lowrank), self.k)
 
     # perfbench/spans.py traces the scan through this class's own binding.
     neighborhood_values = SetDistribution.neighborhood_values

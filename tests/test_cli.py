@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -38,6 +41,13 @@ class TestGen:
         B, C = K.lowrank
         assert np.allclose(K.entries, B @ C @ B.T)
 
+    def test_lowrank_rank_zero_usage(self, tmp_path, capsys):
+        path = tmp_path / "lr.knl"
+        code, rep, _ = run_cli(
+            ["gen", "lowrank-npsd", "--n", "5", "--d", "0", "--out", str(path)], capsys
+        )
+        assert code == 4 and rep is None and not path.exists()
+
 
 class TestMap:
     @pytest.fixture
@@ -65,6 +75,21 @@ class TestMap:
         assert code == 0
         assert rep["set"] == [0, 1] and rep["certified_local_max"]
         assert rep["value"] == pytest.approx(10016.0)
+
+    def test_overflowing_marginals_pick_by_value(self, tmp_path):
+        # Valid nPSD, but the fast step's sums overflow to NaN; the marginals
+        # of 0 and 1 are inf, so the set is [0, 1].  The CLI runs in its own
+        # process, as a user runs it: the overflow warns, and this project's
+        # pytest settings turn RuntimeWarning into an error.
+        path = tmp_path / "big.knl"
+        path.write_text("3\n1 1e200 0.5\n-1e200 1 0\n0.5 0 2\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "ndppmap.cli", "map", "--kernel", str(path), "--k", "2"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["set"] == [0, 1]
 
     def test_out_file_matches_stdout(self, skew_path, tmp_path, capsys):
         out = tmp_path / "map.json"

@@ -127,6 +127,18 @@ class TestInducedGreedy:
         with pytest.raises(InfeasibilityError):
             induced_greedy(KernelDistribution(K, 2))
 
+    def test_nan_marginal_never_wins(self):
+        # (0, 1) is NaN, so the marginals of 0 and 1 are NaN and come first;
+        # the true maximum is (2, 3).
+        mu = TableDistribution(4, 2, {(0, 1): np.nan, (0, 2): 1.0, (2, 3): 5.0})
+        trace = induced_greedy(mu)
+        assert trace.picks == [(2, 6.0), (3, 5.0)]
+        assert (trace.final_set, trace.final_value) == brute_force_map(mu, 4, 2)
+
+    def test_all_nan_marginals_infeasible(self):
+        with pytest.raises(InfeasibilityError):
+            induced_greedy(TableDistribution(3, 2, {(0, 1): np.nan, (1, 2): np.nan}))
+
     def test_trace_value_recomputed(self):
         K = random_npsd(6, seed=3)
         mu = KernelDistribution(K, 3)
@@ -171,6 +183,12 @@ class TestStandardGreedy:
         trace = standard_greedy(mu)
         assert trace.picks == [(0, 0.0), (4, 7.0)]
         assert (trace.final_set, trace.final_value) == ((0, 4), 7.0)
+
+    def test_nan_set_never_wins(self):
+        # The first step ties at 0 and takes 0; then (0, 1) is NaN, ahead of
+        # the largest value left, (0, 2).
+        mu = TableDistribution(4, 2, {(0, 1): np.nan, (0, 2): 1.0, (2, 3): 5.0})
+        assert standard_greedy(mu).picks == [(0, 0.0), (2, 1.0)]
 
     def test_diagonal(self):
         trace = standard_greedy(KernelDistribution(Kernel(np.diag([5.0, 4.0, 3.0])), 2))

@@ -47,7 +47,7 @@ class TestPrincipalMinor:
     def test_matches_cofactor_expansion(self):
         K = random_npsd(4, seed=11)
         S = [0, 2, 3]
-        expected = cofactor_det(K.submatrix(S))
+        expected = cofactor_det(K.entries[np.ix_(S, S)])
         assert principal_minor(K, S) == pytest.approx(expected, rel=1e-10)
 
     def test_out_of_range(self):
@@ -77,37 +77,45 @@ class TestIsNpsd:
 class TestConditionOn:
     def test_empty_conditioning(self):
         K = random_npsd(4, seed=0)
-        K2, det = condition_on(K, [])
+        M, det = condition_on(K, [])
         assert det == 1.0
-        assert np.array_equal(K2.entries, K.entries)
+        assert np.array_equal(M, K.entries)
 
     def test_diagonal(self):
         K = Kernel(np.diag([2.0, 3.0, 5.0]))
-        K2, det = condition_on(K, [0])
+        M, det = condition_on(K, [0])
         assert det == pytest.approx(2.0)
-        assert np.allclose(K2.entries, np.diag([3.0, 5.0]))
+        assert np.allclose(M, np.diag([3.0, 5.0]))
 
     def test_schur_identity(self):
         K = random_npsd(5, seed=3)
-        K2, detY = condition_on(K, [1, 3])
+        M, detY = condition_on(K, [1, 3])
         # remaining indices sorted: 0, 2, 4; D = {0} maps to position 0
-        lhs = detY * principal_minor(K2, [0])
+        lhs = detY * M[0, 0]
         assert lhs == pytest.approx(principal_minor(K, [0, 1, 3]), rel=1e-9)
 
     def test_schur_consistency_exhaustive(self):
         from itertools import combinations
 
         K = random_npsd(8, seed=5)
-        for ky in range(1, 4):
-            for Y in combinations(range(8), ky):
-                rest = [i for i in range(8) if i not in Y]
-                K2, detY = condition_on(K, Y)
-                pos = {g: p for p, g in enumerate(rest)}
-                for kd in range(1, min(3, 6 - ky) + 1):
-                    for D in combinations(rest[:5], kd):
-                        lhs = detY * principal_minor(K2, [pos[i] for i in D])
-                        want = principal_minor(K, sorted(Y + D))
-                        assert lhs == pytest.approx(want, rel=1e-8, abs=1e-10)
+        L = K.entries
+        sorted_Ys = [Y for ky in range(1, 4) for Y in combinations(range(8), ky)]
+        unsorted_Ys = [(5, 1), (7, 0), (6, 2, 4), (7, 3, 0)]
+        for Y in sorted_Ys + unsorted_Ys:
+            Ys = sorted(Y)
+            rest = [i for i in range(8) if i not in Y]
+            M, detY = condition_on(K, Y)
+            # The four-block formula L_RR - L_RY solve(L_Y, L_YR), block by block.
+            LY, LYR, LRY = L[np.ix_(Ys, Ys)], L[np.ix_(Ys, rest)], L[np.ix_(rest, Ys)]
+            assert np.array_equal(M, L[np.ix_(rest, rest)] - LRY @ np.linalg.solve(LY, LYR))
+            assert detY == float(np.linalg.det(LY))
+            pos = {g: p for p, g in enumerate(rest)}
+            for kd in range(1, min(3, 6 - len(Y)) + 1):
+                for D in combinations(rest[:5], kd):
+                    p = [pos[i] for i in D]
+                    lhs = detY * np.linalg.det(M[np.ix_(p, p)])
+                    want = principal_minor(K, Ys + list(D))
+                    assert lhs == pytest.approx(want, rel=1e-8, abs=1e-10)
 
     def test_singular_conditioning_error(self):
         K = Kernel(np.zeros((3, 3)))
@@ -155,6 +163,22 @@ class TestNonFinite:
         C[0, 1] = math.inf
         with pytest.raises(DomainError, match=r"factor C entries at \(0, 1\)"):
             Kernel(np.eye(4), lowrank=(np.ones((4, 2)), C))
+
+
+class TestReadOnly:
+    def test_source_writes_do_not_reach_kernel(self):
+        L, B, C = np.eye(4), np.ones((4, 2)), np.eye(2)
+        K, F = Kernel(L), Kernel.from_lowrank(B, C)
+        L[0, 0] = B[0, 0] = C[0, 0] = math.nan
+        assert np.array_equal(K.entries, np.eye(4)) and K.max_abs == 1.0
+        assert np.array_equal(F.lowrank[0], np.ones((4, 2)))
+        assert np.array_equal(F.lowrank[1], np.eye(2))
+
+    def test_kernel_arrays_reject_writes(self):
+        K = lowrank_npsd(5, 2, seed=1)
+        for M in (K.entries, *K.lowrank):
+            with pytest.raises(ValueError):
+                M[0, 0] = 2.0
 
 
 class TestKernelIO:

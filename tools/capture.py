@@ -1,0 +1,66 @@
+"""Identity capture: the deterministic output of every benchmark workload.
+
+    python tools/capture.py OUT
+
+Run from the root of a source checkout; the package is imported from src/
+and the workloads from perfbench/workloads.py, which this script only reads.
+For each of the four seed-11 workloads it runs every operation once and
+writes one line per operation to OUT, with repr (exact for floats):
+
+- map-search, map-greedy and verify: the exit code, the JSON report without
+  its "timing" and "kernel" (a temporary path) keys, and stderr;
+- walk: both chains' chain_checks reports, the sampler's TV and its
+  20,000-step trajectory.
+
+Two checkouts give byte-identical files under `cmp` exactly when their
+reports, chains and seeded walks agree bit for bit.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+from ndppmap import downup  # noqa: E402
+
+import workloads  # noqa: E402
+
+SEED = 11
+
+
+def main(out_path):
+    trajectories = []
+    sample_walk = downup.sample_walk
+
+    def recorded_walk(*args):
+        traj = sample_walk(*args)
+        trajectories.append(traj)
+        return traj
+
+    downup.sample_walk = recorded_walk
+    with tempfile.TemporaryDirectory() as workdir, open(out_path, "w") as out:
+        for name, build in workloads.WORKLOADS.items():
+            opdir = os.path.join(workdir, name)
+            os.mkdir(opdir)
+            for op in build(SEED, opdir).ops:
+                outcome = op.run()
+                if name == "walk":
+                    record = (*outcome, trajectories.pop())
+                else:
+                    code, stdout, stderr = outcome
+                    report = json.loads(stdout) if stdout else None
+                    if report:
+                        del report["timing"], report["kernel"]
+                    record = (code, report, stderr)
+                out.write(f"{name} {op.label} {record!r}\n")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__.splitlines()[2].strip())
+    main(sys.argv[1])
