@@ -9,6 +9,8 @@ conductance and the Cheeger sandwich can all be checked exactly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, compress
@@ -22,6 +24,7 @@ from .setdist import SetDistribution, as_set, subsets
 CHAIN_STATE_CAP = 20000
 CONDUCTANCE_STATE_CAP = 22
 CUT_BLOCK = 1 << 15  # cuts per block of the exact conductance sweep
+WALK_BLOCK = 4096  # sampler steps per array of uniform draws
 CHEEGER_TOL = 1e-9  # absolute slack of both sides of the Cheeger sandwich
 
 
@@ -198,12 +201,14 @@ def cheeger_ok(gap, cond: ConductanceResult):
 def sample_walk(mu: SetDistribution, S0, l, steps, seed):
     """Seeded trajectory of the k<->l down-up walk started at the size-k set S0.
 
-    Each up-step prices the C(n-l, k-l) supersets of the retained core once,
-    by one `mu.completions` call, caches their normalized cumulative
-    distribution, and samples proportionally to mu by searching it for one
-    uniform draw.  That is the arithmetic of
-    `Generator.choice(len(cands), p=probs)`, so trajectories are reproducible
-    bit-for-bit per seed and equal to choice-based ones on the same weights.
+    Step t reads k+1 consecutive uniforms u of the seed's stream: it keeps the
+    l positions of the current set with the smallest u[:k] (a uniform drop)
+    and re-completes at u[k].  Each up-step prices the C(n-l, k-l) supersets
+    of the retained core once, by one `mu.completions` call, caches their
+    normalized cumulative distribution, and takes the first candidate whose
+    cumulative mass exceeds u[k].  The uniforms are
+    drawn WALK_BLOCK steps at a time; `Generator.random` fills row-major, so
+    the trajectory depends on the seed only, never on the block size.
     """
     S0 = as_set(S0)
     k = mu.k
@@ -211,33 +216,37 @@ def sample_walk(mu: SetDistribution, S0, l, steps, seed):
         raise DomainError(f"walk needs a size-{k} start, got {S0}")
     if not 0 <= l <= k:
         raise DomainError(f"need 0 <= l <= k, got l={l}, k={k}")
+    if steps < 0:
+        raise DomainError(f"steps must be nonnegative, got {steps}")
     if mu.value(S0) <= 0.0:
         raise DomainError("walk must start in the support of mu")
-    rng = np.random.default_rng(seed)
-    traj = [S0]
     if l == k:
         return [S0] * (steps + 1)
+    rng = np.random.default_rng(seed)
+    traj = [S0]
     up_cache = {}
     cur = S0
-    for _ in range(steps):
-        keep_idx = rng.choice(k, size=l, replace=False)
-        core = tuple(sorted(cur[i] for i in keep_idx))
-        if core not in up_cache:
-            D = subsets([i for i in range(mu.n) if i not in core], k - l)
-            cands = [tuple(sorted(core + tuple(extra))) for extra in D.tolist()]
-            wts = np.maximum(mu.completions(core, D), 0.0)
-            total = wts.sum()
-            if total > 0.0:
-                cdf = (wts / total).cumsum()
-                cdf /= cdf[-1]
-            else:
-                cdf = None
-            up_cache[core] = (cands, cdf)
-        cands, cdf = up_cache[core]
-        if cdf is None:
-            raise TrappedStateError(f"no positive-mass superset of {core}", state=core)
-        cur = cands[cdf.searchsorted(rng.random(), side="right")]
-        traj.append(cur)
+    for t0 in range(0, steps, WALK_BLOCK):
+        U = rng.random((min(WALK_BLOCK, steps - t0), k + 1))
+        keeps = np.sort(U[:, :k].argsort(axis=1, kind="stable")[:, :l], axis=1).tolist()
+        for keep, u in zip(keeps, U[:, k].tolist()):
+            core = tuple(cur[i] for i in keep)  # sorted, since cur is
+            if core not in up_cache:
+                D = subsets([i for i in range(mu.n) if i not in core], k - l)
+                cands = [tuple(sorted(core + tuple(extra))) for extra in D.tolist()]
+                wts = np.maximum(mu.completions(core, D), 0.0)
+                total = wts.sum()
+                if total > 0.0:
+                    cdf = (wts / total).cumsum()
+                    cdf = (cdf / cdf[-1]).tolist()
+                else:
+                    cdf = None
+                up_cache[core] = (cands, cdf)
+            cands, cdf = up_cache[core]
+            if cdf is None:
+                raise TrappedStateError(f"no positive-mass superset of {core}", state=core)
+            cur = cands[bisect_right(cdf, u)]
+            traj.append(cur)
     return traj
 
 
@@ -252,12 +261,12 @@ def tv_distance(p, q) -> float:
 
 
 def empirical_density(traj, states):
-    """Visit frequencies of `traj` over the enumerated `states`."""
-    index = {S: i for i, S in enumerate(states)}
-    counts = np.zeros(len(states))
-    for S in traj:
-        counts[index[S]] += 1.0
-    return counts / counts.sum()
+    """Visit frequencies of `traj` over the enumerated, distinct `states`."""
+    visits = Counter(traj)
+    counts = np.array([visits[S] for S in states], dtype=float)
+    if counts.sum() != len(traj):
+        raise DomainError("trajectory visits a state outside the enumerated states")
+    return counts / len(traj)
 
 
 def chain_checks(C: ChainMatrix, n=None, k=None, l=None):

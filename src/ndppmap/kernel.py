@@ -20,6 +20,10 @@ from .errors import ConditioningError, DomainError
 
 NPSD_TOL = 1e-9
 LOWRANK_RTOL = 1e-8
+# Largest |L_ij| a Kernel accepts.  condition_on does not re-check its Schur
+# complement, whose entries reach about m^2 1e12 max|L| (the zero threshold
+# bounds 1/det(L_Y)); this bound keeps them finite at desk-scale m.
+MAX_ABS_ENTRY = 1e290
 
 
 def _normalize_indices(S, n):
@@ -67,6 +71,10 @@ class Kernel:
             _check_finite("factor C", C)
         _check_finite("kernel", L)
         object.__setattr__(self, "entries", L)
+        if self.max_abs > MAX_ABS_ENTRY:
+            raise DomainError(
+                f"kernel entries reach {self.max_abs:.3e}; |L_ij| must be at most {MAX_ABS_ENTRY:.0e}"
+            )
         if self.lowrank is not None:
             err = np.max(np.abs(L - B @ C @ B.T))
             if err > LOWRANK_RTOL * (1.0 + self.max_abs):
@@ -128,7 +136,7 @@ def condition_on(K: Kernel, Y):
     detY = float(np.linalg.det(G[:m, :m]))
     if abs(detY) <= K.zero_threshold(m):
         raise ConditioningError(f"singular L_Y for Y={idx}", det=detY)
-    # No NaN/inf re-check: |L^Y| <~ m^2 1e12 max|L| is finite unless max|L| >~ 1e290.
+    # No NaN/inf re-check: Kernel bounds max|L| by MAX_ABS_ENTRY, so L^Y is finite.
     return G[m:, m:] - G[m:, :m] @ np.linalg.solve(G[:m, :m], G[:m, m:]), detY
 
 

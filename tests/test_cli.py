@@ -127,6 +127,16 @@ class TestExitCodes:
         assert exc.value.code == 4
         assert "non-finite kernel entries at (1, 1), (2, 2)" in capsys.readouterr().err
 
+    def test_entries_past_bound_usage(self, tmp_path, capsys):
+        # nPSD and finite, but conditioning on {0} would overflow L^{0}.
+        path = tmp_path / "huge.knl"
+        path.write_text("3\n2e285 1e297 0\n-1e297 1 0\n0 0 1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["map", "--kernel", str(path), "--k", "2"])
+        assert exc.value.code == 4
+        err = capsys.readouterr().err
+        assert err == "usage error: kernel entries reach 1.000e+297; |L_ij| must be at most 1e+290\n"
+
     def test_bad_flag_usage(self, capsys):
         code, _, _ = run_cli(["map", "--nonsense"], capsys)
         assert code == 4

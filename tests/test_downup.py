@@ -11,6 +11,7 @@ from ndppmap import (
     KernelDistribution,
     SetDistribution,
     TableDistribution,
+    TrappedStateError,
     apply_field,
     build_downup,
     conductance,
@@ -74,23 +75,38 @@ CUT_CHAINS = {
 }
 
 
-def choice_walk(mu, S0, l, steps, seed):
-    """Reference down-up walk that draws each up-step with Generator.choice."""
+def reference_walk(mu, S0, l, steps, seed):
+    """Reference down-up walk, one step at a time: step t draws k+1 uniforms u,
+    keeps the l positions with the smallest u[:k], and re-completes at u[k]
+    on the cumulative distribution of the core's candidates, each priced
+    once with mu.value."""
     rng = np.random.default_rng(seed)
     k = len(S0)
     cur, traj, cache = S0, [S0], {}
     for _ in range(steps):
-        keep_idx = rng.choice(k, size=l, replace=False)
-        core = tuple(sorted(cur[i] for i in keep_idx))
+        u = rng.random(k + 1)
+        core = tuple(sorted(cur[i] for i in np.argsort(u[:k], kind="stable")[:l]))
         if core not in cache:
             rest = [i for i in range(mu.n) if i not in core]
             cands = [tuple(sorted(core + extra)) for extra in combinations(rest, k - l)]
             wts = np.array([max(mu.value(S), 0.0) for S in cands])
-            cache[core] = (cands, wts / wts.sum())
-        cands, probs = cache[core]
-        cur = cands[rng.choice(len(cands), p=probs)]
+            cdf = (wts / wts.sum()).cumsum()
+            cdf /= cdf[-1]
+            cache[core] = (cands, cdf)
+        cands, cdf = cache[core]
+        cur = cands[cdf.searchsorted(u[k], side="right")]
         traj.append(cur)
     return traj
+
+
+class ZeroCompletions(SetDistribution):
+    """Positive on every set, but every completion is priced 0."""
+
+    def value(self, S):
+        return 1.0
+
+    def completions(self, core, D):
+        return np.zeros(len(D))
 
 
 class TestApplyField:
@@ -301,9 +317,25 @@ class TestSampleWalk:
 
     @pytest.mark.parametrize("seed", [17, 5])
     @pytest.mark.parametrize("l", [1, 2])
-    def test_stream_matches_choice_walk(self, seed, l):
+    def test_stream_matches_reference_walk(self, seed, l, monkeypatch):
         mu = KernelDistribution(random_npsd(6, seed), 3)
-        assert sample_walk(mu, (0, 1, 2), l, 2000, seed) == choice_walk(mu, (0, 1, 2), l, 2000, seed)
+        steps = 2 * downup.WALK_BLOCK + 3
+        ref = reference_walk(mu, (0, 1, 2), l, steps, seed)
+        assert sample_walk(mu, (0, 1, 2), l, steps, seed) == ref
+        monkeypatch.setattr(downup, "WALK_BLOCK", 7)
+        assert sample_walk(mu, (0, 1, 2), l, steps, seed) == ref
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_negative_steps_rejected(self, l):
+        with pytest.raises(DomainError, match="steps must be nonnegative"):
+            sample_walk(uniform(5, 2), (0, 1), l, -1, seed=0)
+
+    def test_trapped_core_raises(self):
+        u = np.random.default_rng(0).random(4)
+        core = tuple(sorted((0, 2, 4)[i] for i in np.argsort(u[:3], kind="stable")[:2]))
+        with pytest.raises(TrappedStateError) as exc:
+            sample_walk(ZeroCompletions(5, 3), (0, 2, 4), 2, 10, seed=0)
+        assert exc.value.state == core
 
     def test_zero_start_rejected(self):
         mu = TableDistribution(4, 2, {(0, 1): 1.0})
@@ -314,6 +346,17 @@ class TestSampleWalk:
         mu = KernelDistribution(random_npsd(6, 17), 3)
         with pytest.raises(DomainError):
             sample_walk(mu, (0, 1), 1, 10, seed=0)
+
+
+class TestEmpiricalDensity:
+    def test_visit_frequencies_in_states_order(self):
+        traj = [(1, 2), (0, 1), (1, 2), (1, 2)]
+        emp = empirical_density(traj, [(0, 1), (0, 2), (1, 2)])
+        assert emp.tolist() == [0.25, 0.0, 0.75]
+
+    def test_state_outside_states_rejected(self):
+        with pytest.raises(DomainError, match="outside the enumerated states"):
+            empirical_density([(0, 1), (2, 3)], [(0, 1), (1, 2)])
 
 
 class TestTvDistance:

@@ -16,6 +16,7 @@ from ndppmap import (
     save_kernel,
 )
 from ndppmap.instances import lowrank_npsd, random_npsd
+from ndppmap.kernel import MAX_ABS_ENTRY
 
 
 def cofactor_det(M):
@@ -163,6 +164,22 @@ class TestNonFinite:
         C[0, 1] = math.inf
         with pytest.raises(DomainError, match=r"factor C entries at \(0, 1\)"):
             Kernel(np.eye(4), lowrank=(np.ones((4, 2)), C))
+
+
+class TestEntryBound:
+    def test_entry_past_bound_rejected(self):
+        L = np.eye(3)
+        L[2, 0] = -2.0 * MAX_ABS_ENTRY
+        with pytest.raises(DomainError, match=r"reach 2\.000e\+290; .* at most 1e\+290"):
+            Kernel(L)
+
+    def test_entry_at_bound_conditions_finitely(self):
+        # A pivot twice condition_on's zero threshold, beside entries at the bound.
+        pivot = 2.0 * Kernel(np.array([[MAX_ABS_ENTRY]])).zero_threshold(1)
+        L = np.array([[pivot, MAX_ABS_ENTRY], [-MAX_ABS_ENTRY, 1.0]])
+        M, det = condition_on(Kernel(L), [0])
+        assert det == pytest.approx(pivot)
+        assert M[0, 0] == pytest.approx(1.0 + MAX_ABS_ENTRY * (MAX_ABS_ENTRY / pivot))
 
 
 class TestReadOnly:
