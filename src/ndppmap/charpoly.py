@@ -13,8 +13,7 @@ singular pin can still have nonsingular supersets, so its marginal is summed
 over its one-element extensions instead.
 
 step_marginals prices the marginal of S u {i} for every i outside S from one
-conditioning on S and one eigendecomposition of L^S, and re-prices the
-candidates near the maximum by superset_marginal.
+conditioning on S and one eigendecomposition of L^S.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .kernel import Kernel, _normalize_indices, condition_on, principal_minor
 
 SINGULAR_PIN_CAP = 1000
 EIGENBASIS_COND_LIMIT = 1e8  # 1-norm cond(V) above which L^S = V diag(lam) V^-1 is not used
-REPRICE_RTOL = 1e-12  # re-pricing window, relative to the step's scale and cond(V)
 
 
 def superset_marginal(K: Kernel, Y, k):
@@ -78,11 +76,6 @@ def step_marginals(K: Kernel, S, k):
     minors of I + x L^S gives the marginal of S u {i} as
 
         det(L_S) * sum_j V_ij (V^-1)_ji lam_j e_{t-1}(lam without lam_j).
-
-    Every candidate within REPRICE_RTOL * cond(V) * scale of the maximum,
-    where scale bounds the terms of that sum in absolute value, is re-priced
-    by superset_marginal.  The maximum, its ties and its value are then
-    exactly those of one superset_marginal call per candidate.
     """
     idx = _normalize_indices(S, K.n)
     if not len(idx) < k <= K.n:
@@ -99,20 +92,16 @@ def step_marginals(K: Kernel, S, k):
     cond = np.linalg.norm(V, 1) * np.linalg.norm(W, 1)
     if not cond <= EIGENBASIS_COND_LIMIT:  # also NaN: L^S may be defective
         return None
-    # Row j of E[0] holds e_0..e_{t-1} of lam without lam_j, and E[1] those of
-    # |lam|: the product recurrence with the j-th factor left out of row j.
+    # Row j of E holds e_0..e_{t-1} of lam without lam_j: the product
+    # recurrence with the j-th factor left out of row j.
     m, t = len(lam), k - len(idx)
-    factors = np.stack([lam, np.abs(lam)])[:, None, :] * (1.0 - np.eye(m))
-    E = np.zeros((2, m, t), dtype=complex)
-    E[:, :, 0] = 1.0
+    factors = lam * (1.0 - np.eye(m))
+    E = np.zeros((m, t), dtype=complex)
+    E[:, 0] = 1.0
     for j in range(m if t > 1 else 0):
-        E[:, :, 1:] += factors[:, :, j, None] * E[:, :, :-1]
+        E[:, 1:] += factors[:, j, None] * E[:, :-1]
     VW = V * W.T  # VW[i, j] = V_ij (V^-1)_ji
-    vals = det_S * (VW @ (lam * E[0, :, -1])).real
+    vals = det_S * (VW @ (lam * E[:, -1])).real
     if not np.isfinite(vals).all():
         return None
-    scale = abs(det_S) * (np.abs(VW) @ (np.abs(lam) * E[1, :, -1].real)).max()
-    near = np.flatnonzero(vals >= vals.max() - REPRICE_RTOL * cond * scale)
-    for p in near.tolist():
-        vals[p] = superset_marginal(K, idx + (cands[p],), k)
     return cands, vals.tolist()

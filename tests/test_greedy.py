@@ -10,6 +10,7 @@ from ndppmap import (
     SetDistribution,
     TableDistribution,
     brute_force_map,
+    charpoly,
     induced_greedy,
     principal_minor,
     standard_greedy,
@@ -40,6 +41,18 @@ STEP_KERNELS = {
 }
 
 
+def assert_same_greedy(K, k, fast, ref):
+    """The same pick indices, final set and final value, with each pick's
+    value within 1e-12 of the largest |marginal| of its step."""
+    assert [i for i, _ in fast.picks] == [i for i, _ in ref.picks]
+    assert (fast.final_set, fast.final_value) == (ref.final_set, ref.final_value)
+    per_candidate, S = PerCandidate(K, k), ()
+    for (i, got), (_, want) in zip(fast.picks, ref.picks):
+        _, vals, _ = per_candidate.step_marginals(S)
+        assert abs(got - want) <= 1e-12 * max(abs(v) for v in vals)
+        S = tuple(sorted(S + (i,)))
+
+
 class TestStepMarginals:
     @pytest.mark.parametrize("name", STEP_KERNELS)
     def test_matches_per_candidate_marginals(self, name):
@@ -64,20 +77,21 @@ class TestStepMarginals:
         make, k = STEP_KERNELS[name]
         K = make()
         fast, ref = induced_greedy(KernelDistribution(K, k)), induced_greedy(PerCandidate(K, k))
-        assert (fast.picks, fast.final_set, fast.final_value) == (
-            ref.picks,
-            ref.final_set,
-            ref.final_value,
-        )
+        assert_same_greedy(K, k, fast, ref)
         assert ref.per_candidate_steps == k and ref.conditioned_steps == 0
 
     def test_one_step_marginals_call_per_step(self, monkeypatch):
         mu = KernelDistribution(random_npsd(12, 4), 5)
-        calls = []
+        calls, marginals = [], []
         original = mu.step_marginals
         monkeypatch.setattr(mu, "step_marginals", lambda S: calls.append(S) or original(S))
+        superset = charpoly.superset_marginal
+        monkeypatch.setattr(
+            charpoly, "superset_marginal", lambda *a: marginals.append(a) or superset(*a)
+        )
         trace = induced_greedy(mu)
         assert len(calls) == 5
+        assert marginals == []  # a conditioned step prices no candidate on its own
         assert trace.conditioned_steps == 5 and trace.per_candidate_steps == 0
 
     def test_singular_pin_falls_back(self):
@@ -86,7 +100,7 @@ class TestStepMarginals:
         M = np.random.default_rng(9).normal(size=(10, 10))
         K = Kernel(M - M.T)
         fast, ref = induced_greedy(KernelDistribution(K, 4)), induced_greedy(PerCandidate(K, 4))
-        assert fast.picks == ref.picks and fast.final_value == ref.final_value
+        assert_same_greedy(K, 4, fast, ref)
         assert fast.per_candidate_steps >= 1
         assert fast.conditioned_steps + fast.per_candidate_steps == 4
 
