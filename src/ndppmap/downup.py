@@ -289,7 +289,7 @@ def chain_checks(C: ChainMatrix, n=None, k=None, l=None):
         "min_eigenvalue": float(ev[0]),
         "stationarity_err": stat_err,
         "gap": gap,
-        "cheeger_ok": cheeger_ok(gap, cond),
+        "cheeger_ok": len(C.states) < 2 or cheeger_ok(gap, cond),  # one state has no cut
     }
     if cond.exact:
         report["conductance"] = cond.value

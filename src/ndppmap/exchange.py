@@ -5,11 +5,12 @@ the subsets U of the symmetric difference with |U n S| = |U n T| = i.  The
 sets W between S n T and S u T, bucketed by |W n (S\\T)|, carry both the
 pairwise exchange inequality and its even-polynomial Hurwitz corollary.  The
 verifier over all pairs sweeps those buckets with arrays: it lays
-mu.tabulate() out by colex rank and takes the pairs in blocks of PAIR_BLOCK,
-grouped by distance, one gather per (A, B) pattern, and judges them with one
-pair verdict and one Hurwitz rule.  The brute-force argmax reads the same
-table.  The strong basis exchange, which pairs single swaps element by
-element, is checked on its own for the core-set certificate.
+mu.tabulate() out by colex rank, enumerates the pairs at each distance by
+their union, so that every set it reads sits at a fixed position pattern of
+the union, gathers about PAIR_BLOCK sets per block of unions, and judges the
+pairs with one pair verdict and one Hurwitz rule.  The brute-force argmax
+reads the same table.  The strong basis exchange, which pairs single swaps
+element by element, is checked on its own for the core-set certificate.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .setdist import SetDistribution, as_set, subsets
 
 BRUTE_FORCE_CAP = 2 * 10**6
 RTOL = 1e-9  # relative slack of the exchange and Hurwitz inequalities
-PAIR_BLOCK = 1 << 15  # pairs per block of the all-pairs sweep
+PAIR_BLOCK = 1 << 15  # sets gathered per block of unions in the all-pairs sweep
 
 
 @dataclass
@@ -71,7 +72,9 @@ def _root(q, i):
 
 def _pair_verdict(lhs, maxima, beta, r):
     """(passed, measured beta) of mu(S)mu(T) = lhs <= max_{i<=r} beta^i M^i(S->T) M^i(T->S),
-    as arrays over pairs: lhs[p] and maxima[a][p] (bucket a of `_sweep_buckets`).
+    as arrays over pairs: lhs[p] and maxima[a][p], the largest mu(W) over the
+    sets W = (S n T) u A u B with A of size a in S\\T and B in T\\S, so that
+    maxima[t - i] = M^i(S->T) and maxima[i] = M^i(T->S).
 
     The measured beta is the smallest (lhs / prod_i)^(1/i) over i <= r with
     prod_i > 0, inf if there is none and 0 when lhs <= 0; the pair passes when
@@ -126,38 +129,36 @@ def hurwitz_coeff_check(b):
     return lhs <= rhs * (1.0 + RTOL) + 1e-300
 
 
-def _sweep_buckets(vals, colex, U, t):
-    """(maxima, sums) of m pairs at distance t at once, each a length-(t + 1)
-    list of arrays over the pairs: bucket a holds the largest and the summed
-    mu(W) over W = core u A u B with A of size a in S\\T and B of size t - a
-    in T\\S.  So maxima[t - i] = M^i(S->T), maxima[i] = M^i(T->S), and
-    sums[a] is the coefficient b_{2a} of the exchange polynomial.  The rows
-    of U (k + t x m) hold each pair's core, then S\\T, then T\\S, each
-    ascending; every pattern (A, B) is gathered for all m pairs, each sum
-    adding its terms in combinations order of A, then of B."""
-    k = len(U) - t
-    core = list(range(k - t))
-    maxima, sums = [], []
+def _distance_tables(k, t):
+    """(P, cols): where the pairs at distance t sit in a sorted union of
+    k + t elements.  A pair is a core pattern c, k - t of the union's
+    positions, and a split: the half s of the other 2t positions that S
+    keeps, T keeping the other half.  The halves are the t-subsets of those
+    2t positions in combinations order; the splits are the ones that hold the
+    first of them, so that S < T.  Complements reverse combinations order,
+    so T's half is half -1 - s, and a core's other positions are a row of
+    the reversed subsets(range(k + t), 2t).
+
+    P[c, h] (cores x halves x k) holds the ascending positions of c and half
+    h.  cols[a][j, s] is the half of the j-th set W = c u A u B of split s
+    with A of size a in S's half and B of size t - a in T's, taken in
+    combinations order of A, then of B.  Halves are looked up by their
+    2t-bit masks."""
+    halves = subsets(range(2 * t), t)
+    splits = math.comb(2 * t - 1, t - 1)
+    bit = (1 << np.arange(2 * t)).astype(np.min_scalar_type((1 << 2 * t) - 1))
+    index = np.empty(1 << 2 * t, dtype=np.min_scalar_type(len(halves) - 1))
+    index[np.bitwise_or.reduce(bit[halves], axis=1)] = np.arange(len(halves))
+    cols = []
     for a in range(t + 1):
-        m, tot = -math.inf, 0.0
-        for A in combinations(range(k - t, k), a):
-            for B in combinations(range(k, k + t), t - a):
-                v = vals[colex(U[core + list(A) + list(B)])]
-                tot = tot + v
-                m = np.maximum(m, v)
-        maxima.append(m)
-        sums.append(tot)
-    return maxima, sums
-
-
-def _outside_first(X, inside):
-    """Each column of X with its entries not `inside` first, then the others,
-    both in their original order."""
-    out = np.cumsum(~inside, axis=0) - 1
-    dest = np.where(inside, out[-1] + np.cumsum(inside, axis=0), out)
-    R = np.empty_like(X)
-    np.put_along_axis(R, dest, X, axis=0)
-    return R
+        A = np.bitwise_or.reduce(bit[halves[:splits, subsets(range(t), a)]], axis=2)
+        B = np.bitwise_or.reduce(bit[halves[::-1][:splits, subsets(range(t), t - a)]], axis=2)
+        cols.append(index[(A[:, :, None] | B[:, None, :]).reshape(splits, -1)].T.copy())
+    cores = subsets(range(k + t), k - t)
+    others = subsets(range(k + t), 2 * t)[::-1]
+    core = np.broadcast_to(cores[:, None, :], (len(cores), len(halves), k - t))
+    P = np.sort(np.concatenate((core, others[:, halves]), axis=2), axis=2)
+    return P, cols
 
 
 def verify_exchange_all_pairs(mu: SetDistribution):
@@ -165,71 +166,65 @@ def verify_exchange_all_pairs(mu: SetDistribution):
     beta = k^4, i <= 2) and the even-polynomial Hurwitz inequality over every
     unordered pair of size-k subsets of [n].
 
-    mu.tabulate() is laid out by colex rank.  The unordered pairs (S, T),
-    S < T, are swept in blocks of at most PAIR_BLOCK; within a block the
-    pairs at each distance share their (A, B) patterns, so `_sweep_buckets`
-    yields every pair's bucket maxima and sums, to which the pair
-    verdict and the Hurwitz rule apply as arrays.  Failures are listed in
-    pair order.
+    mu.tabulate() is laid out by colex rank.  The pairs (S, T), S < T, at
+    distance t are enumerated by their union, a row of subsets(range(n),
+    k + t), and by their place in it (`_distance_tables`).  Every set between
+    S n T and S u T is then the union at a fixed ascending position pattern,
+    so its colex rank is a sum of table entries.  Each block of unions makes
+    one gather V (unions x cores x halves) of about PAIR_BLOCK sets, and each
+    bucket's maximum and sum over every pair is a running fold of fixed
+    columns of V, to which the pair verdict and the Hurwitz rule apply as
+    arrays.  Failures are listed in pair order.
     """
     n, k = mu.n, mu.k
     N = math.comb(n, k)
-    pos = subsets(range(n), k).T.copy()  # column a is the a-th set in combinations order
     # A rank below N uses only terms below N, so clamping keeps int64 exact.
     binom = np.array(
         [[min(math.comb(w, j), N) for j in range(1, k + 1)] for w in range(n)], dtype=np.int64
     ).reshape(n, k)
-    count = np.min_scalar_type(k)
-
-    def colex(W):
-        """Colex ranks sum_j C(w_j, j+1), w sorted, of the columns of W; w's
-        place in its sorted column is the number of entries below it."""
-        below = (W[:, None, :] > W[None, :, :]).view(np.uint8).sum(axis=1, dtype=count)
-        return binom[W, below].sum(axis=0)
-
-    def label(a):
-        return tuple(pos[:, a].tolist())
-
-    own = mu.tabulate()
+    place = np.arange(k)
     vals = np.empty(N)
-    vals[colex(pos)] = own
+    vals[binom[subsets(range(n), k), place].sum(axis=1)] = mu.tabulate()
     beta = float(k) ** 4
-    npairs = N * (N - 1) // 2
     result = {
-        "pairs": npairs,
+        "pairs": N * (N - 1) // 2,
         "exchange_failures": [],
         "hurwitz_failures": [],
         "max_measured_beta": 0.0,
     }
-    rows = np.arange(N)
-    first = rows * (2 * N - rows - 1) // 2  # linear index of the pair (a, a + 1)
-    for p0 in range(0, npairs, PAIR_BLOCK):
-        p = np.arange(p0, min(p0 + PAIR_BLOCK, npairs))
-        a = np.searchsorted(first, p, side="right") - 1
-        b = p - first[a] + a + 1
-        SP, TP = pos[:, a], pos[:, b]
-        in_T = (SP[:, None, :] == TP[None, :, :]).any(axis=1)
-        in_S = (TP[:, None, :] == SP[None, :, :]).any(axis=1)
-        SP, TP = _outside_first(SP, in_T), _outside_first(TP, in_S)
-        dist = k - in_T.sum(axis=0)
-        exch, hurw = [], []
-        for t in range(1, k + 1):
-            sel = np.flatnonzero(dist == t)
-            if not len(sel):
-                continue
-            U = np.concatenate((SP[t:, sel], SP[:t, sel], TP[:t, sel]))
-            maxima, sums = _sweep_buckets(vals, colex, U, t)
-            ok, measured = _pair_verdict(own[a[sel]] * own[b[sel]], maxima, beta, 2)
+    exch, hurw = result["exchange_failures"], result["hurwitz_failures"]
+    for t in range(1, min(k, n - k) + 1):
+        P, cols = _distance_tables(k, t)
+        unions = subsets(range(n), k + t)
+        rows = max(1, PAIR_BLOCK // (P.shape[0] * P.shape[1]))
+        for u0 in range(0, len(unions), rows):
+            U = unions[u0:u0 + rows]
+            V = vals[binom[U[:, P], place].sum(axis=-1)]
+            maxima, sums = [], []
+            for bucket in cols:
+                m, tot = -math.inf, 0.0
+                for c in bucket:
+                    v = V[:, :, c]
+                    tot = tot + v
+                    m = np.maximum(m, v)
+                maxima.append(m)
+                sums.append(tot)
+            # bucket t holds S alone and bucket 0 holds T alone
+            ok, measured = _pair_verdict(maxima[t] * maxima[0], maxima, beta, 2)
             finite = measured[np.isfinite(measured)]
             if len(finite):
                 result["max_measured_beta"] = max(result["max_measured_beta"], float(finite.max()))
-            exch += [(sel[j], measured[j]) for j in np.flatnonzero(~ok)]
-            bad = np.flatnonzero(~np.broadcast_to(hurwitz_coeff_check(sums), sel.shape))
-            if len(bad):
+
+            def pair(u, c, s):
+                return tuple(U[u, P[c, s]].tolist()), tuple(U[u, P[c, -1 - s]].tolist())
+
+            for u, c, s in zip(*np.nonzero(~ok)):
+                exch.append((*pair(u, c, s), float(measured[u, c, s])))
+            bad = np.nonzero(~np.broadcast_to(hurwitz_coeff_check(sums), ok.shape))
+            if len(bad[0]):
                 lhs, rhs = _hurwitz_sides(sums)
-                hurw += [(sel[j], lhs[j], rhs[j]) for j in bad]
-        for q, beta_hat in sorted(exch):
-            result["exchange_failures"].append((label(a[q]), label(b[q]), float(beta_hat)))
-        for q, lhs, rhs in sorted(hurw):
-            result["hurwitz_failures"].append((label(a[q]), label(b[q]), float(lhs), float(rhs)))
+                for u, c, s in zip(*bad):
+                    hurw.append((*pair(u, c, s), float(lhs[u, c, s]), float(rhs[u, c, s])))
+    exch.sort()
+    hurw.sort()
     return result

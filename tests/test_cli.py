@@ -184,6 +184,15 @@ class TestVerify:
             runs.append(json.dumps(rep, sort_keys=True))
         assert runs[0] == runs[1]
 
+    def test_walk_suite_at_k_equal_n(self, tmp_path, capsys):
+        # every chain has the one state [n], which has no cut
+        path = str(tmp_path / "r.knl")
+        run_cli(["gen", "random-npsd", "--n", "4", "--seed", "1", "--out", path], capsys)
+        code, rep, _ = run_cli(["verify", "--kernel", path, "--k", "4", "--suite", "walk"], capsys)
+        chains = rep["suites"]["walk"]["chains"]
+        assert [c["num_states"] for c in chains] == [1, 1]
+        assert code == 0 and rep["passed"], chains
+
     def test_verify_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         path = str(tmp_path / "r.knl")
         run_cli(["gen", "random-npsd", "--n", "5", "--seed", "0", "--out", path], capsys)

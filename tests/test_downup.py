@@ -8,6 +8,7 @@ from ndppmap import (
     ChainMatrix,
     DomainError,
     InfeasibilityError,
+    Kernel,
     KernelDistribution,
     SetDistribution,
     TableDistribution,
@@ -196,6 +197,13 @@ class TestBuildDownup:
             rep = chain_checks(build_downup(mu, 7, 3, l), 7, 3, l)
             assert rep["ok"], rep
             assert rep["gap"] > 0.0
+
+    def test_one_state_chain_passes(self):
+        # a single-set support has no cut, so the Cheeger sandwich holds vacuously
+        mu = KernelDistribution(Kernel(np.diag([1.0, 2.0, 0.0, 0.0])), 2)
+        rep = chain_checks(build_downup(mu, 4, 2, 1), 4, 2, 1)
+        assert rep["num_states"] == 1 and rep["gap"] == 1.0 and rep["conductance"] == 0.0
+        assert rep["cheeger_ok"] and rep["ok"], rep
 
     def test_n_k_must_match_mu(self):
         mu = uniform(5, 2)

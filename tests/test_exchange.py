@@ -332,8 +332,14 @@ class TestSweepMatchesPerPair:
             signed_table(6, 1, 5),
             TableDistribution(3, 3, {(0, 1, 2): 2.0}),
             KernelDistribution(random_npsd(9, 6), 4),
+            signed_table(8, 6, 3),
+            signed_table(7, 6, 1),
+            KernelDistribution(lowrank_npsd(10, 3, 1), 4),
         ],
-        ids=["signed-7-3", "signed-9-4", "k1", "one-set", "kernel-9-4"],
+        ids=[
+            "signed-7-3", "signed-9-4", "k1", "one-set", "kernel-9-4",
+            "signed-8-6", "signed-7-6", "lowrank-10-4",
+        ],
     )
     def test_identical_results(self, mu):
         assert verify_exchange_all_pairs(mu) == per_pair_reference(mu)
@@ -355,13 +361,16 @@ class TestSweepMatchesPerPair:
     def test_failures_in_pair_order_across_blocks(self, monkeypatch):
         mu = signed_table(9, 4, 2)
         want = per_pair_reference(mu)
-        monkeypatch.setattr(exchange, "PAIR_BLOCK", 37)
-        got = verify_exchange_all_pairs(mu)
-        assert got == want
         pairs = list(combinations(combinations(range(9), 4), 2))
-        for key in ("exchange_failures", "hurwitz_failures"):
-            assert len({pairs.index(f[:2]) // 37 for f in got[key]}) > 1
-        assert len({len(set(S) - set(T)) for S, T, *_ in got["hurwitz_failures"]}) > 1
+        for block in (37, 1):  # a block of 1 gathers one union S u T
+            monkeypatch.setattr(exchange, "PAIR_BLOCK", block)
+            got = verify_exchange_all_pairs(mu)
+            assert got == want
+            for key in ("exchange_failures", "hurwitz_failures"):
+                failures = [(S, T) for S, T, *_ in got[key]]
+                assert len({pairs.index(f) // 37 for f in failures}) > 1
+                assert len({tuple(sorted(set(S) | set(T))) for S, T in failures}) > 1
+            assert len({len(set(S) - set(T)) for S, T, *_ in got["hurwitz_failures"]}) > 1
 
 
 class TestTableDistributionKeys:
