@@ -95,7 +95,9 @@ def build_downup(mu: SetDistribution, n, k, l) -> ChainMatrix:
     """Explicit transition matrix of the k<->l down-up walk on supp(mu).
 
     The matrix is the composition D_{k->l} U_{l->k} acting on k-sets, which is
-    exactly the two-step drop/re-complete algorithm.
+    exactly the two-step drop/re-complete algorithm, assembled one block per
+    l-set core: each superset of the core in the support moves, with weight
+    1/C(k, l), to the core's normalized distribution over its supersets.
     """
     if (n, k) != (mu.n, mu.k):
         raise DomainError(f"(n, k) = ({n}, {k}) but mu is over ({mu.n}, {mu.k})")
@@ -121,9 +123,7 @@ def build_downup(mu: SetDistribution, n, k, l) -> ChainMatrix:
     inv_choose = 1.0 / math.comb(k, l)
     for core, idxs in by_core.items():
         weights = w[idxs]
-        up = weights / weights.sum()
-        for si in idxs:
-            P[si, idxs] += inv_choose * up
+        np.add.at(P, np.ix_(idxs, idxs), inv_choose * (weights / weights.sum()))
     return ChainMatrix(states, P, pi)
 
 

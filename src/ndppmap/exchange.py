@@ -65,9 +65,9 @@ def _sides(S, T):
 
 
 def _root(q, i):
-    """q ** (1/i) elementwise with Python's float power, which numpy's power
-    and square root do not match in the last bit."""
-    return q if i == 1 else np.array([x ** (1.0 / i) for x in q.tolist()])
+    """q ** (1/i) elementwise by np.float_power: libm's pow in float64, like
+    Python's float power, which numpy's power and sqrt miss in the last bit."""
+    return q if i == 1 else np.float_power(q, 1.0 / i)
 
 
 def _pair_verdict(lhs, maxima, beta, r):

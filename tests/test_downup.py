@@ -182,6 +182,25 @@ class TestBuildDownup:
         assert np.allclose(C.P, expect)
         assert np.allclose(C.pi, 1.0 / 3.0)
 
+    def test_entries_match_definition_on_restricted_support(self):
+        # about half the sets carry zero mass, so each core's superset
+        # distribution is over the support only
+        rng = np.random.default_rng(3)
+        sets = list(combinations(range(7), 3))
+        mass = rng.uniform(0.5, 2.0, size=len(sets)) * (rng.random(len(sets)) < 0.5)
+        mu = TableDistribution(7, 3, dict(zip(sets, mass)))
+        support = [S for S, v in zip(sets, mass) if v > 0.0]
+        for l in (1, 2):
+            C = build_downup(mu, 7, 3, l)
+            assert C.states == support
+            expect = np.zeros((len(support), len(support)))
+            for a, S in enumerate(support):
+                for b, S2 in enumerate(support):
+                    for c in combinations(sorted(set(S) & set(S2)), l):
+                        up = sum(mu.value(T) for T in support if set(c) <= set(T))
+                        expect[a, b] += mu.value(S2) / up
+            assert np.allclose(C.P, expect / math.comb(3, l), rtol=1e-12, atol=0)
+
     def test_k_equals_l_identity(self):
         C = build_downup(uniform(4, 2), 4, 2, 2)
         assert np.array_equal(C.P, np.eye(6))

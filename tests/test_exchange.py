@@ -18,7 +18,7 @@ from ndppmap import (
     kernel_table,
     verify_exchange_all_pairs,
 )
-from ndppmap.exchange import _hurwitz_sides, _pair_verdict
+from ndppmap.exchange import _hurwitz_sides, _pair_verdict, _root
 from ndppmap.instances import lowrank_npsd, random_npsd, skew_block, sym_psd
 
 
@@ -357,6 +357,8 @@ class TestSweepMatchesPerPair:
         maxima = [np.ones(1), np.full(1, 1e-9), np.ones(1)]
         _, measured = _pair_verdict(np.array([lhs]), maxima, 16.0, 2)
         assert measured[0] == lhs**0.5
+        q = np.random.default_rng(0).lognormal(0.0, 20.0, size=10_000)
+        assert _root(q, 2).tolist() == [x**0.5 for x in q.tolist()]
 
     def test_failures_in_pair_order_across_blocks(self, monkeypatch):
         mu = signed_table(9, 4, 2)

@@ -10,7 +10,11 @@ writes one line per operation to OUT, with repr (exact for floats):
 - map-search, map-greedy and verify: the exit code, the JSON report without
   its "timing" and "kernel" (a temporary path) keys, and stderr;
 - walk: both chains' chain_checks reports, the sampler's TV and its
-  20,000-step trajectory.
+  20,000-step trajectory;
+
+and after them, for every chain the operation built with build_downup, the
+SHA-256 of its P.tobytes() and of its pi.tobytes(), since a chain_checks
+report can hide a last-bit change in P.
 
 Two checkouts give byte-identical files under `cmp` exactly when their
 reports, chains and seeded walks agree bit for bit.
@@ -18,6 +22,7 @@ reports, chains and seeded walks agree bit for bit.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sys
@@ -34,15 +39,20 @@ SEED = 11
 
 
 def main(out_path):
-    trajectories = []
-    sample_walk = downup.sample_walk
+    trajectories, chains = [], []
+    sample_walk, build_downup = downup.sample_walk, downup.build_downup
 
     def recorded_walk(*args):
         traj = sample_walk(*args)
         trajectories.append(traj)
         return traj
 
-    downup.sample_walk = recorded_walk
+    def recorded_chain(*args):
+        C = build_downup(*args)
+        chains.append(tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (C.P, C.pi)))
+        return C
+
+    downup.sample_walk, downup.build_downup = recorded_walk, recorded_chain
     with tempfile.TemporaryDirectory() as workdir, open(out_path, "w") as out:
         for name, build in workloads.WORKLOADS.items():
             opdir = os.path.join(workdir, name)
@@ -57,7 +67,8 @@ def main(out_path):
                     if report:
                         del report["timing"], report["kernel"]
                     record = (code, report, stderr)
-                out.write(f"{name} {op.label} {record!r}\n")
+                out.write(f"{name} {op.label} {record!r} {chains!r}\n")
+                chains.clear()
 
 
 if __name__ == "__main__":
