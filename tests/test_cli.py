@@ -191,6 +191,17 @@ class TestVerify:
         code, rep, _ = run_cli(["verify", "--kernel", path, "--k", "4", "--suite", "walk"], capsys)
         chains = rep["suites"]["walk"]["chains"]
         assert [c["num_states"] for c in chains] == [1, 1]
+        assert [c["eig_dim"] for c in chains] == [1, 1]
+        assert code == 0 and rep["passed"], chains
+
+    def test_walk_suite_reports_eigenproblem_size(self, tmp_path, capsys):
+        # 15 states: l = 0 has one core and l = 1 six, so both solve on the core side
+        path = str(tmp_path / "r.knl")
+        run_cli(["gen", "random-npsd", "--n", "6", "--seed", "3", "--out", path], capsys)
+        code, rep, _ = run_cli(["verify", "--kernel", path, "--k", "2", "--suite", "walk"], capsys)
+        chains = rep["suites"]["walk"]["chains"]
+        assert [(c["l"], c["num_states"], c["eig_dim"]) for c in chains] == [(0, 15, 1), (1, 15, 6)]
+        assert all(c["factor_err"] <= 1e-10 for c in chains)
         assert code == 0 and rep["passed"], chains
 
     def test_verify_failure_exit_code(self, tmp_path, capsys, monkeypatch):

@@ -22,7 +22,7 @@ from ndppmap import (
 )
 from ndppmap import downup
 from ndppmap.downup import chain_checks, cheeger_ok, empirical_density
-from ndppmap.instances import random_field, random_npsd
+from ndppmap.instances import lowrank_npsd, random_field, random_npsd
 
 
 def uniform(n, k):
@@ -98,6 +98,14 @@ def reference_walk(mu, S0, l, steps, seed):
         cur = cands[cdf.searchsorted(u[k], side="right")]
         traj.append(cur)
     return traj
+
+
+def restricted_table():
+    """A (7, 3) table with about half the sets at zero mass."""
+    rng = np.random.default_rng(3)
+    sets = list(combinations(range(7), 3))
+    mass = rng.uniform(0.5, 2.0, size=len(sets)) * (rng.random(len(sets)) < 0.5)
+    return TableDistribution(7, 3, dict(zip(sets, mass)))
 
 
 class ZeroCompletions(SetDistribution):
@@ -183,13 +191,9 @@ class TestBuildDownup:
         assert np.allclose(C.pi, 1.0 / 3.0)
 
     def test_entries_match_definition_on_restricted_support(self):
-        # about half the sets carry zero mass, so each core's superset
-        # distribution is over the support only
-        rng = np.random.default_rng(3)
-        sets = list(combinations(range(7), 3))
-        mass = rng.uniform(0.5, 2.0, size=len(sets)) * (rng.random(len(sets)) < 0.5)
-        mu = TableDistribution(7, 3, dict(zip(sets, mass)))
-        support = [S for S, v in zip(sets, mass) if v > 0.0]
+        # each core's superset distribution is over the support only
+        mu = restricted_table()
+        support = [S for S in combinations(range(7), 3) if mu.value(S) > 0.0]
         for l in (1, 2):
             C = build_downup(mu, 7, 3, l)
             assert C.states == support
@@ -267,6 +271,77 @@ class TestSpectralGap:
         assert not conductance(C).exact and "conductance_bounds" in rep
         assert spectral_gap(C) == rep["gap"]
         assert len(calls) == 1
+
+
+CORE_SIDE_CHAINS = {
+    "npsd12_l3": lambda: build_downup(KernelDistribution(random_npsd(12, 1), 4), 12, 4, 3),
+    "npsd12_l2": lambda: build_downup(KernelDistribution(random_npsd(12, 1), 4), 12, 4, 2),
+    "l0": lambda: build_downup(KernelDistribution(random_npsd(7, 2), 3), 7, 3, 0),
+    "field_zeros": lambda: build_downup(
+        apply_field(KernelDistribution(random_npsd(8, 5), 3), [0.0, 0.0, *random_field(6, seed=1)]),
+        8, 3, 1,
+    ),
+    "restricted_table": lambda: build_downup(restricted_table(), 7, 3, 1),
+    "lowrank": lambda: build_downup(KernelDistribution(lowrank_npsd(10, 4, 2), 3), 10, 3, 1),
+}
+
+
+def state_side_spectrum(C):
+    """The m x m eigensolve of the symmetrized P, written out."""
+    s = np.sqrt(C.pi)
+    B = (s[:, None] * C.P) / s[None, :]
+    return np.linalg.eigvalsh(0.5 * (B + B.T))
+
+
+class TestCoreSide:
+    @pytest.mark.parametrize("name", sorted(CORE_SIDE_CHAINS))
+    def test_matches_state_side(self, name):
+        C = CORE_SIDE_CHAINS[name]()
+        assert C.factor is not None and 2 * C.factor.shape[1] <= len(C.states)
+        assert np.allclose(C.spectrum, state_side_spectrum(C), rtol=0, atol=1e-12)
+        rep = chain_checks(C)
+        assert rep["ok"] and rep["factor_err"] <= 1e-10, rep
+
+    @pytest.mark.parametrize("l, dim", [(1, 7), (2, 35)])
+    def test_side_selection(self, l, dim, monkeypatch):
+        # 35 states: 7 cores at l = 1 (core side), 21 at l = 2 (state side)
+        C = build_downup(uniform(7, 3), 7, 3, l)
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: shapes.append(A.shape) or eigvalsh(A))
+        rep = chain_checks(C)
+        assert shapes == [(dim, dim)]
+        assert rep["eig_dim"] == dim
+
+    def test_factor_check_bites(self):
+        C = build_downup(KernelDistribution(random_npsd(7, 3), 3), 7, 3, 1)
+        i, j = 0, int(np.argmax(C.P[0, 1:])) + 1
+        # move flow eps between F_ii and F_ij and likewise in row j: row sums,
+        # reversibility and stationarity hold, but P is no longer A A^T
+        eps = 1e-3 * C.pi[i] * C.P[i, j]
+        P = C.P.copy()
+        P[i, i] += eps / C.pi[i]
+        P[i, j] -= eps / C.pi[i]
+        P[j, j] += eps / C.pi[j]
+        P[j, i] -= eps / C.pi[j]
+        bent = ChainMatrix(C.states, P, C.pi, C.factor)
+        rep = chain_checks(bent)
+        assert rep["row_sum_err"] <= 1e-12 and rep["reversibility_err"] <= 1e-10
+        assert rep["stationarity_err"] <= 1e-10
+        assert rep["factor_err"] > 1e-10 and not rep["ok"], rep
+        assert chain_checks(ChainMatrix(C.states, P, C.pi))["ok"]
+
+    def test_hand_built_chain_keeps_state_side(self):
+        C = random_chain(9, 4)
+        assert C.factor is None
+        assert np.array_equal(C.spectrum, state_side_spectrum(C))
+        rep = chain_checks(C)
+        assert rep["factor_err"] == 0.0 and rep["eig_dim"] == 9
+
+    def test_state_side_chain_has_no_factor(self):
+        C = build_downup(uniform(7, 3), 7, 3, 2)
+        assert C.factor is None
+        assert np.array_equal(C.spectrum, state_side_spectrum(C))
 
 
 class TestConductance:
