@@ -87,8 +87,8 @@ def cmd_map(args):
     return EXIT_OK
 
 
-def _suite_exchange(K, k, args):
-    res = verify_exchange_all_pairs(KernelDistribution(K, k))
+def _suite_exchange(mu, args):
+    res = verify_exchange_all_pairs(mu)
     return {
         "pairs": res["pairs"],
         "exchange_failures": len(res["exchange_failures"]),
@@ -98,21 +98,20 @@ def _suite_exchange(K, k, args):
     }
 
 
-def _suite_walk(K, k, args):
-    mu = KernelDistribution(K, k)
+def _suite_walk(mu, args):
+    n, k = mu.n, mu.k
     reports = []
     for l in sorted({k - 1, max(k - 2, 0)}):
-        C = downup.build_downup(mu, K.n, k, l)
-        rep = downup.chain_checks(C, K.n, k, l)
+        C = downup.build_downup(mu, n, k, l)
+        rep = downup.chain_checks(C, n, k, l)
         rep["gap_positive"] = rep["gap"] > 0.0
         rep["ok"] = bool(rep["ok"] and rep["gap_positive"])
         reports.append(rep)
     return {"chains": reports, "passed": all(r["ok"] for r in reports)}
 
 
-def _suite_coreset(K, k, args):
-    mu = KernelDistribution(K, k)
-    parts = instances.random_partition(K.n, 3, args.seed)
+def _suite_coreset(mu, args):
+    parts = instances.random_partition(mu.n, 3, args.seed)
     plan = build_plan(mu, parts, args.zeta)
     rep = compose_and_report(mu, plan, args.zeta)
     rep.pop("chain", None)
@@ -133,7 +132,8 @@ def cmd_verify(args):
         "coreset": _suite_coreset,
     }
     t0 = time.perf_counter()
-    results = {name: runners[name](K, args.k, args) for name in suites}
+    mu = KernelDistribution(K, args.k)  # one table, shared by the suites that read it
+    results = {name: runners[name](mu, args) for name in suites}
     passed = all(r["passed"] for r in results.values())
     report = {
         "command": "verify",

@@ -201,9 +201,16 @@ def conductance(C: ChainMatrix) -> ConductanceResult:
     and a high half, and tabulates each half's sub-cuts once.  A cut is a
     pair (h, l) of sub-cuts: its mass is the sum of theirs, and its outflow
     is the sum of theirs minus the cross flow x_l^T (F_lh + F_hl^T) x_h, an
-    entry of one small matrix product.  F need not be symmetric.  The
-    2^ceil(m/2) x 2^floor(m/2) grid of cuts is swept in blocks of high-half
-    rows of about CUT_BLOCK cuts each."""
+    entry of one small matrix product.  F need not be symmetric.
+
+    Each half's sub-cuts are sorted by mass, so the cuts with
+    pi(S) <= 1/2 + 1e-12 form a staircase on the grid: since a float sum is
+    monotone in each term, a high-half row reaches a prefix of the low-half
+    columns, no longer than that of a lighter row.  The rows
+    are swept in blocks of about CUT_BLOCK cuts, each block over the columns
+    its lightest row reaches, and the sweep stops at the first row that
+    reaches none.  Every cut is priced by the same expression as on the full
+    grid, so the minimum is over the same cuts with the same values."""
     m = len(C.states)
     if m > CONDUCTANCE_STATE_CAP:
         gap = spectral_gap(C)
@@ -214,15 +221,23 @@ def conductance(C: ChainMatrix) -> ConductanceResult:
     B_l, p_l, out_l = _cut_tables(C.pi[:lo], rowflow[:lo], F[:lo, :lo])
     B_h, p_h, out_h = _cut_tables(C.pi[lo:], rowflow[lo:], F[lo:, lo:])
     cross = (B_l @ (F[:lo, lo:] + F[lo:, :lo].T)).T  # (m - lo) x 2^lo
+    by_l = np.argsort(p_l, kind="stable")
+    by_h = np.argsort(p_h, kind="stable")
+    p_l, out_l, cross = p_l[by_l], out_l[by_l], cross[:, by_l]
+    p_h, out_h, B_h = p_h[by_h], out_h[by_h], B_h[by_h]
+    empty_h, empty_l = int(np.argmin(by_h)), int(np.argmin(by_l))  # where sub-cut 0 went
     rows = max(1, CUT_BLOCK >> lo)
     best = math.inf
     for h0 in range(0, len(B_h), rows):
+        reach = int(np.count_nonzero(p_h[h0] + p_l <= 0.5 + 1e-12))
+        if reach == 0:
+            break
         blk = slice(h0, h0 + rows)
-        pi_S = p_h[blk, None] + p_l
-        Q = out_h[blk, None] + out_l - B_h[blk] @ cross
+        pi_S = p_h[blk, None] + p_l[:reach]
+        Q = out_h[blk, None] + out_l[:reach] - B_h[blk] @ cross[:, :reach]
         keep = pi_S <= 0.5 + 1e-12
-        if h0 == 0:
-            keep[0, 0] = False  # the empty cut
+        if h0 <= empty_h < h0 + rows and empty_l < reach:
+            keep[empty_h - h0, empty_l] = False  # the empty cut
         phi = np.divide(Q, pi_S, out=np.full_like(Q, math.inf), where=keep)
         best = min(best, float(phi.min()))
     if not math.isfinite(best):
@@ -239,17 +254,35 @@ def cheeger_ok(gap, cond: ConductanceResult):
     return phi * phi / 2.0 <= gap + CHEEGER_TOL and gap <= 2.0 * phi + CHEEGER_TOL
 
 
+def _up_step(mu: SetDistribution, core, s):
+    """The up-step from a core, as (cdf, labels, core, D): D holds the C(n-l, s)
+    size-s index sets outside the core, priced once by one `mu.completions`
+    call; cdf is their normalized cumulative distribution, and labels[j], the
+    sorted set core u D[j], is filled in when row j is first drawn."""
+    D = subsets([i for i in range(mu.n) if i not in core], s)
+    wts = np.maximum(mu.completions(core, D), 0.0)
+    total = wts.sum()
+    if not total > 0.0:
+        raise TrappedStateError(f"no positive-mass superset of {core}", state=core)
+    cdf = (wts / total).cumsum()
+    return (cdf / cdf[-1]).tolist(), [None] * len(D), core, D
+
+
 def sample_walk(mu: SetDistribution, S0, l, steps, seed):
     """Seeded trajectory of the k<->l down-up walk started at the size-k set S0.
 
     Step t reads k+1 consecutive uniforms u of the seed's stream: it keeps the
     l positions of the current set with the smallest u[:k] (a uniform drop)
-    and re-completes at u[k].  Each up-step prices the C(n-l, k-l) supersets
-    of the retained core once, by one `mu.completions` call, caches their
-    normalized cumulative distribution, and takes the first candidate whose
-    cumulative mass exceeds u[k].  The uniforms are
-    drawn WALK_BLOCK steps at a time; `Generator.random` fills row-major, so
-    the trajectory depends on the seed only, never on the block size.
+    and re-completes at u[k], taking the first superset of the retained core
+    whose cumulative mass exceeds u[k].  The uniforms are drawn WALK_BLOCK
+    steps at a time; `Generator.random` fills row-major, so the trajectory
+    depends on the seed only, never on the block size.
+
+    Each block's kept positions become one vector of pattern numbers, the
+    colex rank of the sorted positions.  A core's up-step (`_up_step`) is
+    priced once, and the move from a state under a pattern is cached, so a
+    seen (state, pattern) costs one dict lookup and one `bisect_right`; a
+    candidate's sorted label is built only when it is first drawn.
     """
     S0 = as_set(S0)
     k = mu.k
@@ -264,29 +297,29 @@ def sample_walk(mu: SetDistribution, S0, l, steps, seed):
     if l == k:
         return [S0] * (steps + 1)
     rng = np.random.default_rng(seed)
+    # Positions p_0 < ... < p_{l-1} have colex rank sum_j C(p_j, j + 1).
+    rank = np.array([[math.comb(p, j + 1) for j in range(l)] for p in range(k)], dtype=np.intp)
+    patterns = sorted(combinations(range(k), l), key=lambda p: p[::-1])  # by colex rank
+    ups, moves = {}, {}  # core -> up-step; (state, pattern rank) -> up-step
     traj = [S0]
-    up_cache = {}
     cur = S0
     for t0 in range(0, steps, WALK_BLOCK):
         U = rng.random((min(WALK_BLOCK, steps - t0), k + 1))
-        keeps = np.sort(U[:, :k].argsort(axis=1, kind="stable")[:, :l], axis=1).tolist()
-        for keep, u in zip(keeps, U[:, k].tolist()):
-            core = tuple(cur[i] for i in keep)  # sorted, since cur is
-            if core not in up_cache:
-                D = subsets([i for i in range(mu.n) if i not in core], k - l)
-                cands = [tuple(sorted(core + tuple(extra))) for extra in D.tolist()]
-                wts = np.maximum(mu.completions(core, D), 0.0)
-                total = wts.sum()
-                if total > 0.0:
-                    cdf = (wts / total).cumsum()
-                    cdf = (cdf / cdf[-1]).tolist()
-                else:
-                    cdf = None
-                up_cache[core] = (cands, cdf)
-            cands, cdf = up_cache[core]
-            if cdf is None:
-                raise TrappedStateError(f"no positive-mass superset of {core}", state=core)
-            cur = cands[bisect_right(cdf, u)]
+        keeps = np.sort(U[:, :k].argsort(axis=1, kind="stable")[:, :l], axis=1)
+        pats = rank[keeps, np.arange(l)].sum(axis=1).tolist()
+        for pat, u in zip(pats, U[:, k].tolist()):
+            move = moves.get((cur, pat))
+            if move is None:
+                core = tuple(cur[i] for i in patterns[pat])  # sorted, since cur is
+                move = ups.get(core)
+                if move is None:
+                    move = ups[core] = _up_step(mu, core, k - l)
+                moves[cur, pat] = move
+            cdf, labels, core, D = move
+            j = bisect_right(cdf, u)
+            cur = labels[j]
+            if cur is None:
+                cur = labels[j] = tuple(sorted(core + tuple(D[j].tolist())))
             traj.append(cur)
     return traj
 

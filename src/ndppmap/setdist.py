@@ -147,6 +147,7 @@ class KernelDistribution(SetDistribution):
     def __init__(self, kernel: Kernel, k):
         super().__init__(kernel.n, k)
         self.kernel = kernel
+        self._table = None
 
     def value(self, S):
         return principal_minor(self.kernel, S)
@@ -172,7 +173,12 @@ class KernelDistribution(SetDistribution):
         return out
 
     def tabulate(self):
-        return kernel_table(self.kernel, self.k)
+        """kernel_table of the kernel, computed on the first call and kept as a
+        read-only array that every later call returns."""
+        if self._table is None:
+            self._table = kernel_table(self.kernel, self.k)
+            self._table.flags.writeable = False
+        return self._table
 
     def marginal(self, Y):
         return charpoly.superset_marginal(self.kernel, Y, self.k)

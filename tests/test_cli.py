@@ -204,6 +204,21 @@ class TestVerify:
         assert all(c["factor_err"] <= 1e-10 for c in chains)
         assert code == 0 and rep["passed"], chains
 
+    def test_suites_share_one_table(self, tmp_path, capsys, monkeypatch):
+        # the exchange and walk suites read one table of the kernel; the
+        # core-set suite's brute force over the union of its parts, which is
+        # the whole ground set, tabulates its own restriction of the kernel
+        path = str(tmp_path / "r.knl")
+        run_cli(["gen", "random-npsd", "--n", "9", "--seed", "2", "--out", path], capsys)
+        import ndppmap.setdist as setdist
+
+        sizes = []
+        table = setdist.kernel_table
+        monkeypatch.setattr(setdist, "kernel_table", lambda K, k: sizes.append(K.n) or table(K, k))
+        code, rep, _ = run_cli(["verify", "--kernel", path, "--k", "2", "--suite", "all"], capsys)
+        assert code == 0 and rep["passed"]
+        assert sizes.count(9) == 2
+
     def test_verify_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         path = str(tmp_path / "r.knl")
         run_cli(["gen", "random-npsd", "--n", "5", "--seed", "0", "--out", path], capsys)
@@ -211,7 +226,7 @@ class TestVerify:
 
         monkeypatch.setitem(
             cli_mod.cmd_verify.__globals__, "_suite_exchange",
-            lambda K, k, args: {"passed": False},
+            lambda mu, args: {"passed": False},
         )
         code, rep, _ = run_cli(
             ["verify", "--kernel", path, "--k", "2", "--suite", "exchange"], capsys

@@ -50,6 +50,38 @@ def brute_conductance(C):
     return max(best, 0.0) if math.isfinite(best) else 0.0
 
 
+def full_grid_conductance(C):
+    """The exact conductance as one sweep over the whole 2^ceil(m/2) x
+    2^floor(m/2) grid of split-half cuts, in high-half row blocks of about
+    downup.CUT_BLOCK cuts, each cut that is not kept priced as inf."""
+    m = len(C.states)
+    F = C.pi[:, None] * C.P
+    rowflow = F.sum(axis=1)
+    lo = m // 2
+
+    def cut_tables(pi, flow, G):
+        B = ((np.arange(1 << len(pi))[:, None] >> np.arange(len(pi))) & 1).astype(float)
+        return B, B @ pi, B @ flow - ((B @ G) * B).sum(axis=1)
+
+    B_l, p_l, out_l = cut_tables(C.pi[:lo], rowflow[:lo], F[:lo, :lo])
+    B_h, p_h, out_h = cut_tables(C.pi[lo:], rowflow[lo:], F[lo:, lo:])
+    cross = (B_l @ (F[:lo, lo:] + F[lo:, :lo].T)).T
+    rows = max(1, downup.CUT_BLOCK >> lo)
+    best = math.inf
+    for h0 in range(0, len(B_h), rows):
+        blk = slice(h0, h0 + rows)
+        pi_S = p_h[blk, None] + p_l
+        Q = out_h[blk, None] + out_l - B_h[blk] @ cross
+        keep = pi_S <= 0.5 + 1e-12
+        if h0 == 0:
+            keep[0, 0] = False  # the empty cut
+        phi = np.divide(Q, pi_S, out=np.full_like(Q, math.inf), where=keep)
+        best = min(best, float(phi.min()))
+    if not math.isfinite(best):
+        best = 0.0
+    return max(best, 0.0)
+
+
 def random_chain(m, seed):
     """Row-stochastic P with an unrelated density pi, so F = diag(pi) P is
     not symmetric."""
@@ -73,6 +105,34 @@ CUT_CHAINS = {
     "disconnected": lambda: build_downup(
         TableDistribution(4, 2, {(0, 1): 1.0, (2, 3): 1.0}), 4, 2, 1
     ),
+}
+
+
+def near_half_chain():
+    """A reversible chain of two weakly joined 4-state clusters: the first
+    holds 1/2 + 5e-13 of the mass, inside the 1e-12 slack, and is the
+    bottleneck cut."""
+    W = np.ones((8, 8))
+    W[:4, 4:] = W[4:, :4] = 1e-3
+    W[:4, :4] *= 1 + 2e-12
+    d = W.sum(axis=1)
+    return ChainMatrix([(i,) for i in range(8)], W / d[:, None], d / d.sum())
+
+
+# The benchmark's seed-11 walk kernels: random_npsd(6, s) at k = 3.
+WALK_SEEDS = [int(s) for s in np.random.default_rng([11, 4]).integers(2**31, size=10)]
+
+FULL_GRID_CHAINS = {
+    **CUT_CHAINS,
+    **{
+        f"walk{i}_l{l}": (lambda s=s, l=l: build_downup(
+            KernelDistribution(random_npsd(6, s), 3), 6, 3, l))
+        for i, s in enumerate(WALK_SEEDS)
+        for l in (1, 2)
+    },
+    # 20 states of mass 1/20: the 10-state cuts sit at pi(S) = 1/2, the threshold
+    "equal_mass": lambda: build_downup(uniform(6, 3), 6, 3, 1),
+    "near_half": near_half_chain,
 }
 
 
@@ -378,6 +438,13 @@ class TestConductance:
         else:
             assert res.value == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("name", list(FULL_GRID_CHAINS))
+    def test_matches_full_grid(self, name):
+        # the staircase prices the same cuts as the full grid, bit for bit
+        C = FULL_GRID_CHAINS[name]()
+        res = conductance(C)
+        assert res.exact and res.value == full_grid_conductance(C)
+
     def test_row_blocks_match_one_block(self, monkeypatch):
         C = CUT_CHAINS["m20"]()
         monkeypatch.setattr(downup, "CUT_BLOCK", 1 << 30)
@@ -426,6 +493,28 @@ class TestSampleWalk:
         assert sample_walk(mu, (0, 1, 2), l, steps, seed) == ref
         monkeypatch.setattr(downup, "WALK_BLOCK", 7)
         assert sample_walk(mu, (0, 1, 2), l, steps, seed) == ref
+
+    @pytest.mark.parametrize("seed", [17, 5])
+    @pytest.mark.parametrize("l", [2, 3])
+    def test_stream_matches_reference_walk_at_k5(self, seed, l, monkeypatch):
+        # at k = 5 the colex and lex orders of the kept-position patterns differ
+        mu = KernelDistribution(random_npsd(7, seed), 5)
+        steps = 2 * downup.WALK_BLOCK + 3
+        ref = reference_walk(mu, (0, 1, 2, 3, 4), l, steps, seed)
+        assert sample_walk(mu, (0, 1, 2, 3, 4), l, steps, seed) == ref
+        monkeypatch.setattr(downup, "WALK_BLOCK", 7)
+        assert sample_walk(mu, (0, 1, 2, 3, 4), l, steps, seed) == ref
+
+    def test_field_stream_matches_reference_walk(self, monkeypatch):
+        # a deleted and a forced element: the walk prices through the field's completions
+        base = KernelDistribution(random_npsd(7, 3), 4)
+        nu = apply_field(base, [0.0, math.inf, *random_field(5, seed=6)])
+        steps = 2 * downup.WALK_BLOCK + 3
+        ref = reference_walk(nu, (1, 2, 3, 4), 2, steps, 6)
+        assert len(set(ref)) > 1
+        assert sample_walk(nu, (1, 2, 3, 4), 2, steps, 6) == ref
+        monkeypatch.setattr(downup, "WALK_BLOCK", 7)
+        assert sample_walk(nu, (1, 2, 3, 4), 2, steps, 6) == ref
 
     @pytest.mark.parametrize("l", [1, 2])
     def test_negative_steps_rejected(self, l):

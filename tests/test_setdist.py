@@ -137,6 +137,18 @@ class TestCompletions:
         assert len(whole) > 7
         assert np.array_equal(mu.completions(core, D), whole)
 
+    def test_table_once_per_instance(self, monkeypatch):
+        calls = []
+        table = setdist.kernel_table
+        monkeypatch.setattr(setdist, "kernel_table", lambda K, k: calls.append(k) or table(K, k))
+        K = random_npsd(7, 2)
+        mu = KernelDistribution(K, 3)
+        first = mu.tabulate()
+        assert mu.tabulate() is first and calls == [3]
+        assert np.array_equal(first, table(K, 3))
+        with pytest.raises(ValueError, match="read-only"):
+            first[0] = 1.0
+
     def test_table_memory(self):
         # The index array of all C(24, 8) sets is one byte an entry, and no
         # block of minors outlives its determinant.
@@ -298,7 +310,7 @@ class TestFieldCompletions:
         base = KernelDistribution(random_npsd(9, seed), 4)
         nu = self.field(base, seed)
         lam = np.where(np.isinf(nu.lam), 1.0, nu.lam)
-        want = base.tabulate()
+        want = base.tabulate().copy()  # the table itself is read-only
         for j, S in enumerate(combinations(range(9), 4)):
             factor = np.ones(1)
             for i in S:
