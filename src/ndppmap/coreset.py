@@ -48,8 +48,10 @@ def build_plan(mu: SetDistribution, parts, zeta=0.5) -> PartitionPlan:
 
 
 def _map_within(mu: SetDistribution, P):
-    """Exact argmax of mu over the size-k subsets of P."""
-    S, v = brute_force_map(mu.restrict(P), len(P), mu.k)
+    """Exact argmax of mu over the size-k subsets of P; mu's own table when P
+    is all of [n]."""
+    nu = mu if P == tuple(range(mu.n)) else mu.restrict(P)
+    S, v = brute_force_map(nu, len(P), mu.k)
     return tuple(P[i] for i in S), v
 
 

@@ -11,6 +11,7 @@ off it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -100,8 +101,13 @@ class Kernel:
         return float(np.max(np.abs(self.entries)))
 
     def zero_threshold(self, size):
-        """Magnitudes below this are treated as a zero determinant of order `size`."""
-        return 1e-12 * (1.0 + self.max_abs) ** size
+        """Magnitudes below this are treated as a zero determinant of order
+        `size`; inf where the bound overflows, so every such pin reads as
+        singular and takes its caller's fallback."""
+        try:
+            return 1e-12 * (1.0 + self.max_abs) ** size
+        except OverflowError:
+            return math.inf
 
 
 def principal_minor(K: Kernel, S):

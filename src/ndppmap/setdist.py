@@ -9,7 +9,9 @@ only the rows at the maximum.
 KernelDistribution overrides it with one Schur complement,
 kernel.condition_on, a plain array over the core's complement, which also
 prices its marginals (charpoly.superset_marginal) and a greedy step's
-marginals (charpoly.step_marginals).
+marginals (charpoly.step_marginals).  Its scan conditions once, on S itself,
+for every set within two swaps, and calls completions only for cores with
+s >= 3 or when S is a singular pin.
 """
 
 from __future__ import annotations
@@ -88,7 +90,8 @@ class SetDistribution:
     def neighborhood_values(self, S, r):
         """mu over every size-k set within r swaps of S, as a Neighborhood: for
         each s <= r, one index array D of the size-s sets outside S and one
-        completions(Y, D) call per core Y = S minus s of its elements."""
+        block per core Y = S minus s of its elements, in combinations order;
+        here each block is one completions(Y, D) call."""
         S = as_set(S)
         outside = [i for i in range(self.n) if i not in S]
         blocks = []
@@ -199,8 +202,46 @@ class KernelDistribution(SetDistribution):
         lowrank = None if K.lowrank is None else (K.lowrank[0][P], K.lowrank[1])
         return KernelDistribution(Kernel(K.entries[np.ix_(P, P)], lowrank=lowrank), self.k)
 
-    # perfbench/spans.py traces the scan through this class's own binding.
-    neighborhood_values = SetDistribution.neighborhood_values
+    def neighborhood_values(self, S, r):
+        """The base scan's Neighborhood, its blocks of size s <= 2 priced from
+        one conditioning on S.  With R the complement of S, G = L_S^-1,
+        X = L_{R,S} G, Y = G L_{S,R} and Z = L^S, Jacobi's complementary-minor
+        identity gives, for |A| = |B| = s,
+
+            mu(S - A + B) = det(L_S) det([[G_AA, -Y_AB], [X_BA, Z_BB]]):
+
+        det(L_S) (G_aa Z_bb + Y_ab X_ba) at s = 1, and the 4 x 4 determinant
+        by Laplace expansion (_swap_pairs) at s = 2.  Nothing is divided, so a
+        singular core is priced like any other.  Each core with s >= 3 takes
+        one completions call; a singular pin S, or a value that is not finite,
+        sends the whole scan to the base route."""
+        S = as_set(S)
+        try:
+            Z, det_S = condition_on(self.kernel, S)
+        except ConditioningError:
+            return super().neighborhood_values(S, r)
+        L = self.kernel.entries
+        R = [i for i in range(self.n) if i not in S]
+        s_max = min(r, len(S), len(R))
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = np.linalg.inv(L[np.ix_(S, S)])
+            XT = G.T @ L[np.ix_(R, S)].T  # X^T, so X_ba is XT[a, b]
+            Y = G @ L[np.ix_(S, R)]
+            priced = [np.full((1, 1), det_S)]
+            if s_max >= 1:
+                priced.append(det_S * (np.diag(G)[:, None] * np.diag(Z) + Y * XT))
+            if s_max >= 2:
+                priced.append(det_S * _swap_pairs(G, XT, -Y, Z))
+        if not all(np.isfinite(v).all() for v in priced):
+            return super().neighborhood_values(S, r)
+        blocks = []
+        for s in range(s_max + 1):
+            D = subsets(R, s)
+            for p, drop in enumerate(combinations(S, s)):
+                core = tuple(i for i in S if i not in drop)
+                vals = priced[s][p] if s < len(priced) else self.completions(core, D)
+                blocks.append((core, D, vals))
+        return Neighborhood(blocks)
 
 
 class TableDistribution(SetDistribution):
@@ -215,6 +256,43 @@ class TableDistribution(SetDistribution):
 
     def value(self, S):
         return self.table.get(as_set(S), 0.0)
+
+
+def _swap_pairs(G, XT, Yn, Z):
+    """det [[G_AA, Yn_AB], [X_BA, Z_BB]], X the transpose of XT, for every
+    pair A = {i < j} of positions in G (rows of the result, in combinations
+    order) and every pair B = {u < v} of positions in Z (columns, likewise),
+    by Laplace expansion along rows i and j:
+
+        det(G_AA) det(Z_BB) + det(Yn_AB) det(X_BA)
+        - top(i, u) bot(j, v) + top(i, v) bot(j, u)
+        + top(j, u) bot(i, v) - top(j, v) bot(i, u),
+
+    where top(c, b) is the minor of rows i, j on columns c and b, and bot(c, b)
+    that of rows u, v.  top is formed once per (A, b) and bot once per (c, B),
+    then gathered; the columns go TABLE_BLOCK // C(|G|, 2) pairs B at a time."""
+    A = subsets(range(len(G)), 2)
+    B = subsets(range(len(Z)), 2)
+    i, j = A[:, 0], A[:, 1]
+    Gii, Gij, Gji, Gjj = (G[a, b][:, None] for a, b in ((i, i), (i, j), (j, i), (j, j)))
+    det_G = Gii * Gjj - Gij * Gji
+    top_i = Gii * Yn[j] - Gji * Yn[i]  # top(i, b) for every b
+    top_j = Gij * Yn[j] - Gjj * Yn[i]
+    out = np.empty((len(A), len(B)))
+    step = max(1, TABLE_BLOCK // len(A))
+    for b0 in range(0, len(B), step):
+        u, v = B[b0 : b0 + step, 0], B[b0 : b0 + step, 1]
+        Zuu, Zuv, Zvu, Zvv = Z[u, u], Z[u, v], Z[v, u], Z[v, v]
+        Xu, Xv, Yu, Yv = XT[:, u], XT[:, v], Yn[:, u], Yn[:, v]
+        bot_u = Xu * Zvu - Xv * Zuu  # bot(c, u) for every c
+        bot_v = Xu * Zvv - Xv * Zuv
+        out[:, b0 : b0 + step] = (
+            det_G * (Zuu * Zvv - Zuv * Zvu)
+            + (Yu[i] * Yv[j] - Yv[i] * Yu[j]) * (Xu[i] * Xv[j] - Xu[j] * Xv[i])
+            - top_i[:, u] * bot_v[j] + top_i[:, v] * bot_u[j]
+            + top_j[:, u] * bot_v[i] - top_j[:, v] * bot_u[i]
+        )
+    return out
 
 
 def kernel_table(K: Kernel, k):

@@ -91,6 +91,19 @@ class TestMap:
         assert proc.returncode == 0 and "Traceback" not in proc.stderr
         assert json.loads(proc.stdout)["set"] == [0, 1]
 
+    def test_overflowing_threshold_exits_cleanly(self, tmp_path):
+        # The zero threshold of a size-3 pin, 1e-12 (1 + 1e200)^3, leaves the
+        # float range; the pin reads as singular and takes the fallbacks.
+        path = tmp_path / "big4.knl"
+        path.write_text("4\n1 1e200 0.5 0\n-1e200 1 0 0\n0.5 0 2 0\n0 0 0 3\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "ndppmap.cli", "map", "--kernel", str(path), "--k", "3"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["set"] == [0, 1, 2]
+
     def test_out_file_matches_stdout(self, skew_path, tmp_path, capsys):
         out = tmp_path / "map.json"
         code, rep, text = run_cli(
@@ -205,9 +218,9 @@ class TestVerify:
         assert code == 0 and rep["passed"], chains
 
     def test_suites_share_one_table(self, tmp_path, capsys, monkeypatch):
-        # the exchange and walk suites read one table of the kernel; the
-        # core-set suite's brute force over the union of its parts, which is
-        # the whole ground set, tabulates its own restriction of the kernel
+        # the exchange and walk suites read one table of the kernel, and so
+        # does the core-set suite's brute force over the union of its parts,
+        # which is the whole ground set
         path = str(tmp_path / "r.knl")
         run_cli(["gen", "random-npsd", "--n", "9", "--seed", "2", "--out", path], capsys)
         import ndppmap.setdist as setdist
@@ -217,7 +230,7 @@ class TestVerify:
         monkeypatch.setattr(setdist, "kernel_table", lambda K, k: sizes.append(K.n) or table(K, k))
         code, rep, _ = run_cli(["verify", "--kernel", path, "--k", "2", "--suite", "all"], capsys)
         assert code == 0 and rep["passed"]
-        assert sizes.count(9) == 2
+        assert sizes.count(9) == 1
 
     def test_verify_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         path = str(tmp_path / "r.knl")

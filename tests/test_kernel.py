@@ -181,6 +181,16 @@ class TestEntryBound:
         assert det == pytest.approx(pivot)
         assert M[0, 0] == pytest.approx(1.0 + MAX_ABS_ENTRY * (MAX_ABS_ENTRY / pivot))
 
+    def test_overflowing_threshold_reads_singular(self):
+        # (1 + 1e200)^2 leaves the float range: every pin of size 2 or more
+        # reads as singular, and a size-1 pin keeps its finite threshold.
+        L = np.array([[1.0, 1e200, 0.5], [-1e200, 1.0, 0.0], [0.5, 0.0, 2.0]])
+        K = Kernel(L)
+        assert K.zero_threshold(1) == pytest.approx(1e188)
+        assert K.zero_threshold(2) == math.inf
+        with pytest.raises(ConditioningError):
+            condition_on(K, (0, 2))
+
 
 class TestReadOnly:
     def test_source_writes_do_not_reach_kernel(self):

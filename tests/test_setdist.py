@@ -2,10 +2,14 @@
 over the rows of an index array D, setdist.subsets, the one enumeration that
 builds D, and the callers that read them."""
 
+import importlib
 import math
 import tracemalloc
+import warnings
 from itertools import combinations
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -49,6 +53,10 @@ class CountingKernel(KernelDistribution):
     def value(self, S):
         self.values += 1
         return super().value(S)
+
+
+def scan_values(nb):
+    return np.concatenate([vals for _, _, vals in nb.blocks])
 
 
 class TestSubsets:
@@ -237,16 +245,38 @@ class TestNeighborhoodResult:
 
 class TestCallCounts:
     @pytest.mark.parametrize("r", [1, 2, 3])
-    def test_scan_calls_once_per_core(self, r):
+    def test_scan_calls_once_per_core(self, r, monkeypatch):
+        # One conditioning on S prices every set within two swaps, S's own
+        # value included; only the cores with s = 3 call completions, once each.
+        conditioned = []
+        cond = setdist.condition_on
+        monkeypatch.setattr(setdist, "condition_on", lambda K, Y: conditioned.append(Y) or cond(K, Y))
         mu = CountingKernel(random_npsd(9, 4), 4)
         S = (1, 3, 4, 8)
         vals = mu.neighborhood_values(S, r)
-        assert len(mu.cores) == len(set(mu.cores)) == sum(math.comb(4, s) for s in range(r + 1))
-        # one index array per size s, shared by that size's cores
-        assert len({id(D) for D in mu.arrays}) == r + 1
-        assert all(D.shape[1] == 4 - len(core) for core, D in zip(mu.cores, mu.arrays))
-        assert mu.values == 1  # S itself, the core's one size-0 completion
+        cores = [tuple(i for i in S if i not in drop) for drop in combinations(S, 3)]
+        assert mu.cores == (cores if r == 3 else [])
+        assert conditioned == [S] + mu.cores
+        # one index array for s = 3, shared by its cores
+        assert len({id(D) for D in mu.arrays}) == (r == 3)
+        assert all(D.shape == (math.comb(5, 3), 3) for D in mu.arrays)
+        assert mu.values == 0
         assert len(vals) == sum(math.comb(4, s) * math.comb(5, s) for s in range(r + 1))
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_singular_pin_scan_calls_once_per_core(self, r):
+        # An odd skew-symmetric L_S is singular, so the scan takes the base
+        # route: one completions call per core, one index array per size.
+        mu = CountingKernel(skew_kernel(7, 19), 3)
+        S = (0, 2, 5)
+        vals = mu.neighborhood_values(S, r)
+        assert mu.cores == [
+            tuple(i for i in S if i not in drop) for s in range(r + 1) for drop in combinations(S, s)
+        ]
+        assert len({id(D) for D in mu.arrays}) == r + 1
+        assert len(vals) == sum(math.comb(3, s) * math.comb(4, s) for s in range(r + 1))
+        want = SetDistribution.neighborhood_values(mu, S, r)
+        assert np.array_equal(scan_values(vals), scan_values(want))
 
     @pytest.mark.parametrize("l", [1, 2])
     def test_walk_calls_once_per_core(self, l):
@@ -329,3 +359,96 @@ class TestFieldCompletions:
         nu.neighborhood_values((0, 2, 5, 7), 2)
         assert len(base.cores) == len(set(base.cores)) == 1 + 4 + 6
         assert base.values == 1  # the scan's one size-0 completion, S itself
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """perfbench/workloads.py, read for its relabelled skew-block builder."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    return importlib.import_module("workloads")
+
+
+class TestJacobiScan:
+    """KernelDistribution.neighborhood_values prices every set with s <= 2
+    from one conditioning on S; the base route, one completions call per
+    core, is the reference."""
+
+    @staticmethod
+    def assert_matches_base(mu, S, r):
+        got = mu.neighborhood_values(S, r)
+        # no completions call below s = 3
+        assert all(len(core) == len(S) - 3 for core in mu.cores)
+        want = SetDistribution.neighborhood_values(mu, S, r)
+        assert [(c, D.tolist()) for c, D, _ in got.blocks] == [
+            (c, D.tolist()) for c, D, _ in want.blocks
+        ]
+        g, w = scan_values(got), scan_values(want)
+        scale = np.max(np.abs(g))
+        assert np.max(np.abs(g - w)) <= 1e-12 * scale
+        # the same argmax set, its value equal up to rounding
+        assert got.best()[0] == want.best()[0]
+        assert abs(got.best()[1] - want.best()[1]) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("kind", ["dense", "relabelled-skew-block", "lowrank", "sym_psd"])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_matches_per_core_route(self, kind, r, workloads):
+        K, k = {
+            "dense": (random_npsd(12, 8), 5),
+            "relabelled-skew-block": (workloads.relabelled_skew_block(12, 8), 4),
+            "lowrank": (lowrank_npsd(12, 6, 8), 4),
+            "sym_psd": (sym_psd(12, 8), 5),
+        }[kind]
+        rng = np.random.default_rng(r)
+        for _ in range(4):
+            S = tuple(sorted(rng.choice(K.n, k, replace=False).tolist()))
+            self.assert_matches_base(CountingKernel(K, k), S, r)
+
+    def test_pair_swaps_match_mpmath(self):
+        K, S = random_npsd(14, 5), (0, 2, 3, 7, 9, 12)
+        nb = KernelDistribution(K, len(S)).neighborhood_values(S, 2)
+        scale = np.max(np.abs(scan_values(nb)))
+        pairs = [(core, D, vals) for core, D, vals in nb.blocks if len(core) == len(S) - 2]
+        rng = np.random.default_rng(0)
+        with mpmath.workdps(40):
+            for _ in range(40):
+                core, D, vals = pairs[rng.integers(len(pairs))]
+                j = int(rng.integers(len(D)))
+                T = sorted(core + tuple(D[j].tolist()))
+                exact = mpmath.det(mpmath.matrix([[K.entries[a, b] for b in T] for a in T]))
+                assert abs(vals[j] - float(exact)) <= 1e-14 * scale
+
+    def test_skew_even_k_prices_singular_cores(self):
+        # det(L_S) > 0 at k = 4, while every core of size 3 is an odd skew
+        # minor, singular, and priced by the closed form like any other.
+        K, S = skew_kernel(9, 3), (0, 3, 5, 8)
+        for drop in S:
+            with pytest.raises(ConditioningError):
+                condition_on(K, tuple(i for i in S if i != drop))
+        self.assert_matches_base(CountingKernel(K, 4), S, 2)
+
+    def test_non_finite_value_falls_back(self, monkeypatch):
+        mu = CountingKernel(random_npsd(9, 4), 4)
+        S = (1, 3, 4, 8)
+        monkeypatch.setattr(setdist, "_swap_pairs", lambda G, XT, Yn, Z: np.full((6, 10), np.nan))
+        got = mu.neighborhood_values(S, 2)
+        assert len(mu.cores) == 1 + 4 + 6
+        want = SetDistribution.neighborhood_values(mu, S, 2)
+        assert np.array_equal(scan_values(got), scan_values(want))
+
+    def test_overflow_falls_back_without_warnings_of_its_own(self):
+        # mu({0, 2}) = 2 m^2 overflows, though det(L_S) = m^2 is finite and
+        # above the zero threshold; the closed forms' overflow is silent, and
+        # the scan warns exactly as the base route does.
+        m = 1.2e154
+        L = np.eye(4)
+        L[0, 0] = L[1, 1] = L[2, 2] = L[0, 2] = m
+        L[2, 0] = -m
+        mu = KernelDistribution(Kernel(L), 2)
+        seen = []
+        for scan in (mu.neighborhood_values, lambda S, r: SetDistribution.neighborhood_values(mu, S, r)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                nb = scan((0, 1), 2)
+            seen.append(([(w.filename, w.lineno, str(w.message)) for w in caught], list(nb.items())))
+        assert seen[0] == seen[1]
+        assert seen[0][1][3] == ((0, 2), math.inf)
