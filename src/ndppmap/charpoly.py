@@ -92,16 +92,17 @@ def step_marginals(K: Kernel, S, k):
     cond = np.linalg.norm(V, 1) * np.linalg.norm(W, 1)
     if not cond <= EIGENBASIS_COND_LIMIT:  # also NaN: L^S may be defective
         return None
-    # Row j of E holds e_0..e_{t-1} of lam without lam_j: the product
-    # recurrence with the j-th factor left out of row j.
+    # Row j of E: e_0..e_{t-1} of lam without lam_j, by the product recurrence
+    # less the j-th factor; overflow is silent, since non-finite values give None.
     m, t = len(lam), k - len(idx)
     factors = lam * (1.0 - np.eye(m))
     E = np.zeros((m, t), dtype=complex)
     E[:, 0] = 1.0
-    for j in range(m if t > 1 else 0):
-        E[:, 1:] += factors[:, j, None] * E[:, :-1]
-    VW = V * W.T  # VW[i, j] = V_ij (V^-1)_ji
-    vals = det_S * (VW @ (lam * E[:, -1])).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(m if t > 1 else 0):
+            E[:, 1:] += factors[:, j, None] * E[:, :-1]
+        VW = V * W.T  # VW[i, j] = V_ij (V^-1)_ji
+        vals = det_S * (VW @ (lam * E[:, -1])).real
     if not np.isfinite(vals).all():
         return None
     return cands, vals.tolist()

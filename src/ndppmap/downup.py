@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, InfeasibilityError, TrappedStateError
 from .kernel import _normalize_indices
-from .setdist import SetDistribution, as_set, subsets
+from .setdist import SetDistribution, as_set, subsets, union_rows
 
 CHAIN_STATE_CAP = 20000
 CONDUCTANCE_STATE_CAP = 22
@@ -95,8 +95,7 @@ class FieldDistribution(SetDistribution):
         return self.base.value(S) * factor[0] if inside[0] else 0.0
 
     def completions(self, core, D):
-        core_rows = np.broadcast_to(np.array(core, dtype=np.intp), (len(D), len(core)))
-        factor, inside = self._field(np.sort(np.hstack((core_rows, D)), axis=1))
+        factor, inside = self._field(union_rows(core, D))
         return np.where(inside, self.base.completions(core, D) * factor, 0.0)
 
 

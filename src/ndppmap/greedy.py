@@ -5,8 +5,8 @@ and carries a crude C(n,k)-factor guarantee; each step prices all its
 candidates with one mu.step_marginals call, which a kernel answers from one
 conditioning on S.  standard_greedy is the classic mu(S u {i}) baseline
 kept to reproduce its failure on nonsymmetric kernels (all odd minors of a
-skew block vanish); each step is one mu.completions call over the sets
-S u {i}, which a kernel prices with one batched determinant.
+skew block vanish); each step is one mu.completions(S, D) call over the
+one-element rows D of its candidates, one batched determinant for a kernel.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasibilityError
-from .setdist import SetDistribution, as_set
+from .setdist import SetDistribution, as_set, subsets
 
 
 @dataclass
@@ -63,14 +63,12 @@ def induced_greedy(mu: SetDistribution) -> GreedyTrace:
 def standard_greedy(mu: SetDistribution) -> GreedyTrace:
     """Classic greedy on mu(S u {i}) up to size mu.k; ties (including
     all-zero) take the smallest index, so it may end on a zero-mass set.
-    Each step prices the sorted sets S u {i} as completions of the empty
-    core, which conditions on nothing."""
+    Each step prices every S u {i} as one completions call on the core S."""
     trace = GreedyTrace()
     S = ()
     for _ in range(mu.k):
         cands = [i for i in range(mu.n) if i not in S]
-        A = np.array([as_set(S + (i,)) for i in cands], dtype=np.intp)
-        pick, best = _pick(cands, mu.completions((), A))
+        pick, best = _pick(cands, mu.completions(S, subsets(cands, 1)))
         S = as_set(S + (pick,))
         trace.picks.append((pick, best))
     trace.final_set = S

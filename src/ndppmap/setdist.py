@@ -2,14 +2,14 @@
 
 Every set of completions of a core Y, mu(Y u D[i]) over the rows of an index
 array D that the caller builds once with subsets(pool, s), has one route:
-completions(Y, D).  The table, the base marginal, the r-neighbourhood, the
-down-up walk's up-step and the standard greedy's step all read it.  An
-r-scan keeps its (Y, D, values) blocks as a Neighborhood, whose best() labels
-only the rows at the maximum.
-KernelDistribution overrides it with one Schur complement,
-kernel.condition_on, a plain array over the core's complement, which also
-prices its marginals (charpoly.superset_marginal) and a greedy step's
-marginals (charpoly.step_marginals).  Its scan conditions once, on S itself,
+completions(Y, D), over the sorted sets union_rows(Y, D).  The table, the base
+marginal, the r-neighbourhood, the down-up walk's up-step and the standard
+greedy's step all read it.  An r-scan keeps its (Y, D, values) blocks as a
+Neighborhood, whose best() labels only the rows at the maximum.
+KernelDistribution prices them as principal minors, one batched determinant
+per TABLE_BLOCK rows.  Its Schur complement kernel.condition_on, a plain array,
+prices its marginals (charpoly.superset_marginal), a greedy step's marginals
+(charpoly.step_marginals) and its scan, which conditions once, on S itself,
 for every set within two swaps, and calls completions only for cores with
 s >= 3 or when S is a singular pin.
 """
@@ -42,6 +42,13 @@ def subsets(pool, s):
     return np.fromiter(chain.from_iterable(combinations(pool, s)), dtype, m * s).reshape(m, s)
 
 
+def union_rows(core, D):
+    """The sorted sets core u D[i], one row each: D itself for an empty core."""
+    if not core:
+        return D
+    return np.sort(np.hstack((np.tile(np.array(core, np.intp), (len(D), 1)), D)), axis=1)
+
+
 class SetDistribution:
     """Evaluation oracle for an unnormalized density mu on size-k subsets of [n].
 
@@ -61,10 +68,9 @@ class SetDistribution:
 
     def completions(self, core, D) -> np.ndarray:
         """mu(core u D[i]) for every row D[i] of the int array D, in row
-        order, for a sorted tuple core whose elements are not in D."""
-        return np.fromiter(
-            (self.value(tuple(sorted(core + tuple(row)))) for row in D.tolist()), float, len(D)
-        )
+        order, for a tuple core whose elements are not in D."""
+        rows = union_rows(core, D)
+        return np.fromiter((self.value(tuple(row)) for row in rows.tolist()), float, len(rows))
 
     def tabulate(self) -> np.ndarray:
         """mu of every size-k subset of [n], in combinations(range(n), k) order."""
@@ -125,8 +131,8 @@ class Neighborhood:
     def items(self):
         """(sorted set, value) for every priced set, in scan order."""
         for core, D, vals in self.blocks:
-            for row, v in zip(D.tolist(), vals.tolist()):
-                yield tuple(sorted(core + tuple(row))), v
+            for row, v in zip(union_rows(core, D).tolist(), vals.tolist()):
+                yield tuple(row), v
 
     def best(self):
         """(set, value) of the largest value; among exact ties (+0.0 == -0.0),
@@ -144,8 +150,8 @@ class Neighborhood:
 
 
 class KernelDistribution(SetDistribution):
-    """mu(S) = det(L_S); completions, marginals and greedy steps via Schur
-    complements."""
+    """mu(S) = det(L_S); completions by batched determinants, marginals,
+    greedy steps and the scan via Schur complements."""
 
     def __init__(self, kernel: Kernel, k):
         super().__init__(kernel.n, k)
@@ -156,23 +162,15 @@ class KernelDistribution(SetDistribution):
         return principal_minor(self.kernel, S)
 
     def completions(self, core, D):
-        """One conditioning on the core: mu(core u D[i]) = det(L_core) det((L^core)_D[i])
-        on the Schur complement from condition_on, one batched determinant per
-        TABLE_BLOCK rows of D; a singular core falls back to enumeration.  A
-        size-0 completion is the core's own minor, with no complement to form."""
-        if D.shape[1] == 0:
-            return np.full(len(D), self.value(core))
-        try:
-            M, det_core = condition_on(self.kernel, core)
-        except ConditioningError:
-            return super().completions(core, D)
-        out = np.empty(len(D))
-        for b0 in range(0, len(D), TABLE_BLOCK):
-            P = D[b0 : b0 + TABLE_BLOCK]
-            # Index i sits at position i - |{c in core : c < i}| of M.
-            P = P - np.searchsorted(core, P)
+        """principal_minor of each sorted set core u D[i], one batched
+        determinant per TABLE_BLOCK rows; the empty set's minor is 1."""
+        rows = union_rows(core, D)
+        L = self.kernel.entries
+        out = np.empty(len(rows))
+        for b0 in range(0, len(rows), TABLE_BLOCK):
+            P = rows[b0 : b0 + TABLE_BLOCK]
             # One expression, so no block of minors outlives its determinant.
-            out[b0 : b0 + len(P)] = det_core * np.linalg.det(M[P[..., None], P[:, None]])
+            out[b0 : b0 + len(P)] = np.linalg.det(L[P[..., None], P[:, None]])
         return out
 
     def tabulate(self):
@@ -223,6 +221,7 @@ class KernelDistribution(SetDistribution):
         L = self.kernel.entries
         R = [i for i in range(self.n) if i not in S]
         s_max = min(r, len(S), len(R))
+        Ds = [subsets(R, s) for s in range(s_max + 1)]
         with np.errstate(over="ignore", invalid="ignore"):
             G = np.linalg.inv(L[np.ix_(S, S)])
             XT = G.T @ L[np.ix_(R, S)].T  # X^T, so X_ba is XT[a, b]
@@ -231,12 +230,11 @@ class KernelDistribution(SetDistribution):
             if s_max >= 1:
                 priced.append(det_S * (np.diag(G)[:, None] * np.diag(Z) + Y * XT))
             if s_max >= 2:
-                priced.append(det_S * _swap_pairs(G, XT, -Y, Z))
+                priced.append(det_S * _swap_pairs(G, XT, -Y, Z, np.searchsorted(R, Ds[2])))
         if not all(np.isfinite(v).all() for v in priced):
             return super().neighborhood_values(S, r)
         blocks = []
-        for s in range(s_max + 1):
-            D = subsets(R, s)
+        for s, D in enumerate(Ds):
             for p, drop in enumerate(combinations(S, s)):
                 core = tuple(i for i in S if i not in drop)
                 vals = priced[s][p] if s < len(priced) else self.completions(core, D)
@@ -258,11 +256,11 @@ class TableDistribution(SetDistribution):
         return self.table.get(as_set(S), 0.0)
 
 
-def _swap_pairs(G, XT, Yn, Z):
+def _swap_pairs(G, XT, Yn, Z, B):
     """det [[G_AA, Yn_AB], [X_BA, Z_BB]], X the transpose of XT, for every
     pair A = {i < j} of positions in G (rows of the result, in combinations
-    order) and every pair B = {u < v} of positions in Z (columns, likewise),
-    by Laplace expansion along rows i and j:
+    order) and every pair B = {u < v} of positions in Z, the rows of the int
+    array B (columns, in row order), by Laplace expansion along rows i and j:
 
         det(G_AA) det(Z_BB) + det(Yn_AB) det(X_BA)
         - top(i, u) bot(j, v) + top(i, v) bot(j, u)
@@ -272,7 +270,6 @@ def _swap_pairs(G, XT, Yn, Z):
     that of rows u, v.  top is formed once per (A, b) and bot once per (c, B),
     then gathered; the columns go TABLE_BLOCK // C(|G|, 2) pairs B at a time."""
     A = subsets(range(len(G)), 2)
-    B = subsets(range(len(Z)), 2)
     i, j = A[:, 0], A[:, 1]
     Gii, Gij, Gji, Gjj = (G[a, b][:, None] for a, b in ((i, i), (i, j), (j, i), (j, j)))
     det_G = Gii * Gjj - Gij * Gji

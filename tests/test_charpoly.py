@@ -1,3 +1,4 @@
+import warnings
 from itertools import combinations
 from math import comb
 
@@ -260,3 +261,14 @@ class TestHighPrecisionOracle:
         for p in (int(np.argmax(vals)), median):
             want = mp_marginal(K, S + (cands[p],), k)
             assert vals[p] == pytest.approx(want, rel=1e-9)
+
+
+class TestStepMarginalsOverflow:
+    def test_overflow_returns_none_without_warnings(self):
+        # The +-1e200 pair overflows the recurrence and the product; the
+        # step reports no price, and its own overflow is silent.
+        K = Kernel(np.array([[1, 1e200, 0.5, 0], [-1e200, 1, 0, 0], [0.5, 0, 2, 0], [0, 0, 0, 3]]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert step_marginals(K, (), 3) is None
+        assert caught == []

@@ -1,5 +1,5 @@
-"""Static check that no module of the package or of its tests imports a
-name it never uses."""
+"""Static check that no module of the package, of its tests or of its tools
+imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -8,8 +8,11 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "ndppmap"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(
-    TESTS.glob("*.py")
+TOOLS = TESTS.parent / "tools"
+MODULES = (
+    sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    + sorted(TESTS.glob("*.py"))
+    + sorted(TOOLS.glob("*.py"))
 )
 
 

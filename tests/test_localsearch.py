@@ -123,7 +123,8 @@ class TestLocalSearch:
 
     def test_neighborhood_values_fast_path_matches_direct(self):
         # A skew-symmetric kernel has L_ii = 0, so every one-element core is
-        # singular and its completions take the direct-determinant fallback.
+        # singular, and so is the odd S: its scan takes the base route, whose
+        # completions are batched determinants like any core's.
         M = np.random.default_rng(19).normal(size=(7, 7))
         skew = Kernel(M - M.T)
         with pytest.raises(ConditioningError):

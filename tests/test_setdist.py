@@ -90,7 +90,25 @@ class TestCompletions:
                 assert got.shape == want.shape == (math.comb(len(pool), s),)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_singular_core_falls_back(self):
+    @pytest.mark.parametrize(
+        "K",
+        [random_npsd(12, 3), lowrank_npsd(12, 4, 5), skew_kernel(12, 7),
+         Kernel(random_npsd(12, 1).entries * 1e-4)],
+        ids=["dense", "lowrank", "skew", "rescaled"],
+    )
+    def test_completions_are_principal_minors(self, K):
+        # Bit for bit, for every core: singular ones (the skew kernel's odd
+        # cores, the low-rank kernel's cores past its rank) and the tiny
+        # minors of a rescaled kernel included, with no value call.
+        mu = CountingKernel(K, 6)
+        for core in [(), (5,), (2, 9), (0, 4, 11), (1, 3, 6, 10)]:
+            pool = [i for i in range(12) if i not in core]
+            for s in range(4):
+                want = [principal_minor(K, sorted(core + D)) for D in combinations(pool, s)]
+                assert mu.completions(core, subsets(pool, s)).tolist() == want
+        assert mu.values == 0
+
+    def test_singular_core_priced_like_any_other(self):
         K = skew_kernel(7, 19)
         with pytest.raises(ConditioningError):
             condition_on(K, (2,))
@@ -247,7 +265,8 @@ class TestCallCounts:
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_scan_calls_once_per_core(self, r, monkeypatch):
         # One conditioning on S prices every set within two swaps, S's own
-        # value included; only the cores with s = 3 call completions, once each.
+        # value included; only the cores with s = 3 call completions, once
+        # each, and a completions call conditions on nothing.
         conditioned = []
         cond = setdist.condition_on
         monkeypatch.setattr(setdist, "condition_on", lambda K, Y: conditioned.append(Y) or cond(K, Y))
@@ -256,7 +275,7 @@ class TestCallCounts:
         vals = mu.neighborhood_values(S, r)
         cores = [tuple(i for i in S if i not in drop) for drop in combinations(S, 3)]
         assert mu.cores == (cores if r == 3 else [])
-        assert conditioned == [S] + mu.cores
+        assert conditioned == [S]
         # one index array for s = 3, shared by its cores
         assert len({id(D) for D in mu.arrays}) == (r == 3)
         assert all(D.shape == (math.comb(5, 3), 3) for D in mu.arrays)
@@ -358,7 +377,7 @@ class TestFieldCompletions:
         base.cores, base.values = [], 0
         nu.neighborhood_values((0, 2, 5, 7), 2)
         assert len(base.cores) == len(set(base.cores)) == 1 + 4 + 6
-        assert base.values == 1  # the scan's one size-0 completion, S itself
+        assert base.values == 0  # the size-0 completion, S itself, is a determinant too
 
 
 @pytest.fixture
@@ -429,7 +448,7 @@ class TestJacobiScan:
     def test_non_finite_value_falls_back(self, monkeypatch):
         mu = CountingKernel(random_npsd(9, 4), 4)
         S = (1, 3, 4, 8)
-        monkeypatch.setattr(setdist, "_swap_pairs", lambda G, XT, Yn, Z: np.full((6, 10), np.nan))
+        monkeypatch.setattr(setdist, "_swap_pairs", lambda G, XT, Yn, Z, B: np.full((6, 10), np.nan))
         got = mu.neighborhood_values(S, 2)
         assert len(mu.cores) == 1 + 4 + 6
         want = SetDistribution.neighborhood_values(mu, S, 2)
