@@ -1,14 +1,17 @@
 """Command-line front end: instance generation, MAP pipeline, verification.
 
-Machine output is a single JSON object on stdout (UTF-8, newline-terminated);
-a short human summary goes to stderr.  Exit codes: 0 success, 1 verification
-failure, 2 infeasibility, 3 capacity, 4 usage.
+Machine output is a single JSON object on stdout (UTF-8, newline-terminated)
+in strict JSON (RFC 8259): a float that is not finite, such as a value past
+the float64 range, is written as null.  A short human summary goes to
+stderr.  Exit codes: 0 success, 1 verification failure, 2 infeasibility,
+3 capacity, 4 usage.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -27,8 +30,19 @@ EXIT_CAPACITY = 3
 EXIT_USAGE = 4
 
 
+def _finite(x):
+    """x with every non-finite float, at any depth, replaced by None."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {key: _finite(v) for key, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite(v) for v in x]
+    return x
+
+
 def _emit(report, out_path=None):
-    text = json.dumps(report, sort_keys=True) + "\n"
+    text = json.dumps(_finite(report), sort_keys=True, allow_nan=False) + "\n"
     sys.stdout.write(text)
     if out_path:
         with open(out_path, "w") as fh:

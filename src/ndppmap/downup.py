@@ -2,11 +2,12 @@
 
 The k<->l walk drops k-l elements uniformly, then re-completes
 proportionally to mu.  At desk scale the transition matrix is materialized
-row-stochastically over the support, so reversibility, the spectrum,
-conductance and the Cheeger sandwich can all be checked exactly.  The
-spectrum is solved on the smaller side: over the l-set cores when they
-number at most half the states, since D U and the up-down walk U D share
-their nonzero spectrum.
+row-stochastically over the support, by flat scatters of the l-set cores'
+blocks in core order, so reversibility, the spectrum, conductance and the
+Cheeger sandwich can all be checked exactly; the array checks run in two
+m x m buffers.  The spectrum is solved on the smaller side: over the l-set
+cores when they number at most half the states, since D U and the up-down
+walk U D share their nonzero spectrum.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .setdist import SetDistribution, as_set, subsets, union_rows
 CHAIN_STATE_CAP = 20000
 CONDUCTANCE_STATE_CAP = 22
 CUT_BLOCK = 1 << 15  # cuts per block of the exact conductance sweep
+SCATTER_BLOCK = 1 << 16  # entries of P per flat np.add.at in build_downup
 WALK_BLOCK = 4096  # sampler steps per array of uniform draws
 CHEEGER_TOL = 1e-9  # absolute slack of both sides of the Cheeger sandwich
 
@@ -49,12 +51,16 @@ class ChainMatrix:
     pi: np.ndarray  # stationary density (normalized mu over states)
     factor: np.ndarray | None = None  # A, with symmetrized(P) = A A^T
 
-    def symmetrized(self):
+    def symmetrized(self, B=None, out=None):
         """The reversible symmetrization of P: (B + B^T) / 2 with
-        B = D^{1/2} P D^{-1/2} and D = diag(pi)."""
+        B = D^{1/2} P D^{-1/2} and D = diag(pi).  B is formed in place in
+        the given m x m buffer and the result written to `out` (each newly
+        allocated when None), so it takes two m x m arrays."""
         s = np.sqrt(self.pi)
-        B = (s[:, None] * self.P) / s[None, :]
-        return 0.5 * (B + B.T)
+        B = np.multiply(s[:, None], self.P, out=B)
+        np.divide(B, s[None, :], out=B)
+        out = np.add(B, B.T, out=out)
+        return np.multiply(0.5, out, out=out)
 
     @cached_property
     def spectrum(self):
@@ -116,13 +122,41 @@ def apply_field(mu: SetDistribution, lam) -> FieldDistribution:
     return out
 
 
+def _add_core_blocks(P, w, rows, lens, scale):
+    """P[i, j] += scale * (w[j] / W_c) for each core c and each pair (i, j)
+    of its supersets, where the supersets of the cores, in order, are
+    consecutive slices of `rows` of the lengths `lens`, and W_c sums w over
+    them.  Each run of cores with equally many supersets is a 2-D block, cut
+    into about SCATTER_BLOCK entries, and each block one `np.add.at` on the
+    flat view of P, at flat indices i * m + j."""
+    m = len(P)
+    flat = P.reshape(-1)
+    offsets = np.concatenate(([0], np.cumsum(lens)))
+    edges = [0, *(np.flatnonzero(lens[1:] != lens[:-1]) + 1).tolist(), len(lens)]
+    for c0, c1 in zip(edges, edges[1:]):
+        size = int(lens[c0])
+        per = max(1, SCATTER_BLOCK // (size * size))
+        for b0 in range(c0, c1, per):
+            b1 = min(b0 + per, c1)
+            R = rows[offsets[b0]:offsets[b1]].reshape(b1 - b0, size)
+            weights = w[R]
+            V = scale * (weights / weights.sum(axis=1, keepdims=True))
+            ij = (R * m)[:, :, None] + R[:, None, :]  # core, row i, column j
+            np.add.at(flat, ij.ravel(), np.repeat(V, size, axis=0).ravel())
+
+
 def build_downup(mu: SetDistribution, n, k, l) -> ChainMatrix:
     """Explicit transition matrix of the k<->l down-up walk on supp(mu).
 
     The matrix is the composition D_{k->l} U_{l->k} acting on k-sets, which is
-    exactly the two-step drop/re-complete algorithm, assembled one block per
-    l-set core: each superset of the core in the support moves, with weight
+    exactly the two-step drop/re-complete algorithm, read one l-set core at a
+    time: each superset of the core in the support moves, with weight
     1/C(k, l), to the core's normalized distribution over its supersets.
+    The cores' blocks are added in place by flat `np.add.at` scatters
+    (`_add_core_blocks`), in the order the cores were grouped.  The row sums
+    of a 2-D block of cores with equally many supersets are each core's
+    normalizer bit for bit, so every entry of P receives the same addends in
+    the same order as from one block add per core.
 
     When 2 * cores <= m, the chain also carries the factor A of its
     symmetrization (see `ChainMatrix`), written by one scatter over the
@@ -151,16 +185,15 @@ def build_downup(mu: SetDistribution, n, k, l) -> ChainMatrix:
     for si, S in enumerate(states):
         for core in combinations(S, l):
             by_core.setdefault(core, []).append(si)
-    P = np.zeros((m, m))
-    inv_choose = 1.0 / math.comb(k, l)
-    for core, idxs in by_core.items():
-        weights = w[idxs]
-        np.add.at(P, np.ix_(idxs, idxs), inv_choose * (weights / weights.sum()))
     cores = len(by_core)
+    lens = np.fromiter(map(len, by_core.values()), dtype=np.intp, count=cores)
+    rows = np.fromiter(chain.from_iterable(by_core.values()), dtype=np.intp)
+    inv_choose = 1.0 / math.comb(k, l)
+    P = np.zeros((m, m))
+    _add_core_blocks(P, w, rows, lens, inv_choose)
     if 2 * cores > m:
         return ChainMatrix(states, P, pi)
-    rows = np.fromiter(chain.from_iterable(by_core.values()), dtype=np.intp)
-    cols = np.repeat(np.arange(cores), list(map(len, by_core.values())))
+    cols = np.repeat(np.arange(cores), lens)
     W = np.bincount(cols, weights=w[rows], minlength=cores)
     A = np.zeros((m, cores))
     A[rows, cols] = np.sqrt(inv_choose * w[rows] / W[cols])
@@ -342,6 +375,22 @@ def empirical_density(traj, states):
     return counts / len(traj)
 
 
+def _array_errors(C: ChainMatrix):
+    """(row_err, rev_err, factor_err) of `chain_checks`, in two m x m
+    buffers: X holds the flow F = pi P, then B for the symmetrization, then
+    A A^T; Y holds F - F^T and its abs, then the symmetrization minus A A^T."""
+    P, pi = C.P, C.pi
+    row_err = float(np.max(np.abs(P.sum(axis=1) - 1.0)))
+    X = np.multiply(pi[:, None], P)
+    Y = np.subtract(X, X.T)
+    rev_err = float(np.max(np.abs(Y, out=Y)))
+    if C.factor is None:
+        return row_err, rev_err, 0.0
+    E = C.symmetrized(X, out=Y)
+    E -= np.matmul(C.factor, C.factor.T, out=X)
+    return row_err, rev_err, float(np.linalg.norm(E))
+
+
 def chain_checks(C: ChainMatrix, n=None, k=None, l=None):
     """Row sums, reversibility, spectrum, stationarity, gap, Cheeger sandwich.
 
@@ -351,20 +400,11 @@ def chain_checks(C: ChainMatrix, n=None, k=None, l=None):
     to be at most 1e-10.  By Weyl's inequality every eigenvalue reported
     from A is then within 1e-10 of the matching eigenvalue of the
     symmetrized P, so the spectral checks describe P itself."""
-    P, pi = C.P, C.pi
-    row_err = float(np.max(np.abs(P.sum(axis=1) - 1.0)))
-    F = pi[:, None] * P
-    rev_err = float(np.max(np.abs(F - F.T)))
-    if C.factor is None:
-        factor_err = 0.0
-    else:
-        E = C.symmetrized()
-        E -= C.factor @ C.factor.T
-        factor_err = float(np.linalg.norm(E))
+    row_err, rev_err, factor_err = _array_errors(C)
     ev = C.spectrum
     gap = spectral_gap(C)
     cond = conductance(C)
-    stat_err = float(np.max(np.abs(pi @ P - pi)))
+    stat_err = float(np.max(np.abs(C.pi @ C.P - C.pi)))
     report = {
         "n": n,
         "k": k,

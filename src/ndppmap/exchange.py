@@ -8,9 +8,12 @@ verifier over all pairs sweeps those buckets with arrays: it lays
 mu.tabulate() out by colex rank, enumerates the pairs at each distance by
 their union, so that every set it reads sits at a fixed position pattern of
 the union, gathers about PAIR_BLOCK sets per block of unions, and judges the
-pairs with one pair verdict and one Hurwitz rule.  The brute-force argmax
-reads the same table.  The strong basis exchange, which pairs single swaps
-element by element, is checked on its own for the core-set certificate.
+pairs with one pair verdict and one Hurwitz rule.  A block's colex ranks are
+k gathers from its slot table, the binomial entries of each union element
+at each rank place, and the verdict masks with `where=`, never by copying.
+The brute-force argmax reads the same table.  The strong basis exchange,
+which pairs single swaps element by element, is checked on its own for the
+core-set certificate.
 """
 
 from __future__ import annotations
@@ -64,10 +67,11 @@ def _sides(S, T):
     return S, T, D1, D2
 
 
-def _root(q, i):
+def _root(q, i, where=True):
     """q ** (1/i) elementwise by np.float_power: libm's pow in float64, like
-    Python's float power, which numpy's power and sqrt miss in the last bit."""
-    return q if i == 1 else np.float_power(q, 1.0 / i)
+    Python's float power, which numpy's power and sqrt miss in the last bit.
+    Entries where `where` is False are left unset."""
+    return q if i == 1 else np.float_power(q, 1.0 / i, out=None, where=where)
 
 
 def _pair_verdict(lhs, maxima, beta, r):
@@ -86,7 +90,8 @@ def _pair_verdict(lhs, maxima, beta, r):
     for i in range(1, min(r, t) + 1):
         prod = maxima[t - i] * maxima[i]
         pos = (prod > 0.0) & (lhs > 0.0)
-        measured[pos] = np.minimum(measured[pos], _root(lhs[pos] / prod[pos], i))
+        q = np.divide(lhs, prod, out=None, where=pos)  # entries off pos stay unread
+        np.minimum(measured, _root(q, i, where=pos), out=measured, where=pos)
         ok |= pos & (beta**i * prod >= lhs * (1.0 - RTOL))
     return ok, measured
 
@@ -170,11 +175,12 @@ def verify_exchange_all_pairs(mu: SetDistribution):
     distance t are enumerated by their union, a row of subsets(range(n),
     k + t), and by their place in it (`_distance_tables`).  Every set between
     S n T and S u T is then the union at a fixed ascending position pattern,
-    so its colex rank is a sum of table entries.  Each block of unions makes
-    one gather V (unions x cores x halves) of about PAIR_BLOCK sets, and each
-    bucket's maximum and sum over every pair is a running fold of fixed
-    columns of V, to which the pair verdict and the Hurwitz rule apply as
-    arrays.  Failures are listed in pair order.
+    so its colex rank is a sum over the rank places j of the union's slot
+    table binom[U][:, p_j, j], one gather per place.  Each block of unions
+    makes one gather V (unions x cores x halves) of about PAIR_BLOCK sets,
+    and each bucket's maximum and sum over every pair is a running fold of
+    fixed columns of V, to which the pair verdict and the Hurwitz rule apply
+    as arrays.  Failures are listed in pair order.
     """
     n, k = mu.n, mu.k
     N = math.comb(n, k)
@@ -199,7 +205,11 @@ def verify_exchange_all_pairs(mu: SetDistribution):
         rows = max(1, PAIR_BLOCK // (P.shape[0] * P.shape[1]))
         for u0 in range(0, len(unions), rows):
             U = unions[u0:u0 + rows]
-            V = vals[binom[U[:, P], place].sum(axis=-1)]
+            slots = binom[U]  # slots[u, p, j]: C(U[u, p], j + 1)
+            ranks = slots[:, P[..., 0], 0]
+            for j in range(1, k):
+                ranks += slots[:, P[..., j], j]
+            V = vals[ranks]
             maxima, sums = [], []
             for bucket in cols:
                 m, tot = -math.inf, 0.0

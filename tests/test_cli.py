@@ -102,7 +102,13 @@ class TestMap:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 0 and "Traceback" not in proc.stderr
-        assert json.loads(proc.stdout)["set"] == [0, 1, 2]
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        report = json.loads(proc.stdout, parse_constant=reject)
+        assert report["set"] == [0, 1, 2]
+        assert report["value"] is None  # mu overflows float64: null, not Infinity
 
     def test_out_file_matches_stdout(self, skew_path, tmp_path, capsys):
         out = tmp_path / "map.json"
@@ -245,3 +251,28 @@ class TestVerify:
             ["verify", "--kernel", path, "--k", "2", "--suite", "exchange"], capsys
         )
         assert code == 1 and not rep["passed"]
+
+
+def test_cli_runs_without_numpy_ma(tmp_path):
+    # a first import of numpy.ma takes milliseconds, which would land in set-up
+    script = f"""
+import sys
+from ndppmap import instances
+from ndppmap.cli import main
+from ndppmap.kernel import save_kernel
+path = {str(tmp_path / "r9.knl")!r}
+save_kernel(instances.random_npsd(9, 1), path)
+for argv in (["verify", "--kernel", path, "--k", "3", "--suite", "all"],
+             ["map", "--kernel", path, "--k", "3"]):
+    try:
+        main(argv)
+    except SystemExit as exc:
+        assert exc.code == 0, (argv, exc.code)
+assert "numpy.ma" not in sys.modules
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 import math
-from itertools import chain, combinations
+import tracemalloc
+from itertools import chain, combinations, compress
 
 import numpy as np
 import pytest
@@ -302,6 +303,105 @@ class TestBuildDownup:
         C = build_downup(nu, 6, 2, 1)
         expect = np.array([nu.value(S) for S in C.states])
         assert np.allclose(C.pi, expect / expect.sum(), atol=1e-12)
+
+
+def per_core_reference(mu, l):
+    """P and the factor (or None) of the k<->l chain, P added one block per
+    core by a 2-D `np.add.at`, the factor by one scatter."""
+    n, k = mu.n, mu.k
+    vals = mu.tabulate()
+    support = vals > 0.0
+    states = list(compress(combinations(range(n), k), support))
+    m = len(states)
+    w = vals[support]
+    if k == l:
+        return np.eye(m), None
+    by_core = {}
+    for si, S in enumerate(states):
+        for core in combinations(S, l):
+            by_core.setdefault(core, []).append(si)
+    P = np.zeros((m, m))
+    inv_choose = 1.0 / math.comb(k, l)
+    for core, idxs in by_core.items():
+        weights = w[idxs]
+        np.add.at(P, np.ix_(idxs, idxs), inv_choose * (weights / weights.sum()))
+    cores = len(by_core)
+    if 2 * cores > m:
+        return P, None
+    rows = np.fromiter(chain.from_iterable(by_core.values()), dtype=np.intp)
+    cols = np.repeat(np.arange(cores), list(map(len, by_core.values())))
+    W = np.bincount(cols, weights=w[rows], minlength=cores)
+    A = np.zeros((m, cores))
+    A[rows, cols] = np.sqrt(inv_choose * w[rows] / W[cols])
+    return P, A
+
+
+def holed_kernel():
+    """A dense 7-block, rank-one 2- and 3-blocks (powers of two, so their
+    2 x 2 minors are exactly 0) and a zero row: the support has holes, and
+    at k = 3, l = 2 the cores have 7, 8, 9 or 10 supersets."""
+    L = np.zeros((13, 13))
+    L[:7, :7] = random_npsd(7, 3).entries
+    L[7:9, 7:9] = np.outer([1.0, 2.0], [1.0, 2.0])
+    L[9:12, 9:12] = np.outer([1.0, 2.0, 4.0], [1.0, 2.0, 4.0])
+    return Kernel(L)
+
+
+class TestFlatAssembly:
+    @pytest.mark.parametrize(
+        "K, k",
+        [(random_npsd(12, 1), 4), (random_npsd(12, 2), 4), (random_npsd(10, 1), 5),
+         (holed_kernel(), 3), (holed_kernel(), 4)],
+        ids=["dense-12-4-s1", "dense-12-4-s2", "dense-10-5", "holed-13-3", "holed-13-4"],
+    )
+    def test_matches_per_core_blocks_bit_for_bit(self, K, k):
+        mu = KernelDistribution(K, k)
+        for l in range(k + 1):
+            C = build_downup(mu, K.n, k, l)
+            P, A = per_core_reference(mu, l)
+            assert C.P.tobytes() == P.tobytes()
+            assert (C.factor is None) == (A is None)
+            if A is not None:
+                assert C.factor.tobytes() == A.tobytes()
+
+    def test_holed_kernel_has_uneven_cores(self):
+        mu = KernelDistribution(holed_kernel(), 3)
+        states = [S for S in combinations(range(13), 3) if mu.value(S) > 0.0]
+        assert 0 < len(states) < math.comb(12, 3)  # holes besides the zero row's
+        counts = {}
+        for S in states:
+            for core in combinations(S, 2):
+                counts[core] = counts.get(core, 0) + 1
+        assert set(counts.values()) == {7, 8, 9, 10}
+
+    def test_small_blocks_change_nothing(self, monkeypatch):
+        mu = KernelDistribution(holed_kernel(), 4)
+        want = [build_downup(mu, 13, 4, l).P.tobytes() for l in range(4)]
+        monkeypatch.setattr(downup, "SCATTER_BLOCK", 1)  # one core per np.add.at
+        assert [build_downup(mu, 13, 4, l).P.tobytes() for l in range(4)] == want
+
+
+class TestPeakMemory:
+    def test_build_and_checks_peaks(self):
+        # in units of one m x m float64 array: the build holds P and the
+        # factor (0.44), the checks two m x m buffers
+        mu = KernelDistribution(random_npsd(12, 1), 4)
+        mu.tabulate()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            C = build_downup(mu, 12, 4, 3)
+            build_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            chain_checks(C, 12, 4, 3)
+            checks_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        unit = 8 * len(C.states) ** 2
+        assert C.factor is not None
+        assert build_peak <= 1.6 * unit
+        assert checks_peak <= 2.25 * unit
 
 
 class TestSpectralGap:

@@ -18,7 +18,7 @@ from ndppmap import (
     kernel_table,
     verify_exchange_all_pairs,
 )
-from ndppmap.exchange import _hurwitz_sides, _pair_verdict, _root
+from ndppmap.exchange import RTOL, _hurwitz_sides, _pair_verdict, _root
 from ndppmap.instances import lowrank_npsd, random_npsd, skew_block, sym_psd
 
 
@@ -373,6 +373,60 @@ class TestSweepMatchesPerPair:
                 assert len({pairs.index(f) // 37 for f in failures}) > 1
                 assert len({tuple(sorted(set(S) | set(T))) for S, T in failures}) > 1
             assert len({len(set(S) - set(T)) for S, T, *_ in got["hurwitz_failures"]}) > 1
+
+
+def masked_pair_verdict(lhs, maxima, beta, r):
+    """The pair verdict with boolean-mask compaction: each root is taken on
+    the copies lhs[pos] / prod[pos] and written back through the mask."""
+    t = len(maxima) - 1
+    ok = lhs <= 0.0
+    measured = np.where(ok, 0.0, math.inf)
+    for i in range(1, min(r, t) + 1):
+        prod = maxima[t - i] * maxima[i]
+        pos = (prod > 0.0) & (lhs > 0.0)
+        measured[pos] = np.minimum(measured[pos], _root(lhs[pos] / prod[pos], i))
+        ok |= pos & (beta**i * prod >= lhs * (1.0 - RTOL))
+    return ok, measured
+
+
+def with_fp_flags(fn, *args):
+    """fn(*args) and the set of floating-point errors it flagged."""
+    seen = set()
+    with np.errstate(all="call", call=lambda kind, flag: seen.add(kind)):
+        out = fn(*args)
+    return out, seen
+
+
+class TestPairVerdictEdges:
+    EDGES = [0.0, -0.0, -1.5, 1e-300, 0.25, 3.0, 1e300, math.inf, -math.inf, math.nan]
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_matches_masked_copies(self, t, r):
+        rng = np.random.default_rng(10 * t + r)
+        for size in (1, 3, 64, 5000):
+            lhs = rng.choice(self.EDGES, size)
+            maxima = [rng.choice(self.EDGES, size) for _ in range(t + 1)]
+            want, want_flags = with_fp_flags(masked_pair_verdict, lhs, maxima, 16.0, r)
+            # fill freed memory with a marker, so an unset entry would show
+            junk = [np.full(size, -7.0) for _ in range(8)]
+            del junk
+            got, got_flags = with_fp_flags(_pair_verdict, lhs, maxima, 16.0, r)
+            assert np.array_equal(got[0], want[0])
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got_flags == want_flags
+            assert -7.0 not in got[1]
+
+    def test_edges_reach_every_outcome(self):
+        # 0, inf, nan and a finite positive root all appear among the betas
+        rng = np.random.default_rng(12)
+        lhs = rng.choice(self.EDGES, 5000)
+        maxima = [rng.choice(self.EDGES, 5000) for _ in range(3)]
+        with np.errstate(all="ignore"):
+            ok, measured = _pair_verdict(lhs, maxima, 16.0, 2)
+        assert ok.any() and not ok.all()
+        assert np.isinf(measured).any() and np.isnan(measured).any()
+        assert (measured == 0.0).any() and (np.isfinite(measured) & (measured > 0.0)).any()
 
 
 class TestTableDistributionKeys:
