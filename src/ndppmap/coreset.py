@@ -9,6 +9,7 @@ full union and exhibits the explicit swap chain that certifies the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError, InfeasibilityError
@@ -101,7 +102,10 @@ def compose_and_report(mu: SetDistribution, plan: PartitionPlan, zeta=0.5):
                 "beta_step": beta_step,
             }
         )
-    bound = (beta_hat / zeta) ** mu.k
+    try:
+        bound = (beta_hat / zeta) ** mu.k
+    except OverflowError:
+        bound = math.inf
     return {
         "parts": [list(P) for P in plan.parts],
         "coresets": [list(Ci) for Ci in plan.coresets],

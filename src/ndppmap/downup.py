@@ -179,8 +179,6 @@ def build_downup(mu: SetDistribution, n, k, l) -> ChainMatrix:
     m = len(states)
     w = vals[support]
     pi = w / w.sum()
-    if k == l:
-        return ChainMatrix(states, np.eye(m), pi)
     by_core = {}
     for si, S in enumerate(states):
         for core in combinations(S, l):
@@ -326,11 +324,10 @@ def sample_walk(mu: SetDistribution, S0, l, steps, seed):
         raise DomainError(f"steps must be nonnegative, got {steps}")
     if mu.value(S0) <= 0.0:
         raise DomainError("walk must start in the support of mu")
-    if l == k:
-        return [S0] * (steps + 1)
     rng = np.random.default_rng(seed)
     # Positions p_0 < ... < p_{l-1} have colex rank sum_j C(p_j, j + 1).
-    rank = np.array([[math.comb(p, j + 1) for j in range(l)] for p in range(k)], dtype=np.intp)
+    rank = np.array([math.comb(p, j + 1) for p in range(k) for j in range(l)], np.intp)
+    rank = rank.reshape(k, l)  # k x l even at k = 0
     patterns = sorted(combinations(range(k), l), key=lambda p: p[::-1])  # by colex rank
     ups, moves = {}, {}  # core -> up-step; (state, pattern rank) -> up-step
     traj = [S0]

@@ -78,7 +78,7 @@ class Kernel:
             )
         if self.lowrank is not None:
             err = np.max(np.abs(L - B @ C @ B.T))
-            if err > LOWRANK_RTOL * (1.0 + self.max_abs):
+            if err > LOWRANK_RTOL * self.max_abs:
                 raise DomainError(f"B C B^T deviates from entries by {err:.3e}")
             object.__setattr__(self, "lowrank", (B, C))
 
@@ -101,11 +101,12 @@ class Kernel:
         return float(np.max(np.abs(self.entries)))
 
     def zero_threshold(self, size):
-        """Magnitudes below this are treated as a zero determinant of order
-        `size`; inf where the bound overflows, so every such pin reads as
-        singular and takes its caller's fallback."""
+        """Magnitudes below 1e-12 max|L|^size, relative to the kernel's own
+        scale, are treated as a zero determinant of order `size`; inf where
+        that overflows, so every such pin reads as singular and takes its
+        caller's fallback."""
         try:
-            return 1e-12 * (1.0 + self.max_abs) ** size
+            return 1e-12 * self.max_abs**size
         except OverflowError:
             return math.inf
 
@@ -119,10 +120,10 @@ def principal_minor(K: Kernel, S):
 
 
 def is_npsd(K: Kernel):
-    """True iff the minimum eigenvalue of (L + L^T)/2 is >= -NPSD_TOL * (1 + ||L||_2)."""
+    """True iff the minimum eigenvalue of (L + L^T)/2 is >= -NPSD_TOL * ||L||_2."""
     sym = 0.5 * (K.entries + K.entries.T)
     lam_min = float(np.linalg.eigvalsh(sym)[0])
-    return lam_min >= -NPSD_TOL * (1.0 + float(np.linalg.norm(K.entries, 2)))
+    return lam_min >= -NPSD_TOL * float(np.linalg.norm(K.entries, 2))
 
 
 def condition_on(K: Kernel, Y):
@@ -153,42 +154,21 @@ def load_kernel(path):
     Low-rank format: first line `n d`, then n rows of B, then d rows of C.
     """
     with open(path) as fh:
-        tokens = fh.read().split("\n")
-    lines = [ln.split() for ln in tokens if ln.strip()]
-    if not lines:
-        raise DomainError(f"empty kernel file: {path}")
-    header = lines[0]
-    if len(header) == 1:
-        n = int(header[0])
-        if len(lines) != n + 1:
-            raise DomainError(f"expected {n} matrix rows in {path}")
-        L = np.array([[float(x) for x in row] for row in lines[1:]], dtype=float)
-        if L.shape != (n, n):
-            raise DomainError(f"malformed dense kernel in {path}")
-        return Kernel(L)
-    if len(header) == 2:
-        n, d = int(header[0]), int(header[1])
-        if len(lines) != 1 + n + d:
-            raise DomainError(f"expected {n}+{d} factor rows in {path}")
-        B = np.array([[float(x) for x in row] for row in lines[1 : 1 + n]])
-        C = np.array([[float(x) for x in row] for row in lines[1 + n :]])
-        if B.shape != (n, d) or C.shape != (d, d):
-            raise DomainError(f"malformed low-rank kernel in {path}")
-        return Kernel.from_lowrank(B, C)
-    raise DomainError(f"unrecognized kernel header in {path}: {header}")
+        head, *rows = [ln.split() for ln in fh.read().split("\n") if ln.strip()] or [[]]
+    dims = [int(x) for x in head]
+    if not 1 <= len(dims) <= 2 or min(dims) < 1:
+        raise DomainError(f"kernel header in {path} must be `n` or `n d`, n, d >= 1; got {head}")
+    n, width = dims[0], dims[-1]  # a row holds n entries of L, or d of B or C
+    count = n + width if len(dims) == 2 else n
+    if len(rows) != count or any(len(row) != width for row in rows):
+        raise DomainError(f"expected {count} rows of {width} entries in {path}")
+    M = np.array([[float(x) for x in row] for row in rows])
+    return Kernel(M) if len(dims) == 1 else Kernel.from_lowrank(M[:n], M[n:])
 
 
 def save_kernel(K: Kernel, path):
     """Write `K` in the text format understood by load_kernel."""
     with open(path, "w") as fh:
-        if K.lowrank is not None:
-            B, C = K.lowrank
-            fh.write(f"{K.n} {B.shape[1]}\n")
-            for row in B:
-                fh.write(" ".join(repr(float(x)) for x in row) + "\n")
-            for row in C:
-                fh.write(" ".join(repr(float(x)) for x in row) + "\n")
-        else:
-            fh.write(f"{K.n}\n")
-            for row in K.entries:
-                fh.write(" ".join(repr(float(x)) for x in row) + "\n")
+        fh.write(f"{K.n}\n" if K.lowrank is None else f"{K.n} {K.rank_d}\n")
+        for M in K.lowrank or (K.entries,):
+            fh.writelines(" ".join(map(repr, row)) + "\n" for row in M.tolist())

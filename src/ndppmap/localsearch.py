@@ -7,7 +7,6 @@ always jumps to the neighborhood argmax, so the output is certified as an
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -21,7 +20,8 @@ from .setdist import KernelDistribution, SetDistribution, as_set
 class SearchConfig:
     r: int = 2
     zeta: float = 0.5
-    max_iters: int | None = None
+    # Each move gains a factor > 1/zeta, so the cap only stops rounding-level cycles.
+    max_iters: int = 1000
 
     def __post_init__(self):
         if self.r < 1:
@@ -49,7 +49,6 @@ def local_search(mu: SetDistribution, S0, cfg: SearchConfig):
     cur_val = float(mu.value(cur))
     if cur_val <= 0.0:
         raise DomainError(f"local search needs mu(S0) > 0, got {cur_val}")
-    max_iters = cfg.max_iters if cfg.max_iters is not None else 1000
     trace = SearchTrace()
     while True:
         vals = mu.neighborhood_values(cur, cfg.r)
@@ -58,20 +57,15 @@ def local_search(mu: SetDistribution, S0, cfg: SearchConfig):
         if cur_val >= cfg.zeta * best_val:
             trace.certified_local_max = True
             return cur, trace
-        if trace.iterations >= max_iters:
+        if trace.iterations >= cfg.max_iters:
             raise IncompleteSearchError(
-                f"exceeded max_iters={max_iters}",
+                f"exceeded max_iters={cfg.max_iters}",
                 best_set=best,
                 best_value=best_val,
                 trace=trace,
             )
         trace.steps.append((best, best_val, best_val / cur_val))
         cur, cur_val = best, best_val
-
-
-def default_max_iters(K: Kernel, k):
-    # Generous multiple of the provable log_{1/zeta}(OPT / mu(S0)) step count.
-    return int(64 * k * (1 + math.log2(1 + K.max_abs * K.n)))
 
 
 def map_inference(K: Kernel, k, cfg: SearchConfig | None = None, init="induced"):
@@ -89,8 +83,6 @@ def map_inference(K: Kernel, k, cfg: SearchConfig | None = None, init="induced")
         raise DomainError(f"need 1 <= k <= n, got k={k}, n={K.n}")
     if init not in ("induced", "standard"):
         raise DomainError(f"unknown init {init!r}")
-    if cfg.max_iters is None:
-        cfg = SearchConfig(cfg.r, cfg.zeta, default_max_iters(K, k))
     t0 = time.perf_counter()
     mu = KernelDistribution(K, k)
     g = induced_greedy(mu) if init == "induced" else standard_greedy(mu)

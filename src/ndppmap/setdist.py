@@ -100,12 +100,19 @@ class SetDistribution:
         here each block is one completions(Y, D) call."""
         S = as_set(S)
         outside = [i for i in range(self.n) if i not in S]
+        s_max = min(r, len(S), len(outside))
+        return self._blocks(S, [subsets(outside, s) for s in range(s_max + 1)])
+
+    def _blocks(self, S, Ds, priced=()):
+        """The Neighborhood of the sorted S over Ds[s], the size-s sets outside
+        S: the p-th core that drops s elements takes priced[s][p] where priced
+        has a size-s entry, else one completions call."""
         blocks = []
-        for s in range(min(r, len(S), len(outside)) + 1):
-            D = subsets(outside, s)
-            for drop in combinations(S, s):
+        for s, D in enumerate(Ds):
+            for p, drop in enumerate(combinations(S, s)):
                 core = tuple(i for i in S if i not in drop)
-                blocks.append((core, D, self.completions(core, D)))
+                vals = priced[s][p] if s < len(priced) else self.completions(core, D)
+                blocks.append((core, D, vals))
         return Neighborhood(blocks)
 
     def restrict(self, P):
@@ -211,8 +218,8 @@ class KernelDistribution(SetDistribution):
         det(L_S) (G_aa Z_bb + Y_ab X_ba) at s = 1, and the 4 x 4 determinant
         by Laplace expansion (_swap_pairs) at s = 2.  Nothing is divided, so a
         singular core is priced like any other.  Each core with s >= 3 takes
-        one completions call; a singular pin S, or a value that is not finite,
-        sends the whole scan to the base route."""
+        one completions call, as does every core when a value is not finite;
+        a singular pin S takes the base route."""
         S = as_set(S)
         try:
             Z, det_S = condition_on(self.kernel, S)
@@ -231,15 +238,7 @@ class KernelDistribution(SetDistribution):
                 priced.append(det_S * (np.diag(G)[:, None] * np.diag(Z) + Y * XT))
             if s_max >= 2:
                 priced.append(det_S * _swap_pairs(G, XT, -Y, Z, np.searchsorted(R, Ds[2])))
-        if not all(np.isfinite(v).all() for v in priced):
-            return super().neighborhood_values(S, r)
-        blocks = []
-        for s, D in enumerate(Ds):
-            for p, drop in enumerate(combinations(S, s)):
-                core = tuple(i for i in S if i not in drop)
-                vals = priced[s][p] if s < len(priced) else self.completions(core, D)
-                blocks.append((core, D, vals))
-        return Neighborhood(blocks)
+        return self._blocks(S, Ds, priced if all(np.isfinite(v).all() for v in priced) else ())
 
 
 class TableDistribution(SetDistribution):

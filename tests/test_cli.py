@@ -138,6 +138,12 @@ class TestExitCodes:
         code, _, _ = run_cli(["map", "--kernel", str(path), "--k", "1"], capsys)
         assert code == 4
 
+    def test_ragged_file_usage(self, tmp_path, capsys):
+        path = tmp_path / "ragged.knl"
+        path.write_text("2\n1 0\n0 1 0\n")
+        code, rep, _ = run_cli(["map", "--kernel", str(path), "--k", "1"], capsys)
+        assert code == 4 and rep is None
+
     def test_non_finite_kernel_usage(self, tmp_path, capsys):
         path = tmp_path / "nan.knl"
         path.write_text("3\n1 0 0\n0 nan 0\n0 0 inf\n")
@@ -202,6 +208,14 @@ class TestVerify:
             rep.pop("timing")
             runs.append(json.dumps(rep, sort_keys=True))
         assert runs[0] == runs[1]
+
+    def test_all_suites_below_three_k(self, tmp_path, capsys):
+        # n = 7 < 3k: the core-set suite splits [7] into 2 parts of at least k
+        path = str(tmp_path / "r.knl")
+        run_cli(["gen", "random-npsd", "--n", "7", "--seed", "1", "--out", path], capsys)
+        code, rep, _ = run_cli(["verify", "--kernel", path, "--k", "3", "--suite", "all"], capsys)
+        assert len(rep["suites"]["coreset"]["parts"]) == 2
+        assert code == 0 and rep["passed"]
 
     def test_walk_suite_at_k_equal_n(self, tmp_path, capsys):
         # every chain has the one state [n], which has no cut

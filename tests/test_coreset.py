@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -7,6 +8,7 @@ from ndppmap import (
     DomainError,
     Kernel,
     KernelDistribution,
+    TableDistribution,
     build_plan,
     compose_and_report,
     coreset_map,
@@ -102,3 +104,13 @@ class TestComposeAndReport:
         core = [i for Ci in plan.coresets for i in Ci]
         core_best = max(mu.value(S) for S in combinations(sorted(core), 2))
         assert rep["opt_coreset"] == pytest.approx(core_best)
+
+    def test_bound_past_float_range_is_inf(self):
+        # beta_hat is about 1e242, so (beta_hat / zeta)^2 leaves the float range
+        table = {S: 1e-120 for S in combinations(range(8), 2)}
+        table.update({(0, 1): 1.0, (4, 5): 1.0, (2, 6): 100.0})
+        mu = TableDistribution(8, 2, table)
+        plan = build_plan(mu, [(0, 1, 2, 3), (4, 5, 6, 7)])
+        rep = compose_and_report(mu, plan)
+        assert rep["beta_hat"] > 1e200
+        assert rep["bound"] == math.inf and rep["bound_ok"]

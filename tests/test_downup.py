@@ -169,6 +169,16 @@ def restricted_table():
     return TableDistribution(7, 3, dict(zip(sets, mass)))
 
 
+def kernel_or_field(field):
+    """mu of a kernel at k = 3, or mu under a field that deletes element 2."""
+    mu = KernelDistribution(random_npsd(6, 2), 3)
+    if not field:
+        return mu
+    lam = random_field(6, 4)
+    lam[2] = 0.0
+    return apply_field(mu, lam)
+
+
 class ZeroCompletions(SetDistribution):
     """Positive on every set, but every completion is priced 0."""
 
@@ -269,6 +279,14 @@ class TestBuildDownup:
     def test_k_equals_l_identity(self):
         C = build_downup(uniform(4, 2), 4, 2, 2)
         assert np.array_equal(C.P, np.eye(6))
+
+    @pytest.mark.parametrize("field", [False, True], ids=["kernel", "field"])
+    def test_k_equals_l_identity_without_factor(self, field):
+        # every state is its own core: each row gets the one addend 1.0 * (w / w)
+        C = build_downup(kernel_or_field(field), 6, 3, 3)
+        assert len(C.states) == (10 if field else 20)
+        assert C.P.tobytes() == np.eye(len(C.states)).tobytes()
+        assert C.factor is None
 
     def test_stationarity_seeded(self):
         mu = KernelDistribution(random_npsd(6, 8), 3)
@@ -568,6 +586,11 @@ class TestSampleWalk:
         mu = uniform(5, 2)
         traj = sample_walk(mu, (1, 3), 2, 50, seed=0)
         assert traj == [(1, 3)] * 51
+
+    @pytest.mark.parametrize("field", [False, True], ids=["kernel", "field"])
+    def test_k_equals_l_constant_on_kernels(self, field):
+        traj = sample_walk(kernel_or_field(field), (0, 3, 5), 3, 50, seed=0)
+        assert traj == [(0, 3, 5)] * 51
 
     def test_reproducible_per_seed(self):
         mu = KernelDistribution(random_npsd(6, 17), 3)

@@ -15,7 +15,7 @@ from ndppmap import (
     principal_minor,
     save_kernel,
 )
-from ndppmap.instances import lowrank_npsd, random_npsd
+from ndppmap.instances import lowrank_npsd, random_npsd, skew_block
 from ndppmap.kernel import MAX_ABS_ENTRY
 
 
@@ -208,6 +208,23 @@ class TestReadOnly:
                 M[0, 0] = 2.0
 
 
+def reference_save_kernel(K, path):
+    """A writer with one branch per format, formatting each entry on its
+    own: the byte reference for save_kernel."""
+    with open(path, "w") as fh:
+        if K.lowrank is not None:
+            B, C = K.lowrank
+            fh.write(f"{K.n} {B.shape[1]}\n")
+            for row in B:
+                fh.write(" ".join(repr(float(x)) for x in row) + "\n")
+            for row in C:
+                fh.write(" ".join(repr(float(x)) for x in row) + "\n")
+        else:
+            fh.write(f"{K.n}\n")
+            for row in K.entries:
+                fh.write(" ".join(repr(float(x)) for x in row) + "\n")
+
+
 class TestKernelIO:
     def test_dense_roundtrip(self, tmp_path):
         K = random_npsd(5, seed=7)
@@ -231,6 +248,67 @@ class TestKernelIO:
         with pytest.raises(DomainError):
             load_kernel(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "2 1 1\n1 0\n0 1\n",
+            "0\n",
+            "2 0\n",
+            "3\n1 0 0\n0 1 0\n",
+            "2\n1 0\n0 1\n1 1\n",
+            "2\n1 0\n0 1 0\n",
+            "2 2\n1 0\n0 1\n1 0\n0\n",
+        ],
+        ids=["empty", "three-token-header", "n-zero", "d-zero", "row-short", "row-extra",
+             "ragged-row", "short-C-row"],
+    )
+    def test_malformed_files_rejected(self, text, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(DomainError):
+            load_kernel(path)
+
+    @pytest.mark.parametrize(
+        "K",
+        [
+            random_npsd(7, seed=3),
+            lowrank_npsd(6, 3, seed=2),
+            skew_block([4, 3, 2], [100, 200, 300]),
+        ],
+        ids=["dense", "lowrank", "skew-block"],
+    )
+    def test_files_match_reference_writer(self, K, tmp_path):
+        path, ref = tmp_path / "k.txt", tmp_path / "ref.txt"
+        save_kernel(K, path)
+        reference_save_kernel(K, ref)
+        assert path.read_bytes() == ref.read_bytes()
+        K2 = load_kernel(path)
+        assert np.array_equal(K2.entries, K.entries)
+        assert (K2.lowrank is None) == (K.lowrank is None)
+        for M, M2 in zip(K.lowrank or (), K2.lowrank or ()):
+            assert np.array_equal(M, M2)
+
     def test_lowrank_contract_enforced(self):
         with pytest.raises(DomainError):
             Kernel(np.eye(3), lowrank=(np.ones((3, 1)), np.array([[2.0]])))
+
+
+class TestScaleRelativeTolerances:
+    """Each tolerance is judged against the kernel's own scale, with no
+    absolute floor that a kernel with max|L| << 1 falls under."""
+
+    def test_small_negative_eigenvalue_rejected(self):
+        assert not is_npsd(Kernel(np.diag([1.0, -0.5, 2.0]) * 1e-10))
+
+    def test_small_lowrank_mismatch_rejected(self):
+        # B C B^T is 2e-10 in every entry, while L is 1e-10 I.
+        with pytest.raises(DomainError, match="deviates"):
+            Kernel(1e-10 * np.eye(3), lowrank=(1e-5 * np.ones((3, 1)), np.array([[2.0]])))
+
+    def test_zero_threshold_scales_with_the_kernel(self):
+        K = random_npsd(6, seed=1)
+        for c in (1e-8, 1e8):
+            Kc = Kernel(K.entries * c)
+            for size in (1, 3, 6):
+                assert Kc.zero_threshold(size) == pytest.approx(K.zero_threshold(size) * c**size)

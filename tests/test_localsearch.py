@@ -15,6 +15,7 @@ from ndppmap import (
     TableDistribution,
     brute_force_map,
     condition_on,
+    induced_greedy,
     kernel_table,
     local_search,
     map_inference,
@@ -95,6 +96,9 @@ class TestLocalSearch:
         mu = KernelDistribution(random_npsd(6, seed=1), 3)
         with pytest.raises(DomainError):
             local_search(mu, (0, 1), SearchConfig())
+
+    def test_default_budget(self):
+        assert SearchConfig().max_iters == 1000
 
     def test_max_iters_carries_best(self):
         K = skew_block([4, 3, 2], [100, 200, 300])
@@ -184,6 +188,12 @@ class TestMapInference:
         with pytest.raises(DomainError):
             map_inference(Kernel(np.array([[0.0, 2.0], [0.0, 0.0]])), 1)
 
+    def test_budget_reaches_the_search(self):
+        # the determinant greedy starts at (0, 1), one move from the optimum
+        K = skew_block([4, 3, 2], [100, 200, 300])
+        with pytest.raises(IncompleteSearchError):
+            map_inference(K, 2, SearchConfig(max_iters=0), init="standard")
+
     @pytest.mark.parametrize(
         "K",
         [random_npsd(32, 1), lowrank_npsd(24, 12, 0)],
@@ -208,3 +218,29 @@ class TestMapInference:
             greedy_val = report["greedy_value"]
             if greedy_val > 0 and opt > greedy_val:
                 assert report["iterations"] <= math.log2(opt / greedy_val) + 1
+
+
+def scaled(K, c):
+    """c L, keeping the factorization (B, c C) of a low-rank kernel."""
+    if K.lowrank is None:
+        return Kernel(K.entries * c)
+    return Kernel.from_lowrank(K.lowrank[0], K.lowrank[1] * c)
+
+
+class TestScaleCovariance:
+    """mu(c S) = c^k mu(S), so the argmax does not depend on c."""
+
+    @pytest.mark.parametrize(
+        "K", [random_npsd(40, 1), lowrank_npsd(40, 12, 2)], ids=["dense", "lowrank"]
+    )
+    def test_map_is_scale_covariant(self, K):
+        S1, rep1 = map_inference(K, 8)
+        for e in range(-8, 9, 2):
+            S, rep = map_inference(scaled(K, 10.0**e), 8)
+            assert S == S1, e
+            shift = math.log10(rep["value"]) - math.log10(rep1["value"])
+            assert shift == pytest.approx(8 * e, abs=1e-9)
+
+    def test_small_scale_greedy_is_conditioned(self):
+        trace = induced_greedy(KernelDistribution(scaled(random_npsd(40, 1), 1e-3), 8))
+        assert trace.conditioned_steps == 8 and trace.per_candidate_steps == 0
