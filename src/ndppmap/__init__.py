@@ -21,7 +21,6 @@ from .errors import (
     TrappedStateError,
 )
 from .exchange import (
-    ExchangeReport,
     brute_force_map,
     check_strong_basis_exchange,
     hurwitz_coeff_check,

@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError, InfeasibilityError
+import numpy as np
+
+from .errors import CapacityError, DomainError, InfeasibilityError
 from .exchange import brute_force_map, check_strong_basis_exchange
 from .greedy import induced_greedy
 from .localsearch import SearchConfig, local_search
@@ -63,7 +65,9 @@ def compose_and_report(mu: SetDistribution, plan: PartitionPlan, zeta=0.5):
     optimum W0, each step removes one element j outside the merged core-set
     C and swaps in the element e of the responsible part's core-set C_i that
     the strong-basis-exchange check of (C_i, W) pairs with j, measuring that
-    check's beta along the way.
+    check's beta along the way and its ratio for j as the step's beta_step.
+    The sets after W0 are priced in one completions call.  Raises
+    CapacityError when mu of the union optimum is past the float64 range.
     """
     union = as_set(i for P in plan.parts for i in P)
     C = as_set(i for Ci in plan.coresets for i in Ci)
@@ -71,6 +75,8 @@ def compose_and_report(mu: SetDistribution, plan: PartitionPlan, zeta=0.5):
     opt_core_set, opt_core = _map_within(mu, C)
     if opt_core <= 0.0:
         raise InfeasibilityError("merged core-set carries no positive-mass subset")
+    if not math.isfinite(opt_union):
+        raise CapacityError(f"mu{opt_union_set} = {opt_union} is past the float64 range")
     ratio = opt_union / opt_core
     core_all = set(C)
     chain = [{"set": list(opt_union_set), "value": opt_union}]
@@ -83,25 +89,17 @@ def compose_and_report(mu: SetDistribution, plan: PartitionPlan, zeta=0.5):
             if set(W) & set(P) - set(Ci)
         )
         Ci = plan.coresets[pi]
-        pair = check_strong_basis_exchange(mu, Ci, W)
-        if j not in pair.witnesses:
+        beta, witnesses = check_strong_basis_exchange(mu, Ci, W)
+        if j not in witnesses:
             raise InfeasibilityError(f"no positive-mass swap for j={j} against core-set {Ci}")
-        e = pair.witnesses[j]
-        W2 = as_set(set(W) - {j} | {e})
-        prod = mu.value(as_set(set(Ci) - {e} | {j})) * mu.value(W2)
-        beta_step = mu.value(Ci) * mu.value(W) / prod
-        beta_hat = max(beta_hat, pair.measured_beta)
-        W = W2
-        chain.append(
-            {
-                "set": list(W),
-                "value": mu.value(W),
-                "part": pi,
-                "swap_out": j,
-                "swap_in": e,
-                "beta_step": beta_step,
-            }
-        )
+        e, beta_step = witnesses[j]
+        beta_hat = max(beta_hat, beta)
+        W = as_set(set(W) - {j} | {e})
+        chain.append({"set": list(W), "value": None, "part": pi, "swap_out": j,
+                      "swap_in": e, "beta_step": beta_step})
+    rows = np.array([step["set"] for step in chain[1:]], dtype=np.intp).reshape(-1, mu.k)
+    for step, v in zip(chain[1:], mu.completions((), rows).tolist()):
+        step["value"] = v
     try:
         bound = (beta_hat / zeta) ** mu.k
     except OverflowError:

@@ -22,7 +22,6 @@ from itertools import chain, combinations, compress
 import numpy as np
 
 from .errors import CapacityError, DomainError, InfeasibilityError, TrappedStateError
-from .kernel import _normalize_indices
 from .setdist import SetDistribution, as_set, subsets, union_rows
 
 CHAIN_STATE_CAP = 20000
@@ -94,11 +93,6 @@ class FieldDistribution(SetDistribution):
             factor *= lam[sets[:, c]]
         inside = (forced[sets].sum(axis=1) == forced.sum()) & (self.lam[sets] != 0.0).all(axis=1)
         return factor, inside
-
-    def value(self, S):
-        S = _normalize_indices(S, self.n)
-        factor, inside = self._field(np.array([S], dtype=np.intp))
-        return self.base.value(S) * factor[0] if inside[0] else 0.0
 
     def completions(self, core, D):
         factor, inside = self._field(union_rows(core, D))
@@ -178,7 +172,10 @@ def build_downup(mu: SetDistribution, n, k, l) -> ChainMatrix:
         raise InfeasibilityError("mu has empty support on size-k subsets")
     m = len(states)
     w = vals[support]
-    pi = w / w.sum()
+    total = w.sum()
+    if not math.isfinite(total):
+        raise CapacityError(f"mu sums to {total} over the support, past the float64 range")
+    pi = w / total
     by_core = {}
     for si, S in enumerate(states):
         for core in combinations(S, l):
@@ -294,6 +291,8 @@ def _up_step(mu: SetDistribution, core, s):
     total = wts.sum()
     if not total > 0.0:
         raise TrappedStateError(f"no positive-mass superset of {core}", state=core)
+    if total == math.inf:
+        raise CapacityError(f"mu sums to inf over the supersets of {core}")
     cdf = (wts / total).cumsum()
     return (cdf / cdf[-1]).tolist(), [None] * len(D), core, D
 

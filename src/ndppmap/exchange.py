@@ -12,14 +12,13 @@ pairs with one pair verdict and one Hurwitz rule.  A block's colex ranks are
 k gathers from its slot table, the binomial entries of each union element
 at each rank place, and the verdict masks with `where=`, never by copying.
 The brute-force argmax reads the same table.  The strong basis exchange,
-which pairs single swaps element by element, is checked on its own for the
-core-set certificate.
+which pairs single swaps element by element, is checked on its own, by two
+completions calls per pair, for the core-set certificate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations, islice
 
 import numpy as np
@@ -30,16 +29,6 @@ from .setdist import SetDistribution, as_set, subsets
 BRUTE_FORCE_CAP = 2 * 10**6
 RTOL = 1e-9  # relative slack of the exchange and Hurwitz inequalities
 PAIR_BLOCK = 1 << 15  # sets gathered per block of unions in the all-pairs sweep
-
-
-@dataclass
-class ExchangeReport:
-    pair: tuple
-    measured_beta: float
-    passed: bool
-    witnesses: dict = field(default_factory=dict)  # strong basis: j -> its best i
-    distance: int = 0
-    vacuous: bool = False
 
 
 def brute_force_map(mu: SetDistribution, n, k):
@@ -56,15 +45,6 @@ def brute_force_map(mu: SetDistribution, n, k):
     if not vals[i] > -math.inf:
         return None, -math.inf
     return next(islice(combinations(range(n), k), i, None)), float(vals[i])
-
-
-def _sides(S, T):
-    S, T = as_set(S), as_set(T)
-    if len(S) != len(T):
-        raise DomainError("S and T must have equal size")
-    D1 = tuple(i for i in S if i not in T)
-    D2 = tuple(j for j in T if j not in S)
-    return S, T, D1, D2
 
 
 def _root(q, i, where=True):
@@ -96,26 +76,36 @@ def _pair_verdict(lhs, maxima, beta, r):
     return ok, measured
 
 
-def check_strong_basis_exchange(mu: SetDistribution, S, T) -> ExchangeReport:
+def check_strong_basis_exchange(mu: SetDistribution, S, T):
     """Strong basis exchange: for every j in T\\S some i in S\\T has
-    mu(S)mu(T) <= beta * mu(S-i+j) mu(T+i-j); reports the max-over-j minimal
-    beta, and as witnesses the map j -> i of each j's best positive-mass swap."""
-    S, T, D1, D2 = _sides(S, T)
+    mu(S)mu(T) <= beta * mu(S-i+j) mu(T+i-j).  Returns (beta, witnesses): beta
+    is the max over j of beta_j, the least ratio mu(S)mu(T) / prod over the i
+    with prod > 0 (inf if none), and witnesses maps each j with finite beta_j
+    to (i, beta_j), i the first at that minimum; (1.0, {}) when S = T and
+    (0.0, {}) when mu(S)mu(T) <= 0.  Two completions calls on the core S n T
+    price S and the sets S-i+j, and T and the sets T+i-j, in (j, i) order."""
+    S, T = as_set(S), as_set(T)
+    if len(S) != len(T):
+        raise DomainError("S and T must have equal size")
+    core = tuple(i for i in S if i in T)
+    D1 = [i for i in S if i not in T]
+    D2 = [j for j in T if j not in S]
     t = len(D1)
     if t == 0:
-        return ExchangeReport((S, T), 1.0, True, distance=0, vacuous=True)
-    lhs = mu.value(S) * mu.value(T)
-    if lhs <= 0.0:
-        return ExchangeReport((S, T), 0.0, True, distance=t)
-    worst, witnesses = 0.0, {}
-    for j in D2:
-        best = math.inf
-        for i in D1:
-            prod = mu.value(as_set(set(S) - {i} | {j})) * mu.value(as_set(set(T) - {j} | {i}))
-            if prod > 0.0 and lhs / prod < best:
-                best, witnesses[j] = lhs / prod, i
-        worst = max(worst, best)
-    return ExchangeReport((S, T), worst, math.isfinite(worst), witnesses, t)
+        return 1.0, {}
+    # Rows are sorted, since union_rows returns D itself for an empty core.
+    left = [D1] + [sorted(set(D1) - {i} | {j}) for j in D2 for i in D1]
+    right = [D2] + [sorted(set(D2) - {j} | {i}) for j in D2 for i in D1]
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats do
+        vals = mu.completions(core, np.array(left)) * mu.completions(core, np.array(right))
+        lhs, prod = vals[0], vals[1:].reshape(t, t)
+        if lhs <= 0.0:
+            return 0.0, {}
+        ratio = np.divide(lhs, prod, out=np.full((t, t), math.inf), where=prod > 0.0)
+    ratio[np.isnan(ratio)] = math.inf  # NaN never serves
+    best, first = ratio.min(axis=1), ratio.argmin(axis=1)
+    witnesses = {j: (D1[first[a]], float(best[a])) for a, j in enumerate(D2) if best[a] < math.inf}
+    return float(best.max()), witnesses
 
 
 def _hurwitz_sides(b):

@@ -2,8 +2,8 @@
 
 Every set of completions of a core Y, mu(Y u D[i]) over the rows of an index
 array D that the caller builds once with subsets(pool, s), has one route:
-completions(Y, D), over the sorted sets union_rows(Y, D).  The table, the base
-marginal, the r-neighbourhood, the down-up walk's up-step and the standard
+completions(Y, D), over the sorted sets union_rows(Y, D).  value(S), the table,
+the base marginal, the r-neighbourhood, the walk's up-step and the standard
 greedy's step all read it.  An r-scan keeps its (Y, D, values) blocks as a
 Neighborhood, whose best() labels only the rows at the maximum.
 KernelDistribution prices them as principal minors, one batched determinant
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import charpoly
 from .errors import ConditioningError, DomainError
-from .kernel import Kernel, _normalize_indices, condition_on, principal_minor
+from .kernel import Kernel, _normalize_indices, condition_on
 
 TABLE_BLOCK = 1 << 15  # rows of D per batched determinant
 
@@ -52,7 +52,9 @@ def union_rows(core, D):
 class SetDistribution:
     """Evaluation oracle for an unnormalized density mu on size-k subsets of [n].
 
-    Subclasses implement value().  completions() enumerates through it, and
+    A subclass defines value() or completions(), and each reads the other:
+    value(S) is the completions of the empty core over the one row S, and
+    the base completions() enumerates value(), the reference route.
     tabulate(), marginal(), neighborhood_values() and restrict() read
     completions() over index arrays from subsets(); KernelDistribution
     overrides completions(), tabulate(), marginal(), step_marginals() and
@@ -64,7 +66,9 @@ class SetDistribution:
         self.k = int(k)
 
     def value(self, S) -> float:
-        raise NotImplementedError
+        """mu(S) for a set S of distinct elements of [n]."""
+        S = _normalize_indices(S, self.n)
+        return float(self.completions((), np.array([S], dtype=np.intp))[0])
 
     def completions(self, core, D) -> np.ndarray:
         """mu(core u D[i]) for every row D[i] of the int array D, in row
@@ -165,9 +169,6 @@ class KernelDistribution(SetDistribution):
         self.kernel = kernel
         self._table = None
 
-    def value(self, S):
-        return principal_minor(self.kernel, S)
-
     def completions(self, core, D):
         """principal_minor of each sorted set core u D[i], one batched
         determinant per TABLE_BLOCK rows; the empty set's minor is 1."""
@@ -252,7 +253,7 @@ class TableDistribution(SetDistribution):
             raise DomainError(f"table keys must be distinct size-{self.k} sets")
 
     def value(self, S):
-        return self.table.get(as_set(S), 0.0)
+        return self.table.get(_normalize_indices(S, self.n), 0.0)
 
 
 def _swap_pairs(G, XT, Yn, Z, B):

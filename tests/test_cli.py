@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from ndppmap import load_kernel, principal_minor
+from ndppmap import Kernel, load_kernel, principal_minor, save_kernel
 from ndppmap.cli import main
 
 
@@ -226,6 +226,18 @@ class TestVerify:
         assert [c["num_states"] for c in chains] == [1, 1]
         assert [c["eig_dim"] for c in chains] == [1, 1]
         assert code == 0 and rep["passed"], chains
+
+    @pytest.mark.parametrize("suite", ["walk", "coreset"])
+    def test_mu_past_float64_is_capacity(self, suite, tmp_path, capsys):
+        # mu({0, 1}) = 1e400 overflows to inf: the walk's support sum and the
+        # core-set union optimum are past float64, which is a capacity limit
+        path = str(tmp_path / "big.knl")
+        save_kernel(Kernel(np.diag([1e200, 1e200, 1.0, 2.0])), path)
+        with np.errstate(over="ignore"), pytest.raises(SystemExit) as exc:
+            main(["verify", "--kernel", path, "--k", "2", "--suite", suite])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 3 and out == ""
+        assert err.startswith("capacity: mu") and "past the float64 range" in err
 
     def test_walk_suite_reports_eigenproblem_size(self, tmp_path, capsys):
         # 15 states: l = 0 has one core and l = 1 six, so both solve on the core side

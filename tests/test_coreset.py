@@ -5,16 +5,23 @@ import numpy as np
 import pytest
 
 from ndppmap import (
+    CapacityError,
     DomainError,
+    InfeasibilityError,
     Kernel,
     KernelDistribution,
+    PartitionPlan,
     TableDistribution,
     build_plan,
     compose_and_report,
     coreset_map,
+    principal_minor,
 )
-from ndppmap.instances import random_npsd, random_partition, sym_psd
+from ndppmap.coreset import _map_within
+from ndppmap.instances import lowrank_npsd, random_npsd, random_partition, sym_psd
+from test_exchange import holed_signed_table, parent_strong_basis
 from test_localsearch import neighborhood
+from test_setdist import CountingKernel
 
 
 def diag_distribution(values, k):
@@ -69,6 +76,63 @@ class TestBuildPlan:
             assert set(Ci) <= set(P) and len(Ci) == 2
 
 
+def parent_compose(mu, value, plan, zeta=0.5):
+    """compose_and_report as it was before the chain reused the check's
+    ratios: the witnesses from the per-swap loop, and each step re-priced by
+    value calls, beta_step = value(Ci) value(W) / (value(Ci - e + j) value(W2))."""
+    union = tuple(sorted(i for P in plan.parts for i in P))
+    C = tuple(sorted(i for Ci in plan.coresets for i in Ci))
+    opt_union_set, opt_union = _map_within(mu, union)
+    opt_core_set, opt_core = _map_within(mu, C)
+    if opt_core <= 0.0:
+        raise InfeasibilityError("merged core-set carries no positive-mass subset")
+    ratio = opt_union / opt_core
+    chain = [{"set": list(opt_union_set), "value": opt_union}]
+    beta_hat, W = 1.0, opt_union_set
+    while not set(W) <= set(C):
+        pi, j = next(
+            (pi, min(set(W) & set(P) - set(Ci)))
+            for pi, (P, Ci) in enumerate(zip(plan.parts, plan.coresets))
+            if set(W) & set(P) - set(Ci)
+        )
+        Ci = plan.coresets[pi]
+        measured, witnesses = parent_strong_basis(value, Ci, W)
+        if j not in witnesses:
+            raise InfeasibilityError(f"no positive-mass swap for j={j} against core-set {Ci}")
+        e = witnesses[j][0]
+        W2 = tuple(sorted(set(W) - {j} | {e}))
+        prod = value(tuple(sorted(set(Ci) - {e} | {j}))) * value(W2)
+        beta_step = value(Ci) * value(W) / prod
+        beta_hat = max(beta_hat, measured)
+        W = W2
+        chain.append({"set": list(W), "value": value(W), "part": pi, "swap_out": j,
+                      "swap_in": e, "beta_step": beta_step})
+    try:
+        bound = (beta_hat / zeta) ** mu.k
+    except OverflowError:
+        bound = math.inf
+    return {
+        "parts": [list(P) for P in plan.parts],
+        "coresets": [list(Ci) for Ci in plan.coresets],
+        "opt_union": opt_union,
+        "opt_union_set": list(opt_union_set),
+        "opt_coreset": opt_core,
+        "opt_coreset_set": list(opt_core_set),
+        "ratio": ratio,
+        "beta_hat": beta_hat,
+        "bound": bound,
+        "bound_ok": bool(ratio <= bound * (1.0 + 1e-9)),
+        "chain": chain,
+    }
+
+
+def outcome(compose, *args):
+    try:
+        return repr(compose(*args))
+    except InfeasibilityError as exc:
+        return f"InfeasibilityError({exc})"
+
+
 class TestComposeAndReport:
     def test_diagonal_ratio_is_one(self):
         mu = diag_distribution([1, 9, 2, 8, 3, 7, 4, 6, 5], 2)
@@ -114,3 +178,46 @@ class TestComposeAndReport:
         rep = compose_and_report(mu, plan)
         assert rep["beta_hat"] > 1e200
         assert rep["bound"] == math.inf and rep["bound_ok"]
+
+    @pytest.mark.parametrize("kind", ["dense", "lowrank", "sym_psd", "signed-table"])
+    def test_matches_parent_chain_bit_for_bit(self, kind):
+        # hand-built plans: each part's core-set is a random k-subset of it,
+        # so most unions' optima lie outside the merged core-sets
+        rng = np.random.default_rng(7)
+        chains = 0
+        for trial in range(12):
+            if kind == "signed-table":
+                mu = holed_signed_table(9, 2, trial)
+
+                def value(S):
+                    return mu.table.get(S, 0.0)
+            else:
+                K = {"dense": random_npsd, "sym_psd": sym_psd}.get(kind)
+                K = K(9, trial) if K else lowrank_npsd(9, 3, trial)
+                mu = KernelDistribution(K, 2)
+
+                def value(S):
+                    return principal_minor(mu.kernel, S)
+
+            parts = [tuple(p) for p in np.split(rng.permutation(9), 3)]
+            coresets = [tuple(sorted(rng.choice(P, 2, replace=False).tolist())) for P in parts]
+            plan = PartitionPlan([tuple(sorted(map(int, P))) for P in parts], coresets)
+            got = outcome(compose_and_report, mu, plan)
+            assert got == outcome(parent_compose, mu, value, plan)
+            chains += "swap_in" in got
+        assert chains >= 2
+
+    def test_chain_makes_no_value_call(self):
+        # the union optimum {1, 3} lies outside the merged core-sets
+        mu = CountingKernel(Kernel(np.diag([1.0, 9, 2, 8, 3, 7, 4, 6, 5])), 2)
+        plan = PartitionPlan([(0, 1, 2), (3, 4, 5), (6, 7, 8)], [(0, 2), (4, 5), (6, 7)])
+        rep = compose_and_report(mu, plan)
+        assert len(rep["chain"]) == 3 and mu.values == 0
+        # the checks' two calls per step, then one call for the chain's values
+        assert mu.cores[-1] == () and len(mu.arrays[-1]) == len(rep["chain"]) - 1
+
+    def test_union_optimum_past_float64_is_capacity(self):
+        mu = diag_distribution([1e200, 1e200, 1, 2], 2)
+        plan = PartitionPlan([(0, 1), (2, 3)], [(0, 1), (2, 3)])
+        with np.errstate(over="ignore"), pytest.raises(CapacityError):
+            compose_and_report(mu, plan)

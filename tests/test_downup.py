@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ndppmap import (
+    CapacityError,
     ChainMatrix,
     DomainError,
     InfeasibilityError,
@@ -306,6 +307,12 @@ class TestBuildDownup:
         rep = chain_checks(build_downup(mu, 4, 2, 1), 4, 2, 1)
         assert rep["num_states"] == 1 and rep["gap"] == 1.0 and rep["conductance"] == 0.0
         assert rep["cheeger_ok"] and rep["ok"], rep
+
+    def test_mu_past_float64_is_capacity(self):
+        # was a NaN pi and a LinAlgError in chain_checks
+        mu = KernelDistribution(Kernel(np.diag([1e200, 1e200, 1.0, 2.0])), 2)
+        with np.errstate(over="ignore"), pytest.raises(CapacityError, match="past the float64"):
+            build_downup(mu, 4, 2, 1)
 
     def test_n_k_must_match_mu(self):
         mu = uniform(5, 2)
@@ -655,6 +662,13 @@ class TestSampleWalk:
         mu = TableDistribution(4, 2, {(0, 1): 1.0})
         with pytest.raises(DomainError):
             sample_walk(mu, (2, 3), 1, 10, seed=0)
+
+    def test_mu_past_float64_is_capacity(self):
+        # mu({0, 1}) = 1e400 overflows to inf; the up-step from {0} or {1}
+        # sums to inf, which was an IndexError
+        mu = KernelDistribution(Kernel(np.diag([1e200, 1e200, 1.0, 2.0])), 2)
+        with np.errstate(over="ignore"), pytest.raises(CapacityError, match="sums to inf"):
+            sample_walk(mu, (2, 3), 1, 50, 0)
 
     def test_wrong_size_start_rejected(self):
         mu = KernelDistribution(random_npsd(6, 17), 3)

@@ -16,10 +16,12 @@ from ndppmap import (
     check_strong_basis_exchange,
     hurwitz_coeff_check,
     kernel_table,
+    principal_minor,
     verify_exchange_all_pairs,
 )
 from ndppmap.exchange import RTOL, _hurwitz_sides, _pair_verdict, _root
 from ndppmap.instances import lowrank_npsd, random_npsd, skew_block, sym_psd
+from test_setdist import CountingKernel
 
 
 def uniform(n, k):
@@ -158,26 +160,58 @@ class TestPairSides:
             check(mu, (0, 1), (0, 1, 2))
 
 
+def parent_strong_basis(value, S, T):
+    """The per-swap loop that check_strong_basis_exchange replaced, kept as
+    its reference: 2 t^2 scalar value calls, a j's witness taken by the
+    strict `<` rule, and its beta_j the ratio at that witness."""
+    S, T = tuple(sorted(S)), tuple(sorted(T))
+    D1 = tuple(i for i in S if i not in T)
+    D2 = tuple(j for j in T if j not in S)
+    if not D1:
+        return 1.0, {}
+    lhs = value(S) * value(T)
+    if lhs <= 0.0:
+        return 0.0, {}
+    worst, witnesses = 0.0, {}
+    for j in D2:
+        best = math.inf
+        for i in D1:
+            prod = value(tuple(sorted(set(S) - {i} | {j}))) * value(tuple(sorted(set(T) - {j} | {i})))
+            if prod > 0.0 and lhs / prod < best:
+                best, witnesses[j] = lhs / prod, (i, lhs / prod)
+        worst = max(worst, best)
+    return worst, witnesses
+
+
+def holed_signed_table(n, k, seed):
+    """Masses of both signs, about one set in four of mass exactly 0."""
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(size=math.comb(n, k)) * (rng.random(math.comb(n, k)) > 0.25)
+    return TableDistribution(n, k, dict(zip(combinations(range(n), k), vals.tolist())))
+
+
 class TestStrongBasisExchange:
     def test_same_set_vacuous(self):
         mu = uniform(4, 2)
-        rep = check_strong_basis_exchange(mu, (0, 1), (0, 1))
-        assert rep.vacuous and rep.passed
+        assert check_strong_basis_exchange(mu, (0, 1), (0, 1)) == (1.0, {})
 
     def test_diagonal_kernel_beta_one(self):
         mu = KernelDistribution(Kernel(np.diag([2.0, 3.0, 5.0, 7.0])), 2)
-        rep = check_strong_basis_exchange(mu, (0, 1), (2, 3))
+        beta, witnesses = check_strong_basis_exchange(mu, (0, 1), (2, 3))
         # products factorize over elements, so every swap is exact
-        assert rep.measured_beta == pytest.approx(1.0)
-        # each j in T \\ S maps to its swap partner i in S \\ T
-        assert set(rep.witnesses) == {2, 3} and set(rep.witnesses.values()) <= {0, 1}
+        assert beta == pytest.approx(1.0)
+        # each j in T \\ S maps to its swap partner i in S \\ T, at beta_j = 1
+        assert set(witnesses) == {2, 3} and {i for i, _ in witnesses.values()} <= {0, 1}
+        assert [b for _, b in witnesses.values()] == pytest.approx([1.0, 1.0])
 
     def test_witnesses_skip_j_without_positive_swap(self):
         table = {(0, 1, 2): 1.0, (3, 4, 5): 1.0, (1, 2, 3): 1.0, (0, 4, 5): 1.0}
-        rep = check_strong_basis_exchange(TableDistribution(6, 3, table), (0, 1, 2), (3, 4, 5))
+        beta, witnesses = check_strong_basis_exchange(
+            TableDistribution(6, 3, table), (0, 1, 2), (3, 4, 5)
+        )
         # j = 3 pairs with i = 0 (mu(1, 2, 3) mu(0, 4, 5) > 0); no i serves 4 or 5
-        assert rep.witnesses == {3: 0}
-        assert rep.measured_beta == math.inf and not rep.passed
+        assert witnesses == {3: (0, 1.0)}
+        assert beta == math.inf
 
     def test_projection_like_kernel_finite(self):
         K = sym_psd(8, seed=6)
@@ -186,10 +220,68 @@ class TestStrongBasisExchange:
         worst = 0.0
         for S in sets[::5]:
             for T in sets[::5]:
-                rep = check_strong_basis_exchange(mu, S, T)
-                assert np.isfinite(rep.measured_beta)
-                worst = max(worst, rep.measured_beta)
+                beta, _ = check_strong_basis_exchange(mu, S, T)
+                assert np.isfinite(beta)
+                worst = max(worst, beta)
         assert worst < 1e6
+
+    @pytest.mark.parametrize("kind", ["dense", "lowrank", "sym_psd", "signed-table"])
+    def test_matches_parent_loop_bit_for_bit(self, kind):
+        if kind == "signed-table":
+            mu = holed_signed_table(7, 3, 6)
+
+            def value(S):  # the parent's table lookup
+                return mu.table.get(S, 0.0)
+        else:
+            K = {"dense": random_npsd(7, 3), "lowrank": lowrank_npsd(7, 2, 4), "sym_psd": sym_psd(7, 5)}
+            mu = KernelDistribution(K[kind], 3)
+
+            def value(S):  # the parent's kernel value
+                return principal_minor(mu.kernel, S)
+
+        sets = list(combinations(range(7), 3))
+        for S in sets[::2]:
+            for T in sets[1::3]:
+                got = check_strong_basis_exchange(mu, S, T)
+                assert repr(got) == repr(parent_strong_basis(value, S, T)), (S, T)
+
+    def test_two_completions_calls_on_the_core(self):
+        mu = CountingKernel(random_npsd(8, 2), 4)
+        check_strong_basis_exchange(mu, (0, 2, 4, 6), (0, 3, 4, 7))
+        assert mu.cores == [(0, 4), (0, 4)] and mu.values == 0
+        assert [D.tolist() for D in mu.arrays] == [
+            [[2, 6], [3, 6], [2, 3], [6, 7], [2, 7]],
+            [[3, 7], [2, 7], [6, 7], [2, 3], [3, 6]],
+        ]
+
+    def test_empty_core_rows_are_sorted(self):
+        # union_rows returns D itself for an empty core, so each row is sorted
+        mu = CountingKernel(random_npsd(4, 1), 2)
+        check_strong_basis_exchange(mu, (2, 3), (0, 1))
+        assert mu.cores == [(), ()]
+        assert all((np.diff(D, axis=1) > 0).all() for D in mu.arrays)
+
+    @pytest.mark.parametrize("mass", [0.0, -1.0])
+    def test_nonpositive_lhs(self, mass):
+        table = {(0, 1): mass, (2, 3): 1.0, (0, 2): 1.0, (1, 3): 1.0}
+        assert check_strong_basis_exchange(TableDistribution(4, 2, table), (0, 1), (2, 3)) == (0.0, {})
+
+    def test_nan_and_inf_ratios_never_serve(self):
+        # mu(S) = inf, so lhs / prod is inf or inf / inf = NaN for every swap
+        table = {(0, 1): math.inf, (2, 3): 1.0, (0, 2): math.inf, (1, 3): 1.0, (1, 2): 2.0, (0, 3): 1.0}
+        mu = TableDistribution(4, 2, table)
+        got = check_strong_basis_exchange(mu, (0, 1), (2, 3))
+        assert got == (math.inf, {}) == parent_strong_basis(lambda S: table.get(S, 0.0), (0, 1), (2, 3))
+
+    def test_nan_mass(self):
+        table = {(0, 1): math.nan, (2, 3): 1.0, (0, 2): 1.0, (1, 3): 1.0}
+        got = check_strong_basis_exchange(TableDistribution(4, 2, table), (0, 1), (2, 3))
+        assert got == (math.inf, {})
+
+    def test_tied_minimum_takes_the_first_i(self):
+        mu = uniform(6, 3)
+        beta, witnesses = check_strong_basis_exchange(mu, (0, 1, 2), (3, 4, 5))
+        assert beta == 1.0 and witnesses == {3: (0, 1.0), 4: (0, 1.0), 5: (0, 1.0)}
 
 
 class TestExchangePolynomial:

@@ -15,12 +15,15 @@ import pytest
 
 from ndppmap import (
     ConditioningError,
+    DomainError,
     Kernel,
     KernelDistribution,
     SetDistribution,
+    SearchConfig,
     TableDistribution,
     condition_on,
     kernel_table,
+    local_search,
     principal_minor,
     sample_walk,
 )
@@ -53,6 +56,13 @@ class CountingKernel(KernelDistribution):
     def value(self, S):
         self.values += 1
         return super().value(S)
+
+
+def signed_table(n, k, seed):
+    """Masses of both signs, so a deleted element times a negative base
+    value would give -0.0."""
+    rng = np.random.default_rng(seed)
+    return TableDistribution(n, k, {S: rng.normal() for S in combinations(range(n), k)})
 
 
 def scan_values(nb):
@@ -301,17 +311,49 @@ class TestCallCounts:
     def test_walk_calls_once_per_core(self, l):
         mu = CountingKernel(random_npsd(7, 3), 3)
         traj = sample_walk(mu, (0, 1, 2), l, 500, seed=9)
-        assert len(mu.cores) == len(set(mu.cores)) > 1
-        assert all(len(core) == l for core in mu.cores)
-        assert mu.values == 1  # the start's support check, none per candidate
+        # the start's support check: one value call, one completions row
+        assert mu.values == 1 and mu.cores[0] == () and mu.arrays[0].tolist() == [[0, 1, 2]]
+        # then one call per core, none per candidate
+        assert len(mu.cores[1:]) == len(set(mu.cores[1:])) > 1
+        assert all(len(core) == l for core in mu.cores[1:])
         assert len(set(traj)) > 1
 
 
-def signed_table(n, k, seed):
-    """Masses of both signs, so a deleted element times a negative base
-    value would give -0.0."""
-    rng = np.random.default_rng(seed)
-    return TableDistribution(n, k, {S: rng.normal() for S in combinations(range(n), k)})
+class TestValue:
+    """value(S) is the completions of the empty core over the one row S."""
+
+    @pytest.mark.parametrize("K", [random_npsd(7, 2), lowrank_npsd(7, 3, 1), sym_psd(7, 4)])
+    def test_kernel_value_is_principal_minor_bit_for_bit(self, K):
+        mu = KernelDistribution(K, 3)
+        for s in range(K.n + 1):
+            for S in combinations(range(K.n), s):
+                assert repr(mu.value(S)) == repr(principal_minor(K, S)), S
+        assert repr(mu.value([4, 0, 2])) == repr(principal_minor(K, (0, 2, 4)))
+
+    @pytest.mark.parametrize("base", [KernelDistribution(random_npsd(7, 5), 3), signed_table(7, 3, 2)])
+    def test_field_value_is_the_parent_formula(self, base):
+        lam = random_field(7, seed=1)
+        lam[1], lam[4] = 0.0, math.inf
+        nu = FieldDistribution(base, lam)
+        for S in combinations(range(7), 3):
+            factor, inside = nu._field(np.array([S], dtype=np.intp))
+            want = base.value(S) * factor[0] if inside[0] else 0.0
+            assert repr(nu.value(S)) == repr(float(want)), S
+
+    @pytest.mark.parametrize(
+        "mu",
+        [KernelDistribution(random_npsd(4, 0), 2), TableDistribution(4, 2, {(1, 2): 3.0}),
+         FieldDistribution(TableDistribution(4, 2, {(1, 2): 3.0}), np.ones(4))],
+    )
+    @pytest.mark.parametrize("bad", [(1, 9), (-1, 2), (2, 2)])
+    def test_bad_index_sets_rejected(self, mu, bad):
+        with pytest.raises(DomainError):
+            mu.value(bad)
+
+    def test_table_local_search_names_the_bad_start(self):
+        mu = TableDistribution(4, 2, {(1, 2): 3.0})
+        with pytest.raises(DomainError, match="out of range"):
+            local_search(mu, (1, 9), SearchConfig(r=1))
 
 
 class TestFieldCompletions:
@@ -373,7 +415,8 @@ class TestFieldCompletions:
         traj = sample_walk(nu, (0, 1, 2, 3), 2, 300, seed=3)
         assert len(set(traj)) > 1
         assert len(base.cores) == len(set(base.cores)) > 1
-        assert base.values == 1  # the start's support check
+        # the start's support check is one completions row, priced by the base
+        assert base.values == 0 and base.cores[0] == () and len(base.arrays[0]) == 1
         base.cores, base.values = [], 0
         nu.neighborhood_values((0, 2, 5, 7), 2)
         assert len(base.cores) == len(set(base.cores)) == 1 + 4 + 6
