@@ -4,7 +4,7 @@ Machine output is a single JSON object on stdout (UTF-8, newline-terminated)
 in strict JSON (RFC 8259): a float that is not finite, such as a value past
 the float64 range, is written as null.  A short human summary goes to
 stderr.  Exit codes: 0 success, 1 verification failure, 2 infeasibility,
-3 capacity, 4 usage.
+3 capacity (a failed allocation included), 4 usage.
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ def main(argv=None):
     except InfeasibilityError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         code = EXIT_INFEASIBLE
-    except CapacityError as exc:
+    except (CapacityError, MemoryError) as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         code = EXIT_CAPACITY
     except (DomainError, OSError, ValueError) as exc:

@@ -23,6 +23,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
+from .downup import CHAIN_STATE_CAP
 from .errors import CapacityError, DomainError
 from .setdist import SetDistribution, as_set, subsets
 
@@ -170,10 +171,15 @@ def verify_exchange_all_pairs(mu: SetDistribution):
     makes one gather V (unions x cores x halves) of about PAIR_BLOCK sets,
     and each bucket's maximum and sum over every pair is a running fold of
     fixed columns of V, to which the pair verdict and the Hurwitz rule apply
-    as arrays.  Failures are listed in pair order.
+    as arrays.  Failures are listed in pair order.  Raises CapacityError past
+    the walk's CHAIN_STATE_CAP sets before any array is built (both suites
+    are quadratic in the sets), and where a value a verdict needs leaves
+    the float64 range.
     """
     n, k = mu.n, mu.k
     N = math.comb(n, k)
+    if N > CHAIN_STATE_CAP:
+        raise CapacityError(f"C({n},{k}) exceeds the all-pairs cap {CHAIN_STATE_CAP}")
     # A rank below N uses only terms below N, so clamping keeps int64 exact.
     binom = np.array(
         [[min(math.comb(w, j), N) for j in range(1, k + 1)] for w in range(n)], dtype=np.int64
@@ -181,6 +187,18 @@ def verify_exchange_all_pairs(mu: SetDistribution):
     place = np.arange(k)
     vals = np.empty(N)
     vals[binom[subsets(range(n), k), place].sum(axis=1)] = mu.tabulate()
+    if not np.isfinite(vals).all():
+        raise CapacityError("mu is past the float64 range on some size-k set")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _sweep(vals, binom, n, k)
+    except FloatingPointError as exc:
+        raise CapacityError(f"the sweep leaves the float64 range ({exc})") from None
+
+
+def _sweep(vals, binom, n, k):
+    """verify_exchange_all_pairs on its colex-laid table and slot entries."""
+    N = len(vals)
     beta = float(k) ** 4
     result = {
         "pairs": N * (N - 1) // 2,
@@ -209,8 +227,11 @@ def verify_exchange_all_pairs(mu: SetDistribution):
                     m = np.maximum(m, v)
                 maxima.append(m)
                 sums.append(tot)
-            # bucket t holds S alone and bucket 0 holds T alone
-            ok, measured = _pair_verdict(maxima[t] * maxima[0], maxima, beta, 2)
+            # bucket t holds S alone and bucket 0 holds T alone.  Past float64,
+            # a ratio is an infinite beta_i and beta^i prod exceeds any lhs.
+            mu_st = maxima[t] * maxima[0]
+            with np.errstate(over="ignore"):
+                ok, measured = _pair_verdict(mu_st, maxima, beta, 2)
             finite = measured[np.isfinite(measured)]
             if len(finite):
                 result["max_measured_beta"] = max(result["max_measured_beta"], float(finite.max()))

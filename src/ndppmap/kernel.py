@@ -120,10 +120,10 @@ def principal_minor(K: Kernel, S):
 
 
 def is_npsd(K: Kernel):
-    """True iff the minimum eigenvalue of (L + L^T)/2 is >= -NPSD_TOL * ||L||_2."""
+    """True iff the minimum eigenvalue of (L + L^T)/2 is >= -NPSD_TOL * max|L|."""
     sym = 0.5 * (K.entries + K.entries.T)
     lam_min = float(np.linalg.eigvalsh(sym)[0])
-    return lam_min >= -NPSD_TOL * float(np.linalg.norm(K.entries, 2))
+    return lam_min >= -NPSD_TOL * K.max_abs
 
 
 def condition_on(K: Kernel, Y):

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from ndppmap import Kernel, load_kernel, principal_minor, save_kernel
+from ndppmap import Kernel, KernelDistribution, instances, load_kernel, principal_minor, save_kernel
 from ndppmap.cli import main
 
 
@@ -227,10 +227,11 @@ class TestVerify:
         assert [c["eig_dim"] for c in chains] == [1, 1]
         assert code == 0 and rep["passed"], chains
 
-    @pytest.mark.parametrize("suite", ["walk", "coreset"])
+    @pytest.mark.parametrize("suite", ["exchange", "walk", "coreset"])
     def test_mu_past_float64_is_capacity(self, suite, tmp_path, capsys):
-        # mu({0, 1}) = 1e400 overflows to inf: the walk's support sum and the
-        # core-set union optimum are past float64, which is a capacity limit
+        # mu({0, 1}) = 1e400 overflows to inf: the exchange table, the walk's
+        # support sum and the core-set union optimum are past float64, which
+        # is a capacity limit
         path = str(tmp_path / "big.knl")
         save_kernel(Kernel(np.diag([1e200, 1e200, 1.0, 2.0])), path)
         with np.errstate(over="ignore"), pytest.raises(SystemExit) as exc:
@@ -238,6 +239,18 @@ class TestVerify:
         out, err = capsys.readouterr()
         assert exc.value.code == 3 and out == ""
         assert err.startswith("capacity: mu") and "past the float64 range" in err
+
+    @pytest.mark.parametrize("n, k", [(21, 5), (60, 8)])
+    def test_exchange_suite_past_its_cap_is_capacity(self, n, k, tmp_path, capsys, monkeypatch):
+        # C(21, 5) = 20,349 is just past the cap; (60, 8) once ran out of memory
+        path = str(tmp_path / "r.knl")
+        save_kernel(instances.random_npsd(n, 1), path)
+        monkeypatch.setattr(KernelDistribution, "tabulate", lambda mu: pytest.fail("tabulated"))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--kernel", path, "--k", str(k), "--suite", "exchange"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 3 and out == ""
+        assert err == f"capacity: C({n},{k}) exceeds the all-pairs cap 20000\n"
 
     def test_walk_suite_reports_eigenproblem_size(self, tmp_path, capsys):
         # 15 states: l = 0 has one core and l = 1 six, so both solve on the core side
@@ -277,6 +290,23 @@ class TestVerify:
             ["verify", "--kernel", path, "--k", "2", "--suite", "exchange"], capsys
         )
         assert code == 1 and not rep["passed"]
+
+
+def test_failed_allocation_is_capacity(tmp_path):
+    # the l = 4 chain's dense P at (16, 6) needs 489 MiB, past a 512 MiB
+    # address space that already holds the interpreter and numpy
+    resource = pytest.importorskip("resource")
+    path = str(tmp_path / "r16.knl")
+    save_kernel(instances.random_npsd(16, 1), path)
+    limit = 512 << 20
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ndppmap.cli", "verify", "--kernel", path, "--k", "6", "--suite", "walk"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 3 and proc.stdout == "", proc.stderr
+    assert proc.stderr.startswith("capacity: Unable to allocate")
 
 
 def test_cli_runs_without_numpy_ma(tmp_path):

@@ -489,6 +489,42 @@ def with_fp_flags(fn, *args):
     return out, seen
 
 
+class Untabulated(KernelDistribution):
+    def tabulate(self):
+        raise AssertionError("tabulated")
+
+
+class TestSweepCapacity:
+    def test_runs_at_the_cap_and_stops_past_it_before_tabulating(self, monkeypatch):
+        monkeypatch.setattr(exchange, "CHAIN_STATE_CAP", math.comb(6, 3))
+        assert verify_exchange_all_pairs(KernelDistribution(random_npsd(6, 1), 3))["pairs"] == 190
+        with pytest.raises(CapacityError):
+            verify_exchange_all_pairs(Untabulated(random_npsd(7, 1), 3))
+
+    def test_overflowing_ratio_is_a_verdict(self):
+        # mu(S)mu(T) = 1e300 is finite: the i = 1 ratio 1e500 is an infinite
+        # beta_1, and the i = 2 exchange, T itself, holds with beta 1
+        S, T = (0, 1), (2, 3)
+        table = {W: 1e-100 for W in combinations(range(4), 2)}
+        table[S] = table[T] = 1e150
+        res = verify_exchange_all_pairs(TableDistribution(4, 2, table))
+        assert res["max_measured_beta"] == 1.0
+        assert not res["exchange_failures"] and not res["hurwitz_failures"]
+
+    @pytest.mark.parametrize(
+        "diag",
+        [
+            [1e200, 1e200, 1.0, 2.0],  # mu({0, 1}) = 1e400 is inf
+            [1e80, 1e80, 1e80, 1.0, 2.0],  # every mu is finite, but mu(S)mu(T) reaches 1e320
+        ],
+    )
+    def test_mu_past_float64_is_capacity(self, diag):
+        with np.errstate(over="ignore"):  # the first kernel's det of {0, 1} overflows
+            mu = KernelDistribution(Kernel(np.diag(diag)), 2)
+            with pytest.raises(CapacityError, match="float64 range"):
+                verify_exchange_all_pairs(mu)
+
+
 class TestPairVerdictEdges:
     EDGES = [0.0, -0.0, -1.5, 1e-300, 0.25, 3.0, 1e300, math.inf, -math.inf, math.nan]
 

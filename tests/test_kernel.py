@@ -74,6 +74,17 @@ class TestIsNpsd:
             assert is_npsd(random_npsd(6, seed))
             assert is_npsd(lowrank_npsd(7, 3, seed))
 
+    def test_tolerance_is_relative_to_the_largest_entry(self):
+        # sym(L) has eigenvalues 4, 0, 0 and -c: the tolerance is 1e-9 max|L|,
+        # about 1e-9 here, not 1e-9 ||L||_2 = 4e-9
+        v = np.array([1.0, -1.0, 0.0, 0.0]) / math.sqrt(2.0)
+        assert is_npsd(Kernel(np.ones((4, 4)) - 0.5e-9 * np.outer(v, v)))
+        assert not is_npsd(Kernel(np.ones((4, 4)) - 2e-9 * np.outer(v, v)))
+
+    def test_large_lowrank_instance_is_npsd(self):
+        # lambda_min(sym L) / max|L| is about -1e-14 here, a rounding error
+        assert is_npsd(lowrank_npsd(1000, 20, 1))
+
 
 class TestConditionOn:
     def test_empty_conditioning(self):

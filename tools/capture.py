@@ -5,15 +5,18 @@
 Run from the root of a source checkout; the package is imported from src/
 and the workloads from perfbench/workloads.py, which this script only reads.
 For each of the four seed-11 workloads it runs every operation once and
-writes one line per operation to OUT, with repr (exact for floats):
+writes one line per operation to OUT: the JSON array [workload, label,
+record, digests] from json.dumps, which writes each float with its repr
+digits (Infinity and NaN where it is not finite), so the file is exact.  The
+record holds
 
 - map-search, map-greedy and verify: the exit code, the JSON report without
   its "timing" and "kernel" (a temporary path) keys, and stderr;
 - walk: both chains' chain_checks reports, the sampler's TV and its
   20,000-step trajectory;
 
-and after them, for every chain the operation built with build_downup, the
-SHA-256 of its P.tobytes() and of its pi.tobytes(), since a chain_checks
+and the digests are, for every chain the operation built with build_downup,
+the SHA-256 of its P.tobytes() and of its pi.tobytes(), since a chain_checks
 report can hide a last-bit change in P.
 
 Two checkouts give byte-identical files under `cmp` exactly when their
@@ -67,7 +70,7 @@ def main(out_path):
                     if report:
                         del report["timing"], report["kernel"]
                     record = (code, report, stderr)
-                out.write(f"{name} {op.label} {record!r} {chains!r}\n")
+                out.write(json.dumps([name, op.label, record, chains]) + "\n")
                 chains.clear()
 
 

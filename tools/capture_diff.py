@@ -2,8 +2,9 @@
 
     python tools/capture_diff.py OLD NEW [ADDED_KEY ...]
 
-Both files must list the same operations in the same order, and every
-SHA-256 digest of a chain's P and pi must be equal.  Every other value is
+Each line is one JSON array, [workload, label, record, digests].  Both
+files must list the same operations in the same order, and every SHA-256
+digest of a chain's P and pi must be equal.  Every other value is
 compared structurally: a float may differ, and for each key path whose
 floats differ the largest absolute difference is printed.  A dict key that
 only NEW has is allowed when it is named as an ADDED_KEY; for each such key
@@ -15,34 +16,10 @@ it is 0.
 
 from __future__ import annotations
 
-import ast
+import json
 import math
 import sys
 from collections import defaultdict
-
-NAMES = {"inf": math.inf, "nan": math.nan}
-
-
-class _Constants(ast.NodeTransformer):
-    """repr writes inf and nan as bare names; read them as floats."""
-
-    def visit_Name(self, node):
-        if node.id not in NAMES:
-            raise ValueError(f"unexpected name {node.id!r}")
-        return ast.copy_location(ast.Constant(NAMES[node.id]), node)
-
-
-def _literal(text):
-    tree = _Constants().visit(ast.parse(text, mode="eval"))
-    return ast.literal_eval(tree)
-
-
-def parse(line):
-    """(workload, label, record, digests) of one capture line.  The digest
-    list is the last bracket of the line, since it holds only tuples."""
-    name, label, rest = line.rstrip("\n").split(" ", 2)
-    cut = rest.rindex(" [")
-    return name, label, _literal(rest[:cut]), _literal(rest[cut + 1:])
 
 
 def compare(old, new, path, added, floats, faults):
@@ -64,7 +41,7 @@ def compare(old, new, path, added, floats, faults):
                 floats[f"+{path}.{key}"] = max(floats[f"+{path}.{key}"], abs(new[key]))
         for key in old.keys() & new.keys():
             compare(old[key], new[key], f"{path}.{key}", added, floats, faults)
-    elif isinstance(old, (list, tuple)):
+    elif isinstance(old, list):
         if len(old) != len(new):
             faults.append(f"{path}: length {len(old)} -> {len(new)}")
         else:
@@ -86,8 +63,8 @@ def main(old_path, new_path, added):
     digests = identical = 0
     for old_line, new_line in zip(old_lines, new_lines):
         identical += old_line == new_line
-        o_name, o_label, o_record, o_digests = parse(old_line)
-        n_name, n_label, n_record, n_digests = parse(new_line)
+        o_name, o_label, o_record, o_digests = json.loads(old_line)
+        n_name, n_label, n_record, n_digests = json.loads(new_line)
         where = f"{o_name} {o_label}"
         if (o_name, o_label) != (n_name, n_label):
             faults.append(f"{where}: operation -> {n_name} {n_label}")
