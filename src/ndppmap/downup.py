@@ -321,7 +321,7 @@ def sample_walk(mu: SetDistribution, S0, l, steps, seed):
         raise DomainError(f"need 0 <= l <= k, got l={l}, k={k}")
     if steps < 0:
         raise DomainError(f"steps must be nonnegative, got {steps}")
-    if mu.value(S0) <= 0.0:
+    if not mu.value(S0) > 0.0:
         raise DomainError("walk must start in the support of mu")
     rng = np.random.default_rng(seed)
     # Positions p_0 < ... < p_{l-1} have colex rank sum_j C(p_j, j + 1).

@@ -84,7 +84,9 @@ def check_strong_basis_exchange(mu: SetDistribution, S, T):
     with prod > 0 (inf if none), and witnesses maps each j with finite beta_j
     to (i, beta_j), i the first at that minimum; (1.0, {}) when S = T and
     (0.0, {}) when mu(S)mu(T) <= 0.  Two completions calls on the core S n T
-    price S and the sets S-i+j, and T and the sets T+i-j, in (j, i) order."""
+    price S and the sets S-i+j, and T and the sets T+i-j, in (j, i) order.
+    Raises CapacityError when mu(S)mu(T) is past the float64 range, where no
+    ratio is decided; a swap product past it gives the ratio 0."""
     S, T = as_set(S), as_set(T)
     if len(S) != len(T):
         raise DomainError("S and T must have equal size")
@@ -100,6 +102,8 @@ def check_strong_basis_exchange(mu: SetDistribution, S, T):
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats do
         vals = mu.completions(core, np.array(left)) * mu.completions(core, np.array(right))
         lhs, prod = vals[0], vals[1:].reshape(t, t)
+        if np.isinf(lhs):
+            raise CapacityError(f"mu{S}mu{T} = {lhs} is past the float64 range")
         if lhs <= 0.0:
             return 0.0, {}
         ratio = np.divide(lhs, prod, out=np.full((t, t), math.inf), where=prod > 0.0)
@@ -118,11 +122,14 @@ def hurwitz_coeff_check(b):
     """b_0 b_t <= max{b_1 b_{t-1}, b_2 b_{t-2}} on coefficients b_0..b_t,
     vacuous for t <= 2.  On the even coefficients of the exchange polynomial
     this is the Hurwitz corollary of the pairwise exchange inequality.  Each
-    b_a may be an array over pairs; the verdict is then one per pair."""
+    b_a may be an array over pairs; the verdict is then one per pair.  The
+    only slack is RTOL, relative to the right side, so scaling mu by a power
+    of 2 keeps the verdict while both sides stay normal floats; an infinite
+    right side holds."""
     if len(b) <= 3:
         return True
     lhs, rhs = _hurwitz_sides(b)
-    return lhs <= rhs * (1.0 + RTOL) + 1e-300
+    return lhs <= rhs * (1.0 + RTOL)
 
 
 def _distance_tables(k, t):
@@ -173,8 +180,10 @@ def verify_exchange_all_pairs(mu: SetDistribution):
     fixed columns of V, to which the pair verdict and the Hurwitz rule apply
     as arrays.  Failures are listed in pair order.  Raises CapacityError past
     the walk's CHAIN_STATE_CAP sets before any array is built (both suites
-    are quadratic in the sets), and where a value a verdict needs leaves
-    the float64 range.
+    are quadratic in the sets), and where float64 cannot decide a verdict: a
+    mu value or a product mu(S)mu(T) that is not finite.  Every other
+    product that overflows is judged as the infinity it rounds to: an
+    infinite ratio is an infinite beta_i, and an infinite right side holds.
     """
     n, k = mu.n, mu.k
     N = math.comb(n, k)
@@ -189,63 +198,52 @@ def verify_exchange_all_pairs(mu: SetDistribution):
     vals[binom[subsets(range(n), k), place].sum(axis=1)] = mu.tabulate()
     if not np.isfinite(vals).all():
         raise CapacityError("mu is past the float64 range on some size-k set")
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return _sweep(vals, binom, n, k)
-    except FloatingPointError as exc:
-        raise CapacityError(f"the sweep leaves the float64 range ({exc})") from None
-
-
-def _sweep(vals, binom, n, k):
-    """verify_exchange_all_pairs on its colex-laid table and slot entries."""
-    N = len(vals)
     beta = float(k) ** 4
-    result = {
-        "pairs": N * (N - 1) // 2,
-        "exchange_failures": [],
-        "hurwitz_failures": [],
-        "max_measured_beta": 0.0,
-    }
-    exch, hurw = result["exchange_failures"], result["hurwitz_failures"]
-    for t in range(1, min(k, n - k) + 1):
-        P, cols = _distance_tables(k, t)
-        unions = subsets(range(n), k + t)
-        rows = max(1, PAIR_BLOCK // (P.shape[0] * P.shape[1]))
-        for u0 in range(0, len(unions), rows):
-            U = unions[u0:u0 + rows]
-            slots = binom[U]  # slots[u, p, j]: C(U[u, p], j + 1)
-            ranks = slots[:, P[..., 0], 0]
-            for j in range(1, k):
-                ranks += slots[:, P[..., j], j]
-            V = vals[ranks]
-            maxima, sums = [], []
-            for bucket in cols:
-                m, tot = -math.inf, 0.0
-                for c in bucket:
-                    v = V[:, :, c]
-                    tot = tot + v
-                    m = np.maximum(m, v)
-                maxima.append(m)
-                sums.append(tot)
-            # bucket t holds S alone and bucket 0 holds T alone.  Past float64,
-            # a ratio is an infinite beta_i and beta^i prod exceeds any lhs.
-            mu_st = maxima[t] * maxima[0]
-            with np.errstate(over="ignore"):
+    exch, hurw, beta_max = [], [], 0.0
+    # A bucket sum overflows only where two of its sets have mu(S)mu(T) past
+    # float64, so the call raises and no NaN verdict it leaves is returned.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, min(k, n - k) + 1):
+            P, cols = _distance_tables(k, t)
+            unions = subsets(range(n), k + t)
+            rows = max(1, PAIR_BLOCK // (P.shape[0] * P.shape[1]))
+            for u0 in range(0, len(unions), rows):
+                U = unions[u0:u0 + rows]
+                slots = binom[U]  # slots[u, p, j]: C(U[u, p], j + 1)
+                ranks = slots[:, P[..., 0], 0]
+                for j in range(1, k):
+                    ranks += slots[:, P[..., j], j]
+                V = vals[ranks]
+                maxima, sums = [], []
+                for bucket in cols:
+                    m, tot = -math.inf, 0.0
+                    for c in bucket:
+                        v = V[:, :, c]
+                        tot = tot + v
+                        m = np.maximum(m, v)
+                    maxima.append(m)
+                    sums.append(tot)
+                # bucket t holds S alone and bucket 0 holds T alone
+                mu_st = maxima[t] * maxima[0]
+                if not np.isfinite(mu_st).all():
+                    raise CapacityError("mu(S)mu(T) is past the float64 range on some pair")
                 ok, measured = _pair_verdict(mu_st, maxima, beta, 2)
-            finite = measured[np.isfinite(measured)]
-            if len(finite):
-                result["max_measured_beta"] = max(result["max_measured_beta"], float(finite.max()))
+                finite = measured[np.isfinite(measured)]
+                beta_max = max(beta_max, float(finite.max(initial=0.0)))
 
-            def pair(u, c, s):
-                return tuple(U[u, P[c, s]].tolist()), tuple(U[u, P[c, -1 - s]].tolist())
+                def pair(u, c, s):
+                    return tuple(U[u, P[c, s]].tolist()), tuple(U[u, P[c, -1 - s]].tolist())
 
-            for u, c, s in zip(*np.nonzero(~ok)):
-                exch.append((*pair(u, c, s), float(measured[u, c, s])))
-            bad = np.nonzero(~np.broadcast_to(hurwitz_coeff_check(sums), ok.shape))
-            if len(bad[0]):
-                lhs, rhs = _hurwitz_sides(sums)
-                for u, c, s in zip(*bad):
-                    hurw.append((*pair(u, c, s), float(lhs[u, c, s]), float(rhs[u, c, s])))
-    exch.sort()
-    hurw.sort()
-    return result
+                for u, c, s in zip(*np.nonzero(~ok)):
+                    exch.append((*pair(u, c, s), float(measured[u, c, s])))
+                bad = np.nonzero(~np.broadcast_to(hurwitz_coeff_check(sums), ok.shape))
+                if len(bad[0]):
+                    lhs, rhs = _hurwitz_sides(sums)
+                    for u, c, s in zip(*bad):
+                        hurw.append((*pair(u, c, s), float(lhs[u, c, s]), float(rhs[u, c, s])))
+    return {
+        "pairs": N * (N - 1) // 2,
+        "exchange_failures": sorted(exch),
+        "hurwitz_failures": sorted(hurw),
+        "max_measured_beta": beta_max,
+    }

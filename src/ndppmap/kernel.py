@@ -112,11 +112,13 @@ class Kernel:
 
 
 def principal_minor(K: Kernel, S):
-    """det(L_S); the empty-set minor is 1."""
+    """det(L_S); the empty-set minor is 1, and one past float64 is inf,
+    without a warning."""
     idx = _normalize_indices(S, K.n)
     if not idx:
         return 1.0
-    return float(np.linalg.det(K.entries[np.ix_(idx, idx)]))
+    with np.errstate(over="ignore"):
+        return float(np.linalg.det(K.entries[np.ix_(idx, idx)]))
 
 
 def is_npsd(K: Kernel):
@@ -140,7 +142,8 @@ def condition_on(K: Kernel, Y):
     rest[list(idx)] = False
     order = np.concatenate((idx, np.flatnonzero(rest)))
     G = K.entries[np.ix_(order, order)]  # rows and columns in the order (Y, R)
-    detY = float(np.linalg.det(G[:m, :m]))
+    with np.errstate(over="ignore"):  # an infinite det(L_Y) is returned as is
+        detY = float(np.linalg.det(G[:m, :m]))
     if abs(detY) <= K.zero_threshold(m):
         raise ConditioningError(f"singular L_Y for Y={idx}", det=detY)
     # No NaN/inf re-check: Kernel bounds max|L| by MAX_ABS_ENTRY, so L^Y is finite.

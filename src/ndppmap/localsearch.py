@@ -7,10 +7,11 @@ always jumps to the neighborhood argmax, so the output is certified as an
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
-from .errors import DomainError, IncompleteSearchError
+from .errors import CapacityError, DomainError, IncompleteSearchError
 from .greedy import induced_greedy, standard_greedy
 from .kernel import Kernel, is_npsd
 from .setdist import KernelDistribution, SetDistribution, as_set
@@ -42,15 +43,19 @@ class SearchTrace:
 
 
 def local_search(mu: SetDistribution, S0, cfg: SearchConfig):
-    """LOCAL-SEARCH-r from the size-k set S0; returns (final set, SearchTrace)."""
+    """LOCAL-SEARCH-r from the size-k set S0; returns (final set, SearchTrace).
+    Raises DomainError unless mu(S0) > 0, and CapacityError when mu of the
+    start or of a move is past the float64 range, where no ratio is decided."""
     cur = as_set(S0)
     if len(cur) != mu.k:
         raise DomainError(f"local search needs a size-{mu.k} start, got {cur}")
     cur_val = float(mu.value(cur))
-    if cur_val <= 0.0:
+    if not cur_val > 0.0:
         raise DomainError(f"local search needs mu(S0) > 0, got {cur_val}")
     trace = SearchTrace()
     while True:
+        if cur_val == math.inf:  # no finite factor certifies against it
+            raise CapacityError(f"mu{cur} = inf is past the float64 range")
         vals = mu.neighborhood_values(cur, cfg.r)
         trace.neighborhood_evals += len(vals)
         best, best_val = vals.best()  # the argmax, smallest set on ties

@@ -171,14 +171,16 @@ class KernelDistribution(SetDistribution):
 
     def completions(self, core, D):
         """principal_minor of each sorted set core u D[i], one batched
-        determinant per TABLE_BLOCK rows; the empty set's minor is 1."""
+        determinant per TABLE_BLOCK rows; the empty set's minor is 1.  A minor
+        past float64 is inf, without a warning: every caller checks for it."""
         rows = union_rows(core, D)
         L = self.kernel.entries
         out = np.empty(len(rows))
-        for b0 in range(0, len(rows), TABLE_BLOCK):
-            P = rows[b0 : b0 + TABLE_BLOCK]
-            # One expression, so no block of minors outlives its determinant.
-            out[b0 : b0 + len(P)] = np.linalg.det(L[P[..., None], P[:, None]])
+        with np.errstate(over="ignore"):
+            for b0 in range(0, len(rows), TABLE_BLOCK):
+                P = rows[b0 : b0 + TABLE_BLOCK]
+                # One expression, so no block of minors outlives its determinant.
+                out[b0 : b0 + len(P)] = np.linalg.det(L[P[..., None], P[:, None]])
         return out
 
     def tabulate(self):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from ndppmap import Kernel, KernelDistribution, instances, load_kernel, principal_minor, save_kernel
+from ndppmap import cli
 from ndppmap.cli import main
 
 
@@ -78,9 +80,10 @@ class TestMap:
 
     def test_overflowing_marginals_pick_by_value(self, tmp_path):
         # Valid nPSD, but the fast step's sums overflow to NaN; the marginals
-        # of 0 and 1 are inf, so the set is [0, 1].  The CLI runs in its own
-        # process, as a user runs it: the overflow warns, and this project's
-        # pytest settings turn RuntimeWarning into an error.
+        # of 0 and 1 are inf, so greedy picks [0, 1], whose mu = 1 + 1e400 is
+        # past float64: local search exits 3 from there, as a capacity limit.
+        # The CLI runs in its own process, as a user runs it, so that a
+        # warning would reach stderr.
         path = tmp_path / "big.knl"
         path.write_text("3\n1 1e200 0.5\n-1e200 1 0\n0.5 0 2\n")
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -88,12 +91,13 @@ class TestMap:
             [sys.executable, "-m", "ndppmap.cli", "map", "--kernel", str(path), "--k", "2"],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
         )
-        assert proc.returncode == 0 and "Traceback" not in proc.stderr
-        assert json.loads(proc.stdout)["set"] == [0, 1]
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == "capacity: mu(0, 1) = inf is past the float64 range\n"
 
     def test_overflowing_threshold_exits_cleanly(self, tmp_path):
         # The zero threshold of a size-3 pin, 1e-12 (1 + 1e200)^3, leaves the
         # float range; the pin reads as singular and takes the fallbacks.
+        # Greedy ends on [0, 1, 2], whose mu is past float64: exit 3.
         path = tmp_path / "big4.knl"
         path.write_text("4\n1 1e200 0.5 0\n-1e200 1 0 0\n0.5 0 2 0\n0 0 0 3\n")
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -101,14 +105,22 @@ class TestMap:
             [sys.executable, "-m", "ndppmap.cli", "map", "--kernel", str(path), "--k", "3"],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
         )
-        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == "capacity: mu(0, 1, 2) = inf is past the float64 range\n"
 
-        def reject(name):
-            raise ValueError(f"non-standard JSON constant {name}")
+    def test_non_finite_floats_print_as_null(self, capsys):
+        cli._emit({"value": math.inf, "chain": [{"beta": -math.inf}, (math.nan, 1.5)]})
+        text = capsys.readouterr().out
+        assert text == '{"chain": [{"beta": null}, [null, 1.5]], "value": null}\n'
 
-        report = json.loads(proc.stdout, parse_constant=reject)
-        assert report["set"] == [0, 1, 2]
-        assert report["value"] is None  # mu overflows float64: null, not Infinity
+    def test_mu_past_float64_is_capacity(self, tmp_path, capsys):
+        path = str(tmp_path / "big.knl")
+        save_kernel(Kernel(np.diag([1e200, 1e200, 1.0, 2.0])), path)
+        with pytest.raises(SystemExit) as exc:
+            main(["map", "--kernel", path, "--k", "2"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 3 and out == ""
+        assert err == "capacity: mu(0, 1) = inf is past the float64 range\n"
 
     def test_out_file_matches_stdout(self, skew_path, tmp_path, capsys):
         out = tmp_path / "map.json"
@@ -234,7 +246,7 @@ class TestVerify:
         # is a capacity limit
         path = str(tmp_path / "big.knl")
         save_kernel(Kernel(np.diag([1e200, 1e200, 1.0, 2.0])), path)
-        with np.errstate(over="ignore"), pytest.raises(SystemExit) as exc:
+        with pytest.raises(SystemExit) as exc:
             main(["verify", "--kernel", path, "--k", "2", "--suite", suite])
         out, err = capsys.readouterr()
         assert exc.value.code == 3 and out == ""

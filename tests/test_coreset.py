@@ -219,5 +219,22 @@ class TestComposeAndReport:
     def test_union_optimum_past_float64_is_capacity(self):
         mu = diag_distribution([1e200, 1e200, 1, 2], 2)
         plan = PartitionPlan([(0, 1), (2, 3)], [(0, 1), (2, 3)])
-        with np.errstate(over="ignore"), pytest.raises(CapacityError):
+        with pytest.raises(CapacityError):
             compose_and_report(mu, plan)
+
+    def test_exchange_past_float64_is_capacity(self):
+        # the chain's first check pairs C_0 = (0, 1) with W = (2, 5), whose
+        # mu(S)mu(T) = 1.5 big^2 is past float64 at big = 1e200: a capacity
+        # limit, not a missing swap
+        def run(big):
+            table = {S: 1.0 for S in combinations(range(6), 2)}
+            table[(0, 1)] = table[(3, 4)] = big
+            table[(2, 5)] = 1.5 * big
+            mu = TableDistribution(6, 2, table)
+            return compose_and_report(mu, build_plan(mu, [(0, 1, 2), (3, 4, 5)]))
+
+        rep = run(1e2)
+        assert rep["coresets"] == [[0, 1], [3, 4]] and rep["opt_union_set"] == [2, 5]
+        assert rep["beta_hat"] == 15000.0 and rep["bound_ok"]
+        with pytest.raises(CapacityError, match=r"mu\(0, 1\)mu\(2, 5\) = inf"):
+            run(1e200)

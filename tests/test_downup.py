@@ -311,7 +311,7 @@ class TestBuildDownup:
     def test_mu_past_float64_is_capacity(self):
         # was a NaN pi and a LinAlgError in chain_checks
         mu = KernelDistribution(Kernel(np.diag([1e200, 1e200, 1.0, 2.0])), 2)
-        with np.errstate(over="ignore"), pytest.raises(CapacityError, match="past the float64"):
+        with pytest.raises(CapacityError, match="past the float64"):
             build_downup(mu, 4, 2, 1)
 
     def test_n_k_must_match_mu(self):
@@ -663,11 +663,17 @@ class TestSampleWalk:
         with pytest.raises(DomainError):
             sample_walk(mu, (2, 3), 1, 10, seed=0)
 
+    def test_nan_start_rejected(self):
+        table = {S: 1.0 for S in combinations(range(5), 2)}
+        table[(0, 1)] = math.nan
+        with pytest.raises(DomainError, match="support"):
+            sample_walk(TableDistribution(5, 2, table), (0, 1), 1, 10, seed=0)
+
     def test_mu_past_float64_is_capacity(self):
         # mu({0, 1}) = 1e400 overflows to inf; the up-step from {0} or {1}
         # sums to inf, which was an IndexError
         mu = KernelDistribution(Kernel(np.diag([1e200, 1e200, 1.0, 2.0])), 2)
-        with np.errstate(over="ignore"), pytest.raises(CapacityError, match="sums to inf"):
+        with pytest.raises(CapacityError, match="sums to inf"):
             sample_walk(mu, (2, 3), 1, 50, 0)
 
     def test_wrong_size_start_rejected(self):

@@ -267,11 +267,15 @@ class TestStrongBasisExchange:
         assert check_strong_basis_exchange(TableDistribution(4, 2, table), (0, 1), (2, 3)) == (0.0, {})
 
     def test_nan_and_inf_ratios_never_serve(self):
-        # mu(S) = inf, so lhs / prod is inf or inf / inf = NaN for every swap
+        # mu(S) = inf leaves every ratio undecided: a capacity limit
         table = {(0, 1): math.inf, (2, 3): 1.0, (0, 2): math.inf, (1, 3): 1.0, (1, 2): 2.0, (0, 3): 1.0}
-        mu = TableDistribution(4, 2, table)
-        got = check_strong_basis_exchange(mu, (0, 1), (2, 3))
-        assert got == (math.inf, {}) == parent_strong_basis(lambda S: table.get(S, 0.0), (0, 1), (2, 3))
+        with pytest.raises(CapacityError, match="past the float64 range"):
+            check_strong_basis_exchange(TableDistribution(4, 2, table), (0, 1), (2, 3))
+        # a NaN swap mass never serves, though it is the first i for j = 2
+        table = {(0, 1): 1.0, (2, 3): 1.0, (0, 2): 2.0, (1, 3): 1.0, (1, 2): math.nan, (0, 3): 1.0}
+        got = check_strong_basis_exchange(TableDistribution(4, 2, table), (0, 1), (2, 3))
+        assert got == (0.5, {2: (1, 0.5), 3: (0, 0.5)})
+        assert got == parent_strong_basis(lambda S: table.get(S, 0.0), (0, 1), (2, 3))
 
     def test_nan_mass(self):
         table = {(0, 1): math.nan, (2, 3): 1.0, (0, 2): 1.0, (1, 3): 1.0}
@@ -501,6 +505,25 @@ class TestSweepCapacity:
         with pytest.raises(CapacityError):
             verify_exchange_all_pairs(Untabulated(random_npsd(7, 1), 3))
 
+    def test_mu_near_float64_sqrt_is_a_verdict(self):
+        # mu(S)mu(T) = 1.69e308 fits, and the Hurwitz sides' b_1 b_2 overflow
+        mu = TableDistribution(6, 3, {S: 1.3e154 for S in combinations(range(6), 3)})
+        res = verify_exchange_all_pairs(mu)
+        assert res["pairs"] == 190 and res["max_measured_beta"] == 1.0
+        assert not res["exchange_failures"] and not res["hurwitz_failures"]
+
+    @pytest.mark.parametrize("e", [-510, -500, 400, 500])
+    def test_verdicts_do_not_depend_on_scale(self, e):
+        # both inequalities are homogeneous in mu, so scaling it by 2^e
+        # changes no verdict, out to where products underflow or overflow
+        base = signed_table(9, 4, 0)
+        mu = TableDistribution(9, 4, {S: math.ldexp(v, e) for S, v in base.table.items()})
+        want, got = verify_exchange_all_pairs(base), verify_exchange_all_pairs(mu)
+        assert len(want["hurwitz_failures"]) == 918
+        assert got["max_measured_beta"] == want["max_measured_beta"]
+        for kind in ("exchange_failures", "hurwitz_failures"):
+            assert [f[:2] for f in got[kind]] == [f[:2] for f in want[kind]]
+
     def test_overflowing_ratio_is_a_verdict(self):
         # mu(S)mu(T) = 1e300 is finite: the i = 1 ratio 1e500 is an infinite
         # beta_1, and the i = 2 exchange, T itself, holds with beta 1
@@ -519,10 +542,9 @@ class TestSweepCapacity:
         ],
     )
     def test_mu_past_float64_is_capacity(self, diag):
-        with np.errstate(over="ignore"):  # the first kernel's det of {0, 1} overflows
-            mu = KernelDistribution(Kernel(np.diag(diag)), 2)
-            with pytest.raises(CapacityError, match="float64 range"):
-                verify_exchange_all_pairs(mu)
+        mu = KernelDistribution(Kernel(np.diag(diag)), 2)
+        with pytest.raises(CapacityError, match="float64 range"):
+            verify_exchange_all_pairs(mu)
 
 
 class TestPairVerdictEdges:

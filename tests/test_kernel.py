@@ -51,6 +51,9 @@ class TestPrincipalMinor:
         expected = cofactor_det(K.entries[np.ix_(S, S)])
         assert principal_minor(K, S) == pytest.approx(expected, rel=1e-10)
 
+    def test_past_float64_is_inf_without_warning(self):
+        assert principal_minor(Kernel(np.diag([1e200, 1e200, 1.0])), [0, 1]) == math.inf
+
     def test_out_of_range(self):
         with pytest.raises(DomainError):
             principal_minor(Kernel(np.eye(3)), [0, 3])
@@ -98,6 +101,12 @@ class TestConditionOn:
         M, det = condition_on(K, [0])
         assert det == pytest.approx(2.0)
         assert np.allclose(M, np.diag([3.0, 5.0]))
+
+    def test_det_past_float64_is_inf_without_warning(self):
+        # det(L_Y) = 2e308 overflows, while the zero threshold 1e-12 * 1e308 does not
+        K = Kernel(np.array([[1e154, 1e154, 0.0], [-1e154, 1e154, 0.0], [0.0, 0.0, 3.0]]))
+        M, det = condition_on(K, [0, 1])
+        assert det == math.inf and M.tolist() == [[3.0]]
 
     def test_schur_identity(self):
         K = random_npsd(5, seed=3)

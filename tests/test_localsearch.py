@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ndppmap import (
+    CapacityError,
     ConditioningError,
     DomainError,
     IncompleteSearchError,
@@ -96,6 +97,20 @@ class TestLocalSearch:
         mu = KernelDistribution(random_npsd(6, seed=1), 3)
         with pytest.raises(DomainError):
             local_search(mu, (0, 1), SearchConfig())
+
+    def test_nan_start_rejected(self):
+        table = {S: 1.0 for S in combinations(range(5), 2)}
+        table[(0, 1)] = math.nan
+        with pytest.raises(DomainError, match="needs mu"):
+            local_search(TableDistribution(5, 2, table), (0, 1), SearchConfig())
+
+    @pytest.mark.parametrize("start, r", [((0, 1), 2), ((2, 3), 2), ((2, 3), 1)])
+    def test_mu_past_float64_is_capacity(self, start, r):
+        # mu({0, 1}) = 1e400 is inf: at the start, or reached by one move
+        # (r = 2) or by two, through mu({0, 3}) = 2e200 (r = 1)
+        mu = KernelDistribution(Kernel(np.diag([1e200, 1e200, 1.0, 2.0])), 2)
+        with pytest.raises(CapacityError, match=r"mu\(0, 1\) = inf is past the float64 range"):
+            local_search(mu, start, SearchConfig(r=r))
 
     def test_default_budget(self):
         assert SearchConfig().max_iters == 1000

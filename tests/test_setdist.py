@@ -118,6 +118,12 @@ class TestCompletions:
                 assert mu.completions(core, subsets(pool, s)).tolist() == want
         assert mu.values == 0
 
+    def test_minor_past_float64_is_inf_without_warning(self):
+        # det of {0, 1} is 1e400; this project's pytest settings turn
+        # RuntimeWarning into an error
+        table = kernel_table(Kernel(np.diag([1e200, 1e200, 1.0, 2.0])), 2)
+        assert table[0] == math.inf and np.isfinite(table[1:]).all()
+
     def test_singular_core_priced_like_any_other(self):
         K = skew_kernel(7, 19)
         with pytest.raises(ConditioningError):
