@@ -1,13 +1,15 @@
 """Exact down-up walks, external fields, and spectral diagnostics.
 
 The k<->l walk drops k-l elements uniformly, then re-completes
-proportionally to mu.  At desk scale the transition matrix is materialized
-row-stochastically over the support, by flat scatters of the l-set cores'
-blocks in core order, so reversibility, the spectrum, conductance and the
-Cheeger sandwich can all be checked exactly; the array checks run in two
-m x m buffers.  The spectrum is solved on the smaller side: over the l-set
-cores when they number at most half the states, since D U and the up-down
-walk U D share their nonzero spectrum.
+proportionally to mu.  A chain from `build_downup` is held as its operators,
+P = D U: D averages a state over its l-set cores and U sends a core to its
+normalized distribution over its supersets in the support, so both live on
+the (state, core) incidence, C(k, l) entries per state.  Row sums and
+stationarity are read off the operators, and the spectrum off one
+eigenproblem on the smaller Gram matrix of the factor A with sym(P) = A A^T.
+The dense m x m P is built only when something reads it: the exact
+conductance, which enumerates the cuts of at most CONDUCTANCE_STATE_CAP
+states, and there reversibility and sym(P) = A A^T are checked on P too.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, compress
+from itertools import combinations, compress
 
 import numpy as np
 
@@ -27,50 +29,160 @@ from .setdist import SetDistribution, as_set, subsets, union_rows
 CHAIN_STATE_CAP = 20000
 CONDUCTANCE_STATE_CAP = 22
 CUT_BLOCK = 1 << 15  # cuts per block of the exact conductance sweep
-SCATTER_BLOCK = 1 << 16  # entries of P per flat np.add.at in build_downup
+SCATTER_BLOCK = 1 << 16  # entries of an m x m array per flat np.add.at over core blocks
 WALK_BLOCK = 4096  # sampler steps per array of uniform draws
 CHEEGER_TOL = 1e-9  # absolute slack of both sides of the Cheeger sandwich
 
 
-@dataclass
 class ChainMatrix:
-    """The k<->l down-up chain on its m states, with an optional factor.
+    """A chain on its m states given by a dense row-stochastic P and a
+    stationary density pi, as a caller builds one by hand.  Every check reads
+    P, and the spectrum is the m x m `eigvalsh` of the reversible
+    symmetrization: the dense reference for the chains of `build_downup`."""
 
-    For a chain from `build_downup` with 2 * cores <= m (cores: the l-sets
-    under some state), `factor` is the m x cores matrix A with
-    A[S, c] = sqrt(w_S / (C(k, l) W_c)) when c is a subset of S and 0
-    otherwise, where w is mu over the states and W_c sums w over the
-    supersets of c.  The symmetrization of P is then exactly A A^T, so its
-    spectrum is that of the cores x cores Gram matrix A^T A plus m - cores
-    zeros.  Otherwise, and for any hand-built chain, `factor` is None.
-    """
+    def __init__(self, states, P, pi):
+        self.states = states  # sorted size-k tuples carrying positive mass
+        self.P = P  # row-stochastic transition matrix
+        self.pi = pi  # stationary density (normalized mu over states)
 
-    states: list  # sorted size-k tuples carrying positive mass
-    P: np.ndarray  # row-stochastic transition matrix
-    pi: np.ndarray  # stationary density (normalized mu over states)
-    factor: np.ndarray | None = None  # A, with symmetrized(P) = A A^T
+    @property
+    def eig_dim(self):
+        """The size of `gram()`, the one eigenproblem behind the spectrum."""
+        return len(self.states)
 
-    def symmetrized(self, B=None, out=None):
+    def gram(self):
+        """A symmetric matrix whose eigenvalues, joined with zeros up to m,
+        are those of P: here sym(P)."""
+        return self.symmetrized()
+
+    def symmetrized(self):
         """The reversible symmetrization of P: (B + B^T) / 2 with
-        B = D^{1/2} P D^{-1/2} and D = diag(pi).  B is formed in place in
-        the given m x m buffer and the result written to `out` (each newly
-        allocated when None), so it takes two m x m arrays."""
+        B = D^{1/2} P D^{-1/2} and D = diag(pi)."""
         s = np.sqrt(self.pi)
-        B = np.multiply(s[:, None], self.P, out=B)
-        np.divide(B, s[None, :], out=B)
-        out = np.add(B, B.T, out=out)
-        return np.multiply(0.5, out, out=out)
+        B = (s[:, None] * self.P) / s[None, :]
+        return 0.5 * (B + B.T)
 
     @cached_property
     def spectrum(self):
-        """Ascending eigenvalues of P: with a factor A, those of the small
-        Gram matrix A^T A joined with m - cores zeros; without one, those of
-        the m x m symmetrization.  Either way, one eigenproblem."""
-        if self.factor is None:
-            return np.linalg.eigvalsh(self.symmetrized())
-        A = self.factor
-        zeros = np.zeros(A.shape[0] - A.shape[1])
-        return np.sort(np.concatenate((zeros, np.linalg.eigvalsh(A.T @ A))))
+        """Ascending eigenvalues of P: those of `gram()`, from one
+        eigensolve, joined with m - eig_dim zeros."""
+        ev = np.linalg.eigvalsh(self.gram())
+        return np.sort(np.concatenate((np.zeros(len(self.states) - len(ev)), ev)))
+
+    def row_sums(self):
+        return self.P.sum(axis=1)
+
+    def pi_P(self):
+        """pi P, which is pi when pi is stationary."""
+        return self.pi @ self.P
+
+    def dense_errors(self):
+        """(reversibility_err, factor_err, row_sum_err, stationarity_err) of
+        `chain_checks` read off P: max|F - F^T| of the flow F = diag(pi) P,
+        0.0 (a hand-built chain has no factor), max|P 1 - 1| and
+        max|pi P - pi|."""
+        F = self.pi[:, None] * self.P
+        return (
+            float(np.max(np.abs(F - F.T))),
+            0.0,
+            float(np.max(np.abs(self.P.sum(axis=1) - 1.0))),
+            float(np.max(np.abs(self.pi @ self.P - self.pi))),
+        )
+
+
+class DownUpChain(ChainMatrix):
+    """The k<->l down-up chain P = D U on its m states, held as its operators.
+
+    Both live on the (state, core) incidence: `core_ids` is m x C(k, l), row
+    S the ids of the l-set cores under S in `combinations` order, the cores
+    numbered in the order they first appear.  With the state masses w and
+    the core sums W_c of w over the supersets of c, D[S, c] = `scale` =
+    1/C(k, l), U[c, S] = w_S / W_c (`up`) and the factor
+    A[S, c] = sqrt(w_S / (C(k, l) W_c)) (`factor`), each m x C(k, l) in the
+    layout of `core_ids`.  So pi_S (D U)[S, T] is symmetric in (S, T), and
+    sym(P) = A A^T identically.  P is built from the operators when it is
+    first read, by `_add_core_blocks`, and cached.
+    """
+
+    def __init__(self, states, pi, w, core_ids, scale):
+        self.states, self.pi, self.w = states, pi, w
+        self.core_ids, self.scale = core_ids, scale
+        per = core_ids.shape[1]
+        self.W = np.bincount(core_ids.ravel(), weights=np.repeat(w, per))
+        W = self.W[core_ids]
+        self.up = w[:, None] / W
+        self.factor = np.sqrt(scale * w[:, None] / W)
+
+    @cached_property
+    def by_core(self):
+        """The incidence grouped by core, for the scatters over each core's
+        supersets: (rows, lens, order), where the states under each core in
+        turn, ascending, are `rows`, `lens` of them per core, and `order`
+        takes the flat `core_ids` to that grouping."""
+        ids = self.core_ids.ravel()
+        order = np.argsort(ids, kind="stable")
+        return order // self.core_ids.shape[1], np.bincount(ids), order
+
+    @cached_property
+    def P(self):
+        m = len(self.states)
+        rows, lens, _ = self.by_core
+        P = np.zeros((m, m))
+        _add_core_blocks(P, self.w, rows, lens, self.scale)
+        return P
+
+    @property
+    def eig_dim(self):
+        return min(len(self.W), len(self.states))
+
+    def gram(self):
+        """The smaller of A^T A (cores x cores) and A A^T (m x m), which
+        share their nonzero spectrum: that of P.  A^T A adds each state's
+        products of its own C(k, l) factor entries, one `np.add.at` per
+        position of the left entry, so the scatter holds m C(k, l) terms at
+        a time."""
+        cores = len(self.W)
+        if cores > len(self.states):
+            return self.state_gram()
+        R, V = self.core_ids, self.factor
+        G = np.zeros((cores, cores))
+        for j in range(R.shape[1]):
+            _add_products(G, R[:, j, None], V[:, j, None], R, V)
+        return G
+
+    def state_gram(self):
+        """A A^T, added core by core: the products of each core's factor
+        entries, over the blocks of `_core_blocks`."""
+        m = len(self.states)
+        rows, lens, order = self.by_core
+        values = self.factor.ravel()[order]
+        G = np.zeros((m, m))
+        for block, shape in _core_blocks(lens):
+            R, V = rows[block].reshape(shape), values[block].reshape(shape)
+            _add_products(G, R, V, R, V)
+        return G
+
+    def row_sums(self):
+        """P 1 = D (U 1): one `np.bincount` over the incidence, one gather."""
+        U1 = np.bincount(self.core_ids.ravel(), weights=self.up.ravel())
+        return self.scale * U1[self.core_ids].sum(axis=1)
+
+    def pi_P(self):
+        """pi P = (pi D) U: one `np.bincount` over the incidence, one gather."""
+        per = self.core_ids.shape[1]
+        piD = self.scale * np.bincount(self.core_ids.ravel(), weights=np.repeat(self.pi, per))
+        return (piD[self.core_ids] * self.up).sum(axis=1)
+
+    def dense_errors(self):
+        """The four errors of `ChainMatrix.dense_errors` read off P, with
+        factor_err = ||sym(P) - A A^T||_F, where the exact conductance builds
+        P: up to CONDUCTANCE_STATE_CAP states.  None past it, where the
+        first two hold by construction and the operators give the others."""
+        if len(self.states) > CONDUCTANCE_STATE_CAP:
+            return None
+        rev_err, _, row_err, stat_err = super().dense_errors()
+        factor_err = float(np.linalg.norm(self.symmetrized() - self.state_gram()))
+        return rev_err, factor_err, row_err, stat_err
 
 
 class FieldDistribution(SetDistribution):
@@ -116,15 +228,11 @@ def apply_field(mu: SetDistribution, lam) -> FieldDistribution:
     return out
 
 
-def _add_core_blocks(P, w, rows, lens, scale):
-    """P[i, j] += scale * (w[j] / W_c) for each core c and each pair (i, j)
-    of its supersets, where the supersets of the cores, in order, are
-    consecutive slices of `rows` of the lengths `lens`, and W_c sums w over
-    them.  Each run of cores with equally many supersets is a 2-D block, cut
-    into about SCATTER_BLOCK entries, and each block one `np.add.at` on the
-    flat view of P, at flat indices i * m + j."""
-    m = len(P)
-    flat = P.reshape(-1)
+def _core_blocks(lens):
+    """The incidence grouped by core, in 2-D blocks: each run of cores with
+    equally many supersets, cut into about SCATTER_BLOCK entries of an m x m
+    array.  Yields each block's slice of the incidence and its shape, cores
+    by supersets."""
     offsets = np.concatenate(([0], np.cumsum(lens)))
     edges = [0, *(np.flatnonzero(lens[1:] != lens[:-1]) + 1).tolist(), len(lens)]
     for c0, c1 in zip(edges, edges[1:]):
@@ -132,32 +240,43 @@ def _add_core_blocks(P, w, rows, lens, scale):
         per = max(1, SCATTER_BLOCK // (size * size))
         for b0 in range(c0, c1, per):
             b1 = min(b0 + per, c1)
-            R = rows[offsets[b0]:offsets[b1]].reshape(b1 - b0, size)
-            weights = w[R]
-            V = scale * (weights / weights.sum(axis=1, keepdims=True))
-            ij = (R * m)[:, :, None] + R[:, None, :]  # core, row i, column j
-            np.add.at(flat, ij.ravel(), np.repeat(V, size, axis=0).ravel())
+            yield slice(offsets[b0], offsets[b1]), (b1 - b0, size)
 
 
-def build_downup(mu: SetDistribution, n, k, l) -> ChainMatrix:
-    """Explicit transition matrix of the k<->l down-up walk on supp(mu).
+def _add_products(out, R1, V1, R2, V2):
+    """out[R1[g, i], R2[g, j]] += V1[g, i] * V2[g, j] for each row g of the
+    2-D index and value arrays and each pair (i, j), by one `np.add.at` on
+    the flat view of out, in the order (g, i, j)."""
+    ij = (R1 * out.shape[1])[:, :, None] + R2[:, None, :]
+    np.add.at(out.reshape(-1), ij.ravel(), (V1[:, :, None] * V2[:, None, :]).ravel())
 
-    The matrix is the composition D_{k->l} U_{l->k} acting on k-sets, which is
+
+def _add_core_blocks(P, w, rows, lens, scale):
+    """P[i, j] += scale * (w[j] / W_c) for each core c and each pair (i, j)
+    of its supersets, where the supersets of the cores, in order, are
+    consecutive slices of `rows` of the lengths `lens`, and W_c sums w over
+    them; one `_core_blocks` block at a time.  The row sums of a block are
+    each core's normalizer bit for bit, and a product by 1.0 is exact, so
+    every entry of P receives the same addends in the same order as from one
+    block add per core."""
+    for block, shape in _core_blocks(lens):
+        R = rows[block].reshape(shape)
+        weights = w[R]
+        V = scale * (weights / weights.sum(axis=1, keepdims=True))
+        _add_products(P, R, np.ones(shape), R, V)
+
+
+def build_downup(mu: SetDistribution, n, k, l) -> DownUpChain:
+    """The k<->l down-up walk on supp(mu), held as its operators.
+
+    The walk is the composition D_{k->l} U_{l->k} acting on k-sets, which is
     exactly the two-step drop/re-complete algorithm, read one l-set core at a
     time: each superset of the core in the support moves, with weight
     1/C(k, l), to the core's normalized distribution over its supersets.
-    The cores' blocks are added in place by flat `np.add.at` scatters
-    (`_add_core_blocks`), in the order the cores were grouped.  The row sums
-    of a 2-D block of cores with equally many supersets are each core's
-    normalizer bit for bit, so every entry of P receives the same addends in
-    the same order as from one block add per core.
-
-    When 2 * cores <= m, the chain also carries the factor A of its
-    symmetrization (see `ChainMatrix`), written by one scatter over the
-    grouped (state, core) pairs with each W_c from one `np.bincount`.  The
-    rule is structural: then the Gram product A^T A and the check A A^T in
-    `chain_checks` cost at most 3/4 m^3 flops together, less than the m x m
-    eigensolve they replace.  P and pi do not depend on the factor.
+    The chain (`DownUpChain`) keeps the (state, core) incidence as one row of
+    core ids per state, the cores numbered in the order they first appear
+    under the sorted states, and builds no m x m array; P, when read, is the
+    sum of the cores' blocks in that order.
     """
     if (n, k) != (mu.n, mu.k):
         raise DomainError(f"(n, k) = ({n}, {k}) but mu is over ({mu.n}, {mu.k})")
@@ -170,33 +289,19 @@ def build_downup(mu: SetDistribution, n, k, l) -> ChainMatrix:
     states = list(compress(combinations(range(n), k), support))
     if not states:
         raise InfeasibilityError("mu has empty support on size-k subsets")
-    m = len(states)
     w = vals[support]
     total = w.sum()
     if not math.isfinite(total):
         raise CapacityError(f"mu sums to {total} over the support, past the float64 range")
-    pi = w / total
-    by_core = {}
-    for si, S in enumerate(states):
-        for core in combinations(S, l):
-            by_core.setdefault(core, []).append(si)
-    cores = len(by_core)
-    lens = np.fromiter(map(len, by_core.values()), dtype=np.intp, count=cores)
-    rows = np.fromiter(chain.from_iterable(by_core.values()), dtype=np.intp)
-    inv_choose = 1.0 / math.comb(k, l)
-    P = np.zeros((m, m))
-    _add_core_blocks(P, w, rows, lens, inv_choose)
-    if 2 * cores > m:
-        return ChainMatrix(states, P, pi)
-    cols = np.repeat(np.arange(cores), lens)
-    W = np.bincount(cols, weights=w[rows], minlength=cores)
-    A = np.zeros((m, cores))
-    A[rows, cols] = np.sqrt(inv_choose * w[rows] / W[cols])
-    return ChainMatrix(states, P, pi, A)
+    ids = {}  # core -> id, in order of first appearance
+    pairs = (ids.setdefault(core, len(ids)) for S in states for core in combinations(S, l))
+    per = math.comb(k, l)
+    core_ids = np.fromiter(pairs, dtype=np.intp, count=len(states) * per).reshape(-1, per)
+    return DownUpChain(states, w / total, w, core_ids, 1.0 / per)
 
 
 def spectral_gap(C: ChainMatrix) -> float:
-    """1 - lambda_2 of the transition matrix (via the reversible symmetrization)."""
+    """1 - lambda_2 of the transition matrix, from `C.spectrum`."""
     if len(C.states) < 2:
         return 1.0
     return float(1.0 - C.spectrum[-2])
@@ -371,36 +476,31 @@ def empirical_density(traj, states):
     return counts / len(traj)
 
 
-def _array_errors(C: ChainMatrix):
-    """(row_err, rev_err, factor_err) of `chain_checks`, in two m x m
-    buffers: X holds the flow F = pi P, then B for the symmetrization, then
-    A A^T; Y holds F - F^T and its abs, then the symmetrization minus A A^T."""
-    P, pi = C.P, C.pi
-    row_err = float(np.max(np.abs(P.sum(axis=1) - 1.0)))
-    X = np.multiply(pi[:, None], P)
-    Y = np.subtract(X, X.T)
-    rev_err = float(np.max(np.abs(Y, out=Y)))
-    if C.factor is None:
-        return row_err, rev_err, 0.0
-    E = C.symmetrized(X, out=Y)
-    E -= np.matmul(C.factor, C.factor.T, out=X)
-    return row_err, rev_err, float(np.linalg.norm(E))
-
-
 def chain_checks(C: ChainMatrix, n=None, k=None, l=None):
     """Row sums, reversibility, spectrum, stationarity, gap, Cheeger sandwich.
 
-    `eig_dim` is the size of the one eigenproblem solved: cores when the
-    chain has a factor A, m otherwise.  `factor_err` is the Frobenius norm
-    of symmetrized(P) - A A^T (0.0 without a factor), and `ok` requires it
-    to be at most 1e-10.  By Weyl's inequality every eigenvalue reported
-    from A is then within 1e-10 of the matching eigenvalue of the
-    symmetrized P, so the spectral checks describe P itself."""
-    row_err, rev_err, factor_err = _array_errors(C)
+    Row sums and stationarity come from `C.row_sums()` and `C.pi_P()`, on a
+    chain of `build_downup` from its operators.  `eig_dim` is the size of the
+    one eigenproblem solved (`C.gram()`).  Wherever P is built, `C.dense_errors()`
+    reads every check off P too: on a hand-built chain (`factor_err` 0.0,
+    there being no factor) and on a chain of `build_downup` with at most
+    CONDUCTANCE_STATE_CAP states, where the exact conductance builds it.
+    There the row-sum and stationarity errors are the larger of the two
+    readings, and `ok` requires reversibility and `factor_err`, the
+    Frobenius norm of sym(P) - A A^T, to be at most 1e-10, so by Weyl's
+    inequality every eigenvalue reported from A is within 1e-10 of the
+    matching one of sym(P).  Past that size the report omits both keys:
+    pi_S (D U)[S, T] is symmetric and sym(D U) is A A^T by construction."""
+    row_err = float(np.max(np.abs(C.row_sums() - 1.0)))
+    stat_err = float(np.max(np.abs(C.pi_P() - C.pi)))
+    rev_err = factor_err = None
+    dense = C.dense_errors()
+    if dense is not None:
+        rev_err, factor_err, p_row_err, p_stat_err = dense
+        row_err, stat_err = max(row_err, p_row_err), max(stat_err, p_stat_err)
     ev = C.spectrum
     gap = spectral_gap(C)
     cond = conductance(C)
-    stat_err = float(np.max(np.abs(C.pi @ C.P - C.pi)))
     report = {
         "n": n,
         "k": k,
@@ -409,20 +509,21 @@ def chain_checks(C: ChainMatrix, n=None, k=None, l=None):
         "row_sum_err": row_err,
         "reversibility_err": rev_err,
         "min_eigenvalue": float(ev[0]),
-        "eig_dim": len(C.states) if C.factor is None else C.factor.shape[1],
+        "eig_dim": C.eig_dim,
         "factor_err": factor_err,
         "stationarity_err": stat_err,
         "gap": gap,
         "cheeger_ok": len(C.states) < 2 or cheeger_ok(gap, cond),  # one state has no cut
     }
+    if rev_err is None:
+        del report["reversibility_err"], report["factor_err"]
     if cond.exact:
         report["conductance"] = cond.value
     else:
         report["conductance_bounds"] = [cond.lower, cond.upper]
     report["ok"] = bool(
         row_err <= 1e-12
-        and rev_err <= 1e-10
-        and factor_err <= 1e-10
+        and (rev_err is None or (rev_err <= 1e-10 and factor_err <= 1e-10))
         and ev[0] >= -1e-9
         and stat_err <= 1e-10
         and report["cheeger_ok"]

@@ -123,13 +123,14 @@ def hurwitz_coeff_check(b):
     vacuous for t <= 2.  On the even coefficients of the exchange polynomial
     this is the Hurwitz corollary of the pairwise exchange inequality.  Each
     b_a may be an array over pairs; the verdict is then one per pair.  The
-    only slack is RTOL, relative to the right side, so scaling mu by a power
-    of 2 keeps the verdict while both sides stay normal floats; an infinite
-    right side holds."""
+    only slack is RTOL, relative to the right side and added on the side
+    that holds whatever the right side's sign, so scaling mu by a power of 2
+    keeps the verdict while both sides stay normal floats; an infinite right
+    side holds."""
     if len(b) <= 3:
         return True
     lhs, rhs = _hurwitz_sides(b)
-    return lhs <= rhs * (1.0 + RTOL)
+    return lhs <= rhs * np.where(rhs < 0.0, 1.0 - RTOL, 1.0 + RTOL)
 
 
 def _distance_tables(k, t):

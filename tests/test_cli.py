@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ndppmap import Kernel, KernelDistribution, instances, load_kernel, principal_minor, save_kernel
-from ndppmap import cli
+from ndppmap import cli, downup
 from ndppmap.cli import main
 
 
@@ -274,6 +274,17 @@ class TestVerify:
         assert all(c["factor_err"] <= 1e-10 for c in chains)
         assert code == 0 and rep["passed"], chains
 
+    def test_walk_suite_builds_no_dense_chain(self, tmp_path, capsys, monkeypatch):
+        # 495 states: past the exact conductance, nothing reads P
+        path = str(tmp_path / "r.knl")
+        run_cli(["gen", "random-npsd", "--n", "12", "--seed", "1", "--out", path], capsys)
+        monkeypatch.setattr(downup, "_add_core_blocks", lambda *a: pytest.fail("built P"))
+        code, rep, _ = run_cli(["verify", "--kernel", path, "--k", "4", "--suite", "walk"], capsys)
+        chains = rep["suites"]["walk"]["chains"]
+        assert [(c["l"], c["num_states"]) for c in chains] == [(2, 495), (3, 495)]
+        assert not any("reversibility_err" in c or "factor_err" in c for c in chains)
+        assert code == 0 and rep["passed"], chains
+
     def test_suites_share_one_table(self, tmp_path, capsys, monkeypatch):
         # the exchange and walk suites read one table of the kernel, and so
         # does the core-set suite's brute force over the union of its parts,
@@ -305,15 +316,16 @@ class TestVerify:
 
 
 def test_failed_allocation_is_capacity(tmp_path):
-    # the l = 4 chain's dense P at (16, 6) needs 489 MiB, past a 512 MiB
-    # address space that already holds the interpreter and numpy
+    # the l = 6 chain at (16, 8) solves on its 8,008 cores, whose Gram matrix
+    # needs 489 MiB, past a 512 MiB address space that already holds the
+    # interpreter and numpy
     resource = pytest.importorskip("resource")
     path = str(tmp_path / "r16.knl")
     save_kernel(instances.random_npsd(16, 1), path)
     limit = 512 << 20
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     proc = subprocess.run(
-        [sys.executable, "-m", "ndppmap.cli", "verify", "--kernel", path, "--k", "6", "--suite", "walk"],
+        [sys.executable, "-m", "ndppmap.cli", "verify", "--kernel", path, "--k", "8", "--suite", "walk"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )

@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 from itertools import chain, combinations, compress
@@ -282,12 +283,16 @@ class TestBuildDownup:
         assert np.array_equal(C.P, np.eye(6))
 
     @pytest.mark.parametrize("field", [False, True], ids=["kernel", "field"])
-    def test_k_equals_l_identity_without_factor(self, field):
-        # every state is its own core: each row gets the one addend 1.0 * (w / w)
+    def test_k_equals_l_identity_with_unit_factor(self, field):
+        # every state is its own core: each row gets the one addend 1.0 * (w / w),
+        # and the factor, the up-step and the spectrum are exactly 1
         C = build_downup(kernel_or_field(field), 6, 3, 3)
-        assert len(C.states) == (10 if field else 20)
-        assert C.P.tobytes() == np.eye(len(C.states)).tobytes()
-        assert C.factor is None
+        m = len(C.states)
+        assert m == (10 if field else 20)
+        assert C.P.tobytes() == np.eye(m).tobytes()
+        assert C.core_ids.tolist() == [[i] for i in range(m)]
+        for ones in (C.factor.ravel(), C.up.ravel(), C.spectrum):
+            assert ones.tobytes() == np.ones(m).tobytes()
 
     def test_stationarity_seeded(self):
         mu = KernelDistribution(random_npsd(6, 8), 3)
@@ -331,7 +336,7 @@ class TestBuildDownup:
 
 
 def per_core_reference(mu, l):
-    """P and the factor (or None) of the k<->l chain, P added one block per
+    """P and the m x cores factor of the k<->l chain, P added one block per
     core by a 2-D `np.add.at`, the factor by one scatter."""
     n, k = mu.n, mu.k
     vals = mu.tabulate()
@@ -339,26 +344,48 @@ def per_core_reference(mu, l):
     states = list(compress(combinations(range(n), k), support))
     m = len(states)
     w = vals[support]
-    if k == l:
-        return np.eye(m), None
     by_core = {}
     for si, S in enumerate(states):
         for core in combinations(S, l):
             by_core.setdefault(core, []).append(si)
-    P = np.zeros((m, m))
     inv_choose = 1.0 / math.comb(k, l)
-    for core, idxs in by_core.items():
-        weights = w[idxs]
-        np.add.at(P, np.ix_(idxs, idxs), inv_choose * (weights / weights.sum()))
+    if k == l:
+        P = np.eye(m)
+    else:
+        P = np.zeros((m, m))
+        for core, idxs in by_core.items():
+            weights = w[idxs]
+            np.add.at(P, np.ix_(idxs, idxs), inv_choose * (weights / weights.sum()))
     cores = len(by_core)
-    if 2 * cores > m:
-        return P, None
     rows = np.fromiter(chain.from_iterable(by_core.values()), dtype=np.intp)
     cols = np.repeat(np.arange(cores), list(map(len, by_core.values())))
     W = np.bincount(cols, weights=w[rows], minlength=cores)
     A = np.zeros((m, cores))
     A[rows, cols] = np.sqrt(inv_choose * w[rows] / W[cols])
     return P, A
+
+
+def dense_factor(C):
+    """The m x cores factor A of a chain of `build_downup`, scattered from
+    its incidence."""
+    A = np.zeros((len(C.states), len(C.W)))
+    A[np.arange(len(C.states))[:, None], C.core_ids] = C.factor
+    return A
+
+
+def symmetrized(C):
+    """(B + B^T) / 2 with B = D^{1/2} P D^{-1/2} and D = diag(pi), written out."""
+    s = np.sqrt(C.pi)
+    B = (s[:, None] * C.P) / s[None, :]
+    return 0.5 * (B + B.T)
+
+
+def dense_errors(C):
+    """max|F - F^T| of the flow F = diag(pi) P, and ||sym(P) - A A^T||_F,
+    from the dense P and the dense factor."""
+    F = C.pi[:, None] * C.P
+    A = dense_factor(C)
+    return float(np.max(np.abs(F - F.T))), float(np.linalg.norm(symmetrized(C) - A @ A.T))
 
 
 def holed_kernel():
@@ -385,9 +412,7 @@ class TestFlatAssembly:
             C = build_downup(mu, K.n, k, l)
             P, A = per_core_reference(mu, l)
             assert C.P.tobytes() == P.tobytes()
-            assert (C.factor is None) == (A is None)
-            if A is not None:
-                assert C.factor.tobytes() == A.tobytes()
+            assert dense_factor(C).tobytes() == A.tobytes()
 
     def test_holed_kernel_has_uneven_cores(self):
         mu = KernelDistribution(holed_kernel(), 3)
@@ -408,8 +433,8 @@ class TestFlatAssembly:
 
 class TestPeakMemory:
     def test_build_and_checks_peaks(self):
-        # in units of one m x m float64 array: the build holds P and the
-        # factor (0.44), the checks two m x m buffers
+        # in units of one m x m float64 array: the build holds the incidence,
+        # the checks the 220 x 220 core Gram matrix (0.2) and its scatter
         mu = KernelDistribution(random_npsd(12, 1), 4)
         mu.tabulate()
         tracemalloc.start()
@@ -424,9 +449,9 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
         unit = 8 * len(C.states) ** 2
-        assert C.factor is not None
-        assert build_peak <= 1.6 * unit
-        assert checks_peak <= 2.25 * unit
+        assert "P" not in vars(C)
+        assert build_peak <= 0.25 * unit
+        assert checks_peak <= 0.25 * unit
 
 
 class TestSpectralGap:
@@ -468,28 +493,44 @@ CORE_SIDE_CHAINS = {
     ),
     "restricted_table": lambda: build_downup(restricted_table(), 7, 3, 1),
     "lowrank": lambda: build_downup(KernelDistribution(lowrank_npsd(10, 4, 2), 3), 10, 3, 1),
+    # 56 states under 70 cores: the state side
+    "npsd8_l4": lambda: build_downup(KernelDistribution(random_npsd(8, 3), 5), 8, 5, 4),
 }
 
 
 def state_side_spectrum(C):
     """The m x m eigensolve of the symmetrized P, written out."""
-    s = np.sqrt(C.pi)
-    B = (s[:, None] * C.P) / s[None, :]
-    return np.linalg.eigvalsh(0.5 * (B + B.T))
+    return np.linalg.eigvalsh(symmetrized(C))
+
+
+# Two of the benchmark's seed-11 verify kernels at (12, 4), and the README's (7, 3).
+VERIFY_SEEDS = [int(s) for s in np.random.default_rng([11, 3]).integers(2**31, size=2)]
+DENSE_CHECK_CHAINS = {
+    **{
+        f"verify{i}_l{l}": (lambda s=s, l=l: build_downup(
+            KernelDistribution(random_npsd(12, s), 4), 12, 4, l))
+        for i, s in enumerate(VERIFY_SEEDS)
+        for l in (2, 3)
+    },
+    **{
+        f"readme_l{l}": (lambda l=l: build_downup(KernelDistribution(random_npsd(7, 1), 3), 7, 3, l))
+        for l in (1, 2)
+    },
+}
 
 
 class TestCoreSide:
     @pytest.mark.parametrize("name", sorted(CORE_SIDE_CHAINS))
     def test_matches_state_side(self, name):
         C = CORE_SIDE_CHAINS[name]()
-        assert C.factor is not None and 2 * C.factor.shape[1] <= len(C.states)
+        assert C.eig_dim == min(len(C.W), len(C.states))
         assert np.allclose(C.spectrum, state_side_spectrum(C), rtol=0, atol=1e-12)
         rep = chain_checks(C)
-        assert rep["ok"] and rep["factor_err"] <= 1e-10, rep
+        assert rep["ok"] and dense_errors(C)[1] <= 1e-10, rep
 
-    @pytest.mark.parametrize("l, dim", [(1, 7), (2, 35)])
+    @pytest.mark.parametrize("l, dim", [(1, 7), (2, 21)])
     def test_side_selection(self, l, dim, monkeypatch):
-        # 35 states: 7 cores at l = 1 (core side), 21 at l = 2 (state side)
+        # 35 states: 7 cores at l = 1, 21 at l = 2, both the core side
         C = build_downup(uniform(7, 3), 7, 3, l)
         shapes = []
         eigvalsh = np.linalg.eigvalsh
@@ -498,8 +539,19 @@ class TestCoreSide:
         assert shapes == [(dim, dim)]
         assert rep["eig_dim"] == dim
 
+    def test_state_side_when_cores_outnumber_states(self, monkeypatch):
+        # 5 states under 10 cores: one 5 x 5 eigenproblem on A A^T
+        C = build_downup(uniform(5, 4), 5, 4, 2)
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: shapes.append(A.shape) or eigvalsh(A))
+        rep = chain_checks(C)
+        assert shapes == [(5, 5)] and rep["eig_dim"] == 5
+        assert np.allclose(C.spectrum, state_side_spectrum(C), rtol=0, atol=1e-12)
+
     def test_factor_check_bites(self):
-        C = build_downup(KernelDistribution(random_npsd(7, 3), 3), 7, 3, 1)
+        C = build_downup(KernelDistribution(random_npsd(6, 3), 3), 6, 3, 1)
+        assert len(C.states) <= downup.CONDUCTANCE_STATE_CAP
         i, j = 0, int(np.argmax(C.P[0, 1:])) + 1
         # move flow eps between F_ii and F_ij and likewise in row j: row sums,
         # reversibility and stationarity hold, but P is no longer A A^T
@@ -509,24 +561,53 @@ class TestCoreSide:
         P[i, j] -= eps / C.pi[i]
         P[j, j] += eps / C.pi[j]
         P[j, i] -= eps / C.pi[j]
-        bent = ChainMatrix(C.states, P, C.pi, C.factor)
+        bent = copy.copy(C)
+        bent.P = P  # the operators, and so A, stay those of C
         rep = chain_checks(bent)
         assert rep["row_sum_err"] <= 1e-12 and rep["reversibility_err"] <= 1e-10
         assert rep["stationarity_err"] <= 1e-10
         assert rep["factor_err"] > 1e-10 and not rep["ok"], rep
-        assert chain_checks(ChainMatrix(C.states, P, C.pi))["ok"]
+        dense = ChainMatrix(C.states, P, C.pi)
+        rep = chain_checks(dense)
+        assert rep["ok"] and rep["row_sum_err"] <= 1e-12 and rep["stationarity_err"] <= 1e-10
+
+    def test_built_P_sums_are_checked(self):
+        # where the exact conductance reads P, its row sums and pi P are
+        # checked too, not only the operators'
+        C = build_downup(KernelDistribution(random_npsd(6, 3), 3), 6, 3, 1)
+        assert len(C.states) <= downup.CONDUCTANCE_STATE_CAP
+        P = C.P.copy()
+        P[0, 0] += 1e-6
+        bent = copy.copy(C)
+        bent.P = P
+        rep = chain_checks(bent)
+        assert rep["row_sum_err"] > 1e-7 and rep["stationarity_err"] > 1e-10
+        assert not rep["ok"], rep
 
     def test_hand_built_chain_keeps_state_side(self):
         C = random_chain(9, 4)
-        assert C.factor is None
+        assert type(C) is ChainMatrix
         assert np.array_equal(C.spectrum, state_side_spectrum(C))
         rep = chain_checks(C)
         assert rep["factor_err"] == 0.0 and rep["eig_dim"] == 9
 
-    def test_state_side_chain_has_no_factor(self):
-        C = build_downup(uniform(7, 3), 7, 3, 2)
-        assert C.factor is None
-        assert np.array_equal(C.spectrum, state_side_spectrum(C))
+
+class TestDenseChecks:
+    """The checks on P that `chain_checks` skips past CONDUCTANCE_STATE_CAP
+    states, run on the benchmark's verify chains."""
+
+    @pytest.mark.parametrize("name", sorted(DENSE_CHECK_CHAINS))
+    def test_dense_checks_hold(self, name):
+        C = DENSE_CHECK_CHAINS[name]()
+        assert len(C.states) > downup.CONDUCTANCE_STATE_CAP
+        rep = chain_checks(C)
+        assert "P" not in vars(C)
+        assert "reversibility_err" not in rep and "factor_err" not in rep
+        rev_err, factor_err = dense_errors(C)
+        assert rev_err <= 1e-10 and factor_err <= 1e-10
+        assert np.max(np.abs(C.row_sums() - C.P.sum(axis=1))) <= 1e-15
+        assert np.max(np.abs(C.pi_P() - C.pi @ C.P)) <= 1e-15
+        assert rep["ok"], rep
 
 
 class TestConductance:

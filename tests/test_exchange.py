@@ -334,6 +334,14 @@ class TestHurwitz:
         assert hurwitz_coeff_check([1.0, 5.0])
         assert hurwitz_coeff_check([2.0, 0.0, 1.0])
 
+    def test_slack_on_the_holding_side_of_a_negative_right_side(self):
+        # b_0 b_3 and b_1 b_2 are both -1: equal sides hold
+        assert hurwitz_coeff_check([1.0, -1.0, 1.0, -1.0])
+        # a left side above -1 within RTOL holds; one past it fails
+        assert hurwitz_coeff_check([1.0, -1.0, 1.0, -(1.0 - RTOL / 2)])
+        assert not hurwitz_coeff_check([1.0, -1.0, 1.0, -(1.0 - 2 * RTOL)])
+        assert not hurwitz_coeff_check([1.0, -1.0, 1.0, -0.5])
+
     def test_even_only_on_exchange_polynomial(self):
         K = random_npsd(6, seed=22)
         mu = KernelDistribution(K, 3)
