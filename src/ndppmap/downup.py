@@ -7,9 +7,9 @@ normalized distribution over its supersets in the support, so both live on
 the (state, core) incidence, C(k, l) entries per state.  Row sums and
 stationarity are read off the operators, and the spectrum off one
 eigenproblem on the smaller Gram matrix of the factor A with sym(P) = A A^T.
-The dense m x m P is built only when something reads it: the exact
-conductance, which enumerates the cuts of at most CONDUCTANCE_STATE_CAP
-states, and there reversibility and sym(P) = A A^T are checked on P too.
+No m x m P is ever built: the exact conductance, which enumerates the cuts
+of at most CONDUCTANCE_STATE_CAP states, reads the ergodic flow
+diag(pi) P = diag(sqrt(pi)) A A^T diag(sqrt(pi)) off the factor.
 """
 
 from __future__ import annotations
@@ -28,7 +28,10 @@ from .setdist import SetDistribution, as_set, subsets, union_rows
 
 CHAIN_STATE_CAP = 20000
 CONDUCTANCE_STATE_CAP = 22
-CUT_BLOCK = 1 << 15  # cuts per block of the exact conductance sweep
+# Cuts per block of the exact conductance sweep.  The minimum can move in its
+# last bits with the block size: BLAS may round a block's cross-flow product
+# differently for another shape.
+CUT_BLOCK = 1 << 15
 SCATTER_BLOCK = 1 << 16  # entries of an m x m array per flat np.add.at over core blocks
 WALK_BLOCK = 4096  # sampler steps per array of uniform draws
 CHEEGER_TOL = 1e-9  # absolute slack of both sides of the Cheeger sandwich
@@ -38,7 +41,7 @@ class ChainMatrix:
     """A chain on its m states given by a dense row-stochastic P and a
     stationary density pi, as a caller builds one by hand.  Every check reads
     P, and the spectrum is the m x m `eigvalsh` of the reversible
-    symmetrization: the dense reference for the chains of `build_downup`."""
+    symmetrization."""
 
     def __init__(self, states, P, pi):
         self.states = states  # sorted size-k tuples carrying positive mass
@@ -52,12 +55,8 @@ class ChainMatrix:
 
     def gram(self):
         """A symmetric matrix whose eigenvalues, joined with zeros up to m,
-        are those of P: here sym(P)."""
-        return self.symmetrized()
-
-    def symmetrized(self):
-        """The reversible symmetrization of P: (B + B^T) / 2 with
-        B = D^{1/2} P D^{-1/2} and D = diag(pi)."""
+        are those of P: here the reversible symmetrization sym(P) =
+        (B + B^T) / 2 with B = D^{1/2} P D^{-1/2} and D = diag(pi)."""
         s = np.sqrt(self.pi)
         B = (s[:, None] * self.P) / s[None, :]
         return 0.5 * (B + B.T)
@@ -69,25 +68,17 @@ class ChainMatrix:
         ev = np.linalg.eigvalsh(self.gram())
         return np.sort(np.concatenate((np.zeros(len(self.states) - len(ev)), ev)))
 
+    def flow(self):
+        """The ergodic flow F = diag(pi) P, whose cuts the exact conductance
+        prices."""
+        return self.pi[:, None] * self.P
+
     def row_sums(self):
         return self.P.sum(axis=1)
 
     def pi_P(self):
         """pi P, which is pi when pi is stationary."""
         return self.pi @ self.P
-
-    def dense_errors(self):
-        """(reversibility_err, factor_err, row_sum_err, stationarity_err) of
-        `chain_checks` read off P: max|F - F^T| of the flow F = diag(pi) P,
-        0.0 (a hand-built chain has no factor), max|P 1 - 1| and
-        max|pi P - pi|."""
-        F = self.pi[:, None] * self.P
-        return (
-            float(np.max(np.abs(F - F.T))),
-            0.0,
-            float(np.max(np.abs(self.P.sum(axis=1) - 1.0))),
-            float(np.max(np.abs(self.pi @ self.P - self.pi))),
-        )
 
 
 class DownUpChain(ChainMatrix):
@@ -99,37 +90,19 @@ class DownUpChain(ChainMatrix):
     the core sums W_c of w over the supersets of c, D[S, c] = `scale` =
     1/C(k, l), U[c, S] = w_S / W_c (`up`) and the factor
     A[S, c] = sqrt(w_S / (C(k, l) W_c)) (`factor`), each m x C(k, l) in the
-    layout of `core_ids`.  So pi_S (D U)[S, T] is symmetric in (S, T), and
-    sym(P) = A A^T identically.  P is built from the operators when it is
-    first read, by `_add_core_blocks`, and cached.
+    layout of `core_ids`.  So pi_S (D U)[S, T] is symmetric in (S, T): the
+    chain is reversible by construction, sym(P) = A A^T identically, and no
+    m x m P is built.
     """
 
     def __init__(self, states, pi, w, core_ids, scale):
-        self.states, self.pi, self.w = states, pi, w
+        self.states, self.pi = states, pi
         self.core_ids, self.scale = core_ids, scale
         per = core_ids.shape[1]
         self.W = np.bincount(core_ids.ravel(), weights=np.repeat(w, per))
         W = self.W[core_ids]
         self.up = w[:, None] / W
         self.factor = np.sqrt(scale * w[:, None] / W)
-
-    @cached_property
-    def by_core(self):
-        """The incidence grouped by core, for the scatters over each core's
-        supersets: (rows, lens, order), where the states under each core in
-        turn, ascending, are `rows`, `lens` of them per core, and `order`
-        takes the flat `core_ids` to that grouping."""
-        ids = self.core_ids.ravel()
-        order = np.argsort(ids, kind="stable")
-        return order // self.core_ids.shape[1], np.bincount(ids), order
-
-    @cached_property
-    def P(self):
-        m = len(self.states)
-        rows, lens, _ = self.by_core
-        P = np.zeros((m, m))
-        _add_core_blocks(P, self.w, rows, lens, self.scale)
-        return P
 
     @property
     def eig_dim(self):
@@ -152,15 +125,23 @@ class DownUpChain(ChainMatrix):
 
     def state_gram(self):
         """A A^T, added core by core: the products of each core's factor
-        entries, over the blocks of `_core_blocks`."""
-        m = len(self.states)
-        rows, lens, order = self.by_core
-        values = self.factor.ravel()[order]
+        entries, over the blocks of `_core_blocks` of the incidence grouped
+        by core, the states under each core ascending (`rows`)."""
+        m, per = self.core_ids.shape
+        ids = self.core_ids.ravel()
+        order = np.argsort(ids, kind="stable")
+        rows, values = order // per, self.factor.ravel()[order]
         G = np.zeros((m, m))
-        for block, shape in _core_blocks(lens):
+        for block, shape in _core_blocks(np.bincount(ids)):
             R, V = rows[block].reshape(shape), values[block].reshape(shape)
             _add_products(G, R, V, R, V)
         return G
+
+    def flow(self):
+        """F = diag(pi) P = diag(s) A A^T diag(s) with s = sqrt(pi), since
+        sym(P) = D^{1/2} P D^{-1/2} for a reversible P: one `state_gram`."""
+        s = np.sqrt(self.pi)
+        return s[:, None] * self.state_gram() * s
 
     def row_sums(self):
         """P 1 = D (U 1): one `np.bincount` over the incidence, one gather."""
@@ -172,17 +153,6 @@ class DownUpChain(ChainMatrix):
         per = self.core_ids.shape[1]
         piD = self.scale * np.bincount(self.core_ids.ravel(), weights=np.repeat(self.pi, per))
         return (piD[self.core_ids] * self.up).sum(axis=1)
-
-    def dense_errors(self):
-        """The four errors of `ChainMatrix.dense_errors` read off P, with
-        factor_err = ||sym(P) - A A^T||_F, where the exact conductance builds
-        P: up to CONDUCTANCE_STATE_CAP states.  None past it, where the
-        first two hold by construction and the operators give the others."""
-        if len(self.states) > CONDUCTANCE_STATE_CAP:
-            return None
-        rev_err, _, row_err, stat_err = super().dense_errors()
-        factor_err = float(np.linalg.norm(self.symmetrized() - self.state_gram()))
-        return rev_err, factor_err, row_err, stat_err
 
 
 class FieldDistribution(SetDistribution):
@@ -251,21 +221,6 @@ def _add_products(out, R1, V1, R2, V2):
     np.add.at(out.reshape(-1), ij.ravel(), (V1[:, :, None] * V2[:, None, :]).ravel())
 
 
-def _add_core_blocks(P, w, rows, lens, scale):
-    """P[i, j] += scale * (w[j] / W_c) for each core c and each pair (i, j)
-    of its supersets, where the supersets of the cores, in order, are
-    consecutive slices of `rows` of the lengths `lens`, and W_c sums w over
-    them; one `_core_blocks` block at a time.  The row sums of a block are
-    each core's normalizer bit for bit, and a product by 1.0 is exact, so
-    every entry of P receives the same addends in the same order as from one
-    block add per core."""
-    for block, shape in _core_blocks(lens):
-        R = rows[block].reshape(shape)
-        weights = w[R]
-        V = scale * (weights / weights.sum(axis=1, keepdims=True))
-        _add_products(P, R, np.ones(shape), R, V)
-
-
 def build_downup(mu: SetDistribution, n, k, l) -> DownUpChain:
     """The k<->l down-up walk on supp(mu), held as its operators.
 
@@ -275,8 +230,7 @@ def build_downup(mu: SetDistribution, n, k, l) -> DownUpChain:
     1/C(k, l), to the core's normalized distribution over its supersets.
     The chain (`DownUpChain`) keeps the (state, core) incidence as one row of
     core ids per state, the cores numbered in the order they first appear
-    under the sorted states, and builds no m x m array; P, when read, is the
-    sum of the cores' blocks in that order.
+    under the sorted states, and builds no m x m array.
     """
     if (n, k) != (mu.n, mu.k):
         raise DomainError(f"(n, k) = ({n}, {k}) but mu is over ({mu.n}, {mu.k})")
@@ -342,12 +296,15 @@ def conductance(C: ChainMatrix) -> ConductanceResult:
     are swept in blocks of about CUT_BLOCK cuts, each block over the columns
     its lightest row reaches, and the sweep stops at the first row that
     reaches none.  Every cut is priced by the same expression as on the full
-    grid, so the minimum is over the same cuts with the same values."""
+    grid, so the minimum is over the same cuts with the same values.
+
+    F is `C.flow()`: on a chain of `build_downup` it is read off the factor,
+    so no m x m P is built even here."""
     m = len(C.states)
     if m > CONDUCTANCE_STATE_CAP:
         gap = spectral_gap(C)
         return ConductanceResult(False, None, gap / 2.0, math.sqrt(max(2.0 * gap, 0.0)))
-    F = C.pi[:, None] * C.P  # ergodic flow
+    F = C.flow()
     rowflow = F.sum(axis=1)
     lo = m // 2
     B_l, p_l, out_l = _cut_tables(C.pi[:lo], rowflow[:lo], F[:lo, :lo])
@@ -481,23 +438,18 @@ def chain_checks(C: ChainMatrix, n=None, k=None, l=None):
 
     Row sums and stationarity come from `C.row_sums()` and `C.pi_P()`, on a
     chain of `build_downup` from its operators.  `eig_dim` is the size of the
-    one eigenproblem solved (`C.gram()`).  Wherever P is built, `C.dense_errors()`
-    reads every check off P too: on a hand-built chain (`factor_err` 0.0,
-    there being no factor) and on a chain of `build_downup` with at most
-    CONDUCTANCE_STATE_CAP states, where the exact conductance builds it.
-    There the row-sum and stationarity errors are the larger of the two
-    readings, and `ok` requires reversibility and `factor_err`, the
-    Frobenius norm of sym(P) - A A^T, to be at most 1e-10, so by Weyl's
-    inequality every eigenvalue reported from A is within 1e-10 of the
-    matching one of sym(P).  Past that size the report omits both keys:
-    pi_S (D U)[S, T] is symmetric and sym(D U) is A A^T by construction."""
+    one eigenproblem solved (`C.gram()`).  Only a hand-built chain, whose P
+    comes from outside, reports `reversibility_err`, max|F - F^T| of its flow
+    F = diag(pi) P, and `ok` requires it to be at most 1e-10; a chain of
+    `build_downup` is reversible by construction, pi_S (D U)[S, T] being
+    symmetric, and its spectrum is read off A with sym(D U) = A A^T, so its
+    report's keys do not depend on its size."""
     row_err = float(np.max(np.abs(C.row_sums() - 1.0)))
     stat_err = float(np.max(np.abs(C.pi_P() - C.pi)))
-    rev_err = factor_err = None
-    dense = C.dense_errors()
-    if dense is not None:
-        rev_err, factor_err, p_row_err, p_stat_err = dense
-        row_err, stat_err = max(row_err, p_row_err), max(stat_err, p_stat_err)
+    rev_err = None
+    if not isinstance(C, DownUpChain):
+        F = C.flow()
+        rev_err = float(np.max(np.abs(F - F.T)))
     ev = C.spectrum
     gap = spectral_gap(C)
     cond = conductance(C)
@@ -510,20 +462,19 @@ def chain_checks(C: ChainMatrix, n=None, k=None, l=None):
         "reversibility_err": rev_err,
         "min_eigenvalue": float(ev[0]),
         "eig_dim": C.eig_dim,
-        "factor_err": factor_err,
         "stationarity_err": stat_err,
         "gap": gap,
         "cheeger_ok": len(C.states) < 2 or cheeger_ok(gap, cond),  # one state has no cut
     }
     if rev_err is None:
-        del report["reversibility_err"], report["factor_err"]
+        del report["reversibility_err"]
     if cond.exact:
         report["conductance"] = cond.value
     else:
         report["conductance_bounds"] = [cond.lower, cond.upper]
     report["ok"] = bool(
         row_err <= 1e-12
-        and (rev_err is None or (rev_err <= 1e-10 and factor_err <= 1e-10))
+        and (rev_err is None or rev_err <= 1e-10)
         and ev[0] >= -1e-9
         and stat_err <= 1e-10
         and report["cheeger_ok"]

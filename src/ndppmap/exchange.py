@@ -25,7 +25,8 @@ import numpy as np
 
 from .downup import CHAIN_STATE_CAP
 from .errors import CapacityError, DomainError
-from .setdist import SetDistribution, as_set, subsets
+from .kernel import _normalize_indices
+from .setdist import SetDistribution, subsets
 
 BRUTE_FORCE_CAP = 2 * 10**6
 RTOL = 1e-9  # relative slack of the exchange and Hurwitz inequalities
@@ -85,11 +86,12 @@ def check_strong_basis_exchange(mu: SetDistribution, S, T):
     to (i, beta_j), i the first at that minimum; (1.0, {}) when S = T and
     (0.0, {}) when mu(S)mu(T) <= 0.  Two completions calls on the core S n T
     price S and the sets S-i+j, and T and the sets T+i-j, in (j, i) order.
-    Raises CapacityError when mu(S)mu(T) is past the float64 range, where no
-    ratio is decided; a swap product past it gives the ratio 0."""
-    S, T = as_set(S), as_set(T)
-    if len(S) != len(T):
-        raise DomainError("S and T must have equal size")
+    Raises DomainError unless S and T are each mu.k distinct elements of
+    [0, n), and CapacityError when mu(S)mu(T) is past the float64 range,
+    where no ratio is decided; a swap product past it gives the ratio 0."""
+    S, T = _normalize_indices(S, mu.n), _normalize_indices(T, mu.n)
+    if len(S) != mu.k or len(T) != mu.k:
+        raise DomainError(f"S and T must have size {mu.k}, got {S} and {T}")
     core = tuple(i for i in S if i in T)
     D1 = [i for i in S if i not in T]
     D2 = [j for j in T if j not in S]

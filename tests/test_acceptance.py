@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from ndppmap import (
+    ChainMatrix,
     Kernel,
     KernelDistribution,
     SearchConfig,
@@ -22,6 +23,7 @@ from ndppmap import (
     build_downup,
     build_plan,
     compose_and_report,
+    conductance,
     induced_greedy,
     local_search,
     principal_minor,
@@ -169,6 +171,23 @@ def test_criterion_6_marginal_correctness():
     print(f"criterion 6: {checked} marginal evaluations match brute force (rel 1e-8)")
 
 
+def definition_P(C, l):
+    """The k<->l down-up P on the states of C, from its definition one
+    l-set core at a time: each superset of the core moves, with weight
+    1/C(k, l), to the core's normalized distribution over its supersets."""
+    index = {S: i for i, S in enumerate(C.states)}
+    k = len(C.states[0])
+    under = {}
+    for S in C.states:
+        for core in combinations(S, l):
+            under.setdefault(core, []).append(index[S])
+    P = np.zeros((len(C.states), len(C.states)))
+    for rows in under.values():
+        p = C.pi[rows]
+        P[np.ix_(rows, rows)] += (p / p.sum()) / math.comb(k, l)
+    return P
+
+
 def test_criterion_7_chain_validity_and_sampler():
     chains = 0
     for n, k in ((6, 2), (6, 3), (7, 3), (8, 4)):
@@ -179,9 +198,24 @@ def test_criterion_7_chain_validity_and_sampler():
                 for f in range(20)
             ]
             for nu in dists:
-                rep = chain_checks(build_downup(nu, n, k, l), n, k, l)
+                C = build_downup(nu, n, k, l)
+                rep = chain_checks(C, n, k, l)
                 assert rep["ok"], (n, k, l, rep)
                 assert rep["gap"] > 0.0
+                # the dense checks on P that the chain's report no longer runs:
+                # reversibility, and sym(P) = A A^T, so by Weyl's inequality
+                # every eigenvalue read off the factor A is within 1e-10 of sym(P)'s
+                P = definition_P(C, l)
+                F = C.pi[:, None] * P
+                s = np.sqrt(C.pi)
+                A = np.zeros((len(C.states), len(C.W)))
+                A[np.arange(len(C.states))[:, None], C.core_ids] = C.factor
+                assert np.max(np.abs(F - F.T)) <= 1e-10, (n, k, l)
+                B = s[:, None] * P / s
+                assert np.linalg.norm((B + B.T) / 2 - A @ A.T) <= 1e-10, (n, k, l)
+                if len(C.states) <= 22:  # the exact conductance
+                    want = conductance(ChainMatrix(C.states, P, C.pi)).value
+                    assert abs(conductance(C).value - want) <= 1e-12 * want, (n, k, l)
                 chains += 1
     mu = KernelDistribution(random_npsd(6, 4242), 3)
     steps = 10**5

@@ -271,18 +271,34 @@ class TestVerify:
         code, rep, _ = run_cli(["verify", "--kernel", path, "--k", "2", "--suite", "walk"], capsys)
         chains = rep["suites"]["walk"]["chains"]
         assert [(c["l"], c["num_states"], c["eig_dim"]) for c in chains] == [(0, 15, 1), (1, 15, 6)]
-        assert all(c["factor_err"] <= 1e-10 for c in chains)
+        assert all(c["ok"] for c in chains)
         assert code == 0 and rep["passed"], chains
 
     def test_walk_suite_builds_no_dense_chain(self, tmp_path, capsys, monkeypatch):
-        # 495 states: past the exact conductance, nothing reads P
+        # 495 states: past the exact conductance, nothing reads the flow, and
+        # both chains solve on the core side, so no m x m array is built
         path = str(tmp_path / "r.knl")
         run_cli(["gen", "random-npsd", "--n", "12", "--seed", "1", "--out", path], capsys)
-        monkeypatch.setattr(downup, "_add_core_blocks", lambda *a: pytest.fail("built P"))
+        for name in ("flow", "state_gram"):
+            monkeypatch.setattr(downup.DownUpChain, name, lambda C: pytest.fail("m x m array"))
         code, rep, _ = run_cli(["verify", "--kernel", path, "--k", "4", "--suite", "walk"], capsys)
         chains = rep["suites"]["walk"]["chains"]
         assert [(c["l"], c["num_states"]) for c in chains] == [(2, 495), (3, 495)]
         assert not any("reversibility_err" in c or "factor_err" in c for c in chains)
+        assert code == 0 and rep["passed"], chains
+
+    @pytest.mark.parametrize("n, k, bound", [(7, 2, "conductance"), (12, 4, "conductance_bounds")])
+    def test_walk_chain_report_keys(self, n, k, bound, tmp_path, capsys):
+        # 21 states take the exact conductance and 495 its Cheeger bounds;
+        # besides that the keys are the same, with no dense-P check
+        path = str(tmp_path / "r.knl")
+        run_cli(["gen", "random-npsd", "--n", str(n), "--seed", "1", "--out", path], capsys)
+        code, rep, _ = run_cli(["verify", "--kernel", path, "--k", str(k), "--suite", "walk"], capsys)
+        chains = rep["suites"]["walk"]["chains"]
+        keys = {"n", "k", "l", "num_states", "row_sum_err", "min_eigenvalue", "eig_dim",
+                "stationarity_err", "gap", "gap_positive", "cheeger_ok", bound, "ok"}
+        assert [set(c) for c in chains] == [keys, keys]
+        assert {c["num_states"] for c in chains} == {math.comb(n, k)}
         assert code == 0 and rep["passed"], chains
 
     def test_suites_share_one_table(self, tmp_path, capsys, monkeypatch):

@@ -1,4 +1,3 @@
-import copy
 import math
 import tracemalloc
 from itertools import chain, combinations, compress
@@ -38,7 +37,7 @@ def brute_conductance(C):
     size's cuts enumerated with itertools and each cut's flow summed by
     definition over its crossing pairs (0 when no cut qualifies)."""
     m = len(C.states)
-    F = C.pi[:, None] * C.P
+    F = C.flow()
     best = math.inf
     for s in range(1, m):
         idx = np.fromiter(chain.from_iterable(combinations(range(m), s)), dtype=np.intp)
@@ -58,7 +57,7 @@ def full_grid_conductance(C):
     2^floor(m/2) grid of split-half cuts, in high-half row blocks of about
     downup.CUT_BLOCK cuts, each cut that is not kept priced as inf."""
     m = len(C.states)
-    F = C.pi[:, None] * C.P
+    F = C.flow()
     rowflow = F.sum(axis=1)
     lo = m // 2
 
@@ -109,6 +108,17 @@ CUT_CHAINS = {
         TableDistribution(4, 2, {(0, 1): 1.0, (2, 3): 1.0}), 4, 2, 1
     ),
 }
+
+
+# The chains random_npsd(n, s) at (k, l), for n = 5-7, s = 0-9 and every
+# l < k with at most 22 states, whose conductance is not the same at
+# CUT_BLOCK = 1, the production block and 1 << 30; as (n, s, k, l).
+BLOCK_SENSITIVE = [
+    (5, 8, 3, 2), (6, 1, 3, 1), (6, 2, 2, 1), (6, 2, 4, 3), (6, 4, 2, 1), (6, 7, 2, 0),
+    (6, 7, 3, 2), (6, 8, 3, 2), (6, 8, 4, 3), (7, 3, 5, 1), (7, 3, 5, 2), (7, 3, 6, 5),
+    (7, 4, 5, 0), (7, 7, 2, 1), (7, 8, 2, 1), (7, 9, 5, 3),
+]
+CUT_ULPS = 2  # the widest spread of the three over BLOCK_SENSITIVE, in ulps
 
 
 def near_half_chain():
@@ -260,8 +270,8 @@ class TestBuildDownup:
         # each off-diagonal neighbor reached with prob 1/2 * 1/2, self-loop 1/2
         expect = np.full((3, 3), 0.25)
         np.fill_diagonal(expect, 0.5)
-        assert np.allclose(C.P, expect)
         assert np.allclose(C.pi, 1.0 / 3.0)
+        assert np.allclose(C.flow(), expect / 3.0)
 
     def test_entries_match_definition_on_restricted_support(self):
         # each core's superset distribution is over the support only
@@ -276,28 +286,29 @@ class TestBuildDownup:
                     for c in combinations(sorted(set(S) & set(S2)), l):
                         up = sum(mu.value(T) for T in support if set(c) <= set(T))
                         expect[a, b] += mu.value(S2) / up
-            assert np.allclose(C.P, expect / math.comb(3, l), rtol=1e-12, atol=0)
+            expect *= C.pi[:, None] / math.comb(3, l)  # the flow diag(pi) P
+            assert np.allclose(C.flow(), expect, rtol=1e-12, atol=0)
 
     def test_k_equals_l_identity(self):
         C = build_downup(uniform(4, 2), 4, 2, 2)
-        assert np.array_equal(C.P, np.eye(6))
+        assert np.array_equal(C.state_gram(), np.eye(6))  # sym(P) = P
 
     @pytest.mark.parametrize("field", [False, True], ids=["kernel", "field"])
     def test_k_equals_l_identity_with_unit_factor(self, field):
-        # every state is its own core: each row gets the one addend 1.0 * (w / w),
-        # and the factor, the up-step and the spectrum are exactly 1
+        # every state is its own core: the factor, the up-step and the
+        # spectrum are exactly 1, and A A^T is exactly the identity
         C = build_downup(kernel_or_field(field), 6, 3, 3)
         m = len(C.states)
         assert m == (10 if field else 20)
-        assert C.P.tobytes() == np.eye(m).tobytes()
+        assert C.state_gram().tobytes() == np.eye(m).tobytes()
         assert C.core_ids.tolist() == [[i] for i in range(m)]
         for ones in (C.factor.ravel(), C.up.ravel(), C.spectrum):
             assert ones.tobytes() == np.ones(m).tobytes()
 
     def test_stationarity_seeded(self):
         mu = KernelDistribution(random_npsd(6, 8), 3)
-        C = build_downup(mu, 6, 3, 1)
-        assert np.max(np.abs(C.pi @ C.P - C.pi)) <= 1e-10
+        C, P = with_reference(mu, 1)
+        assert np.max(np.abs(C.pi @ P - C.pi)) <= 1e-10
 
     def test_chain_validity_checks(self):
         mu = KernelDistribution(random_npsd(7, 3), 3)
@@ -373,19 +384,24 @@ def dense_factor(C):
     return A
 
 
-def symmetrized(C):
+def with_reference(mu, l):
+    """The k<->l chain of mu and its P from `per_core_reference`."""
+    return build_downup(mu, mu.n, mu.k, l), per_core_reference(mu, l)[0]
+
+
+def symmetrized(P, pi):
     """(B + B^T) / 2 with B = D^{1/2} P D^{-1/2} and D = diag(pi), written out."""
-    s = np.sqrt(C.pi)
-    B = (s[:, None] * C.P) / s[None, :]
+    s = np.sqrt(pi)
+    B = (s[:, None] * P) / s[None, :]
     return 0.5 * (B + B.T)
 
 
-def dense_errors(C):
-    """max|F - F^T| of the flow F = diag(pi) P, and ||sym(P) - A A^T||_F,
-    from the dense P and the dense factor."""
-    F = C.pi[:, None] * C.P
+def dense_errors(C, P):
+    """max|F - F^T| of the flow F = diag(pi) P of a dense P for the chain C,
+    and ||sym(P) - A A^T||_F for the dense factor A of C."""
+    F = C.pi[:, None] * P
     A = dense_factor(C)
-    return float(np.max(np.abs(F - F.T))), float(np.linalg.norm(symmetrized(C) - A @ A.T))
+    return float(np.max(np.abs(F - F.T))), float(np.linalg.norm(symmetrized(P, C.pi) - A @ A.T))
 
 
 def holed_kernel():
@@ -407,12 +423,14 @@ class TestFlatAssembly:
         ids=["dense-12-4-s1", "dense-12-4-s2", "dense-10-5", "holed-13-3", "holed-13-4"],
     )
     def test_matches_per_core_blocks_bit_for_bit(self, K, k):
+        # the factor bit for bit; the flow read off it, entry by entry, to
+        # 1e-14 relative (1.6e-15 measured), with the same zeros
         mu = KernelDistribution(K, k)
         for l in range(k + 1):
             C = build_downup(mu, K.n, k, l)
             P, A = per_core_reference(mu, l)
-            assert C.P.tobytes() == P.tobytes()
             assert dense_factor(C).tobytes() == A.tobytes()
+            assert np.allclose(C.flow(), C.pi[:, None] * P, rtol=1e-14, atol=0)
 
     def test_holed_kernel_has_uneven_cores(self):
         mu = KernelDistribution(holed_kernel(), 3)
@@ -426,9 +444,9 @@ class TestFlatAssembly:
 
     def test_small_blocks_change_nothing(self, monkeypatch):
         mu = KernelDistribution(holed_kernel(), 4)
-        want = [build_downup(mu, 13, 4, l).P.tobytes() for l in range(4)]
+        want = [build_downup(mu, 13, 4, l).flow().tobytes() for l in range(4)]
         monkeypatch.setattr(downup, "SCATTER_BLOCK", 1)  # one core per np.add.at
-        assert [build_downup(mu, 13, 4, l).P.tobytes() for l in range(4)] == want
+        assert [build_downup(mu, 13, 4, l).flow().tobytes() for l in range(4)] == want
 
 
 class TestPeakMemory:
@@ -449,7 +467,7 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
         unit = 8 * len(C.states) ** 2
-        assert "P" not in vars(C)
+        assert not hasattr(C, "P")
         assert build_peak <= 0.25 * unit
         assert checks_peak <= 0.25 * unit
 
@@ -467,8 +485,8 @@ class TestSpectralGap:
         assert spectral_gap(C) == pytest.approx(p + q)
 
     def test_matches_independent_eigensolver(self):
-        C = build_downup(uniform(4, 2), 4, 2, 1)
-        ev = np.sort(np.real(np.linalg.eigvals(C.P)))
+        C, P = with_reference(uniform(4, 2), 1)
+        ev = np.sort(np.real(np.linalg.eigvals(P)))
         assert spectral_gap(C) == pytest.approx(1.0 - ev[-2], abs=1e-9)
 
     def test_one_eigenproblem_per_chain(self, monkeypatch):
@@ -484,36 +502,36 @@ class TestSpectralGap:
 
 
 CORE_SIDE_CHAINS = {
-    "npsd12_l3": lambda: build_downup(KernelDistribution(random_npsd(12, 1), 4), 12, 4, 3),
-    "npsd12_l2": lambda: build_downup(KernelDistribution(random_npsd(12, 1), 4), 12, 4, 2),
-    "l0": lambda: build_downup(KernelDistribution(random_npsd(7, 2), 3), 7, 3, 0),
-    "field_zeros": lambda: build_downup(
+    "npsd12_l3": lambda: with_reference(KernelDistribution(random_npsd(12, 1), 4), 3),
+    "npsd12_l2": lambda: with_reference(KernelDistribution(random_npsd(12, 1), 4), 2),
+    "l0": lambda: with_reference(KernelDistribution(random_npsd(7, 2), 3), 0),
+    "field_zeros": lambda: with_reference(
         apply_field(KernelDistribution(random_npsd(8, 5), 3), [0.0, 0.0, *random_field(6, seed=1)]),
-        8, 3, 1,
+        1,
     ),
-    "restricted_table": lambda: build_downup(restricted_table(), 7, 3, 1),
-    "lowrank": lambda: build_downup(KernelDistribution(lowrank_npsd(10, 4, 2), 3), 10, 3, 1),
+    "restricted_table": lambda: with_reference(restricted_table(), 1),
+    "lowrank": lambda: with_reference(KernelDistribution(lowrank_npsd(10, 4, 2), 3), 1),
     # 56 states under 70 cores: the state side
-    "npsd8_l4": lambda: build_downup(KernelDistribution(random_npsd(8, 3), 5), 8, 5, 4),
+    "npsd8_l4": lambda: with_reference(KernelDistribution(random_npsd(8, 3), 5), 4),
 }
 
 
-def state_side_spectrum(C):
+def state_side_spectrum(P, pi):
     """The m x m eigensolve of the symmetrized P, written out."""
-    return np.linalg.eigvalsh(symmetrized(C))
+    return np.linalg.eigvalsh(symmetrized(P, pi))
 
 
 # Two of the benchmark's seed-11 verify kernels at (12, 4), and the README's (7, 3).
 VERIFY_SEEDS = [int(s) for s in np.random.default_rng([11, 3]).integers(2**31, size=2)]
 DENSE_CHECK_CHAINS = {
     **{
-        f"verify{i}_l{l}": (lambda s=s, l=l: build_downup(
-            KernelDistribution(random_npsd(12, s), 4), 12, 4, l))
+        f"verify{i}_l{l}": (lambda s=s, l=l: with_reference(
+            KernelDistribution(random_npsd(12, s), 4), l))
         for i, s in enumerate(VERIFY_SEEDS)
         for l in (2, 3)
     },
     **{
-        f"readme_l{l}": (lambda l=l: build_downup(KernelDistribution(random_npsd(7, 1), 3), 7, 3, l))
+        f"readme_l{l}": (lambda l=l: with_reference(KernelDistribution(random_npsd(7, 1), 3), l))
         for l in (1, 2)
     },
 }
@@ -522,11 +540,11 @@ DENSE_CHECK_CHAINS = {
 class TestCoreSide:
     @pytest.mark.parametrize("name", sorted(CORE_SIDE_CHAINS))
     def test_matches_state_side(self, name):
-        C = CORE_SIDE_CHAINS[name]()
+        C, P = CORE_SIDE_CHAINS[name]()
         assert C.eig_dim == min(len(C.W), len(C.states))
-        assert np.allclose(C.spectrum, state_side_spectrum(C), rtol=0, atol=1e-12)
+        assert np.allclose(C.spectrum, state_side_spectrum(P, C.pi), rtol=0, atol=1e-12)
         rep = chain_checks(C)
-        assert rep["ok"] and dense_errors(C)[1] <= 1e-10, rep
+        assert rep["ok"] and dense_errors(C, P)[1] <= 1e-10, rep
 
     @pytest.mark.parametrize("l, dim", [(1, 7), (2, 21)])
     def test_side_selection(self, l, dim, monkeypatch):
@@ -541,72 +559,63 @@ class TestCoreSide:
 
     def test_state_side_when_cores_outnumber_states(self, monkeypatch):
         # 5 states under 10 cores: one 5 x 5 eigenproblem on A A^T
-        C = build_downup(uniform(5, 4), 5, 4, 2)
+        C, P = with_reference(uniform(5, 4), 2)
         shapes = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: shapes.append(A.shape) or eigvalsh(A))
         rep = chain_checks(C)
         assert shapes == [(5, 5)] and rep["eig_dim"] == 5
-        assert np.allclose(C.spectrum, state_side_spectrum(C), rtol=0, atol=1e-12)
+        assert np.allclose(C.spectrum, state_side_spectrum(P, C.pi), rtol=0, atol=1e-12)
 
     def test_factor_check_bites(self):
-        C = build_downup(KernelDistribution(random_npsd(6, 3), 3), 6, 3, 1)
-        assert len(C.states) <= downup.CONDUCTANCE_STATE_CAP
-        i, j = 0, int(np.argmax(C.P[0, 1:])) + 1
+        C, P = with_reference(KernelDistribution(random_npsd(6, 3), 3), 1)
+        i, j = 0, int(np.argmax(P[0, 1:])) + 1
         # move flow eps between F_ii and F_ij and likewise in row j: row sums,
         # reversibility and stationarity hold, but P is no longer A A^T
-        eps = 1e-3 * C.pi[i] * C.P[i, j]
-        P = C.P.copy()
+        eps = 1e-3 * C.pi[i] * P[i, j]
         P[i, i] += eps / C.pi[i]
         P[i, j] -= eps / C.pi[i]
         P[j, j] += eps / C.pi[j]
         P[j, i] -= eps / C.pi[j]
-        bent = copy.copy(C)
-        bent.P = P  # the operators, and so A, stay those of C
-        rep = chain_checks(bent)
-        assert rep["row_sum_err"] <= 1e-12 and rep["reversibility_err"] <= 1e-10
-        assert rep["stationarity_err"] <= 1e-10
-        assert rep["factor_err"] > 1e-10 and not rep["ok"], rep
+        rev_err, factor_err = dense_errors(C, P)
+        assert rev_err <= 1e-10 and factor_err > 1e-10
         dense = ChainMatrix(C.states, P, C.pi)
         rep = chain_checks(dense)
         assert rep["ok"] and rep["row_sum_err"] <= 1e-12 and rep["stationarity_err"] <= 1e-10
+        assert rep["reversibility_err"] <= 1e-10
 
     def test_built_P_sums_are_checked(self):
-        # where the exact conductance reads P, its row sums and pi P are
-        # checked too, not only the operators'
-        C = build_downup(KernelDistribution(random_npsd(6, 3), 3), 6, 3, 1)
-        assert len(C.states) <= downup.CONDUCTANCE_STATE_CAP
-        P = C.P.copy()
+        # a hand-built chain's row sums and pi P are read off its P
+        C, P = with_reference(KernelDistribution(random_npsd(6, 3), 3), 1)
         P[0, 0] += 1e-6
-        bent = copy.copy(C)
-        bent.P = P
-        rep = chain_checks(bent)
+        rep = chain_checks(ChainMatrix(C.states, P, C.pi))
         assert rep["row_sum_err"] > 1e-7 and rep["stationarity_err"] > 1e-10
         assert not rep["ok"], rep
 
     def test_hand_built_chain_keeps_state_side(self):
         C = random_chain(9, 4)
         assert type(C) is ChainMatrix
-        assert np.array_equal(C.spectrum, state_side_spectrum(C))
+        assert np.array_equal(C.spectrum, state_side_spectrum(C.P, C.pi))
         rep = chain_checks(C)
-        assert rep["factor_err"] == 0.0 and rep["eig_dim"] == 9
+        assert "reversibility_err" in rep and "factor_err" not in rep and rep["eig_dim"] == 9
 
 
 class TestDenseChecks:
-    """The checks on P that `chain_checks` skips past CONDUCTANCE_STATE_CAP
-    states, run on the benchmark's verify chains."""
+    """The checks on a dense P that `chain_checks` never runs on a chain of
+    `build_downup`, run on the benchmark's verify chains against the P of
+    `per_core_reference`."""
 
     @pytest.mark.parametrize("name", sorted(DENSE_CHECK_CHAINS))
     def test_dense_checks_hold(self, name):
-        C = DENSE_CHECK_CHAINS[name]()
+        C, P = DENSE_CHECK_CHAINS[name]()
         assert len(C.states) > downup.CONDUCTANCE_STATE_CAP
         rep = chain_checks(C)
-        assert "P" not in vars(C)
+        assert not hasattr(C, "P")
         assert "reversibility_err" not in rep and "factor_err" not in rep
-        rev_err, factor_err = dense_errors(C)
+        rev_err, factor_err = dense_errors(C, P)
         assert rev_err <= 1e-10 and factor_err <= 1e-10
-        assert np.max(np.abs(C.row_sums() - C.P.sum(axis=1))) <= 1e-15
-        assert np.max(np.abs(C.pi_P() - C.pi @ C.P)) <= 1e-15
+        assert np.max(np.abs(C.row_sums() - P.sum(axis=1))) <= 1e-15
+        assert np.max(np.abs(C.pi_P() - C.pi @ P)) <= 1e-15
         assert rep["ok"], rep
 
 
@@ -652,11 +661,20 @@ class TestConductance:
         assert res.exact and res.value == full_grid_conductance(C)
 
     def test_row_blocks_match_one_block(self, monkeypatch):
+        production = downup.CUT_BLOCK
         C = CUT_CHAINS["m20"]()
         monkeypatch.setattr(downup, "CUT_BLOCK", 1 << 30)
         whole = conductance(C).value
         monkeypatch.setattr(downup, "CUT_BLOCK", 1)
         assert conductance(C).value == whole
+        # where the block size moves the minimum, it moves it in the last bits
+        for n, s, k, l in BLOCK_SENSITIVE:
+            C = build_downup(KernelDistribution(random_npsd(n, s), k), n, k, l)
+            values = []
+            for block in (1, production, 1 << 30):
+                monkeypatch.setattr(downup, "CUT_BLOCK", block)
+                values.append(conductance(C).value)
+            assert max(values) - min(values) <= CUT_ULPS * np.spacing(max(values)), values
 
     def test_capacity_returns_flagged_bounds(self, monkeypatch):
         mu = KernelDistribution(random_npsd(6, 13), 2)

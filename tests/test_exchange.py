@@ -191,6 +191,20 @@ def holed_signed_table(n, k, seed):
 
 
 class TestStrongBasisExchange:
+    @pytest.mark.parametrize(
+        "S, T",
+        [((0, -1), (0, 1)), ((0, 9), (0, 1)), ((1, 1), (0, 2))],
+        ids=["negative", "past-n", "repeated"],
+    )
+    def test_bad_sets_rejected(self, S, T):
+        # -1 wrapped to element 5 and served as a witness; 9 and the repeated
+        # element raised numpy's IndexError and ValueError
+        mu = KernelDistribution(random_npsd(6, 1), 2)
+        with pytest.raises(DomainError):
+            check_strong_basis_exchange(mu, S, T)
+        with pytest.raises(DomainError):
+            check_strong_basis_exchange(mu, T, S)
+
     def test_same_set_vacuous(self):
         mu = uniform(4, 2)
         assert check_strong_basis_exchange(mu, (0, 1), (0, 1)) == (1.0, {})

@@ -12,7 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 LINES = 255  # operations of the four seed-11 workloads
-DIGESTS = 60  # a P and a pi digest for each of their 30 chains
+DIGESTS = 60  # a factor and a pi digest for each of their 30 chains
 
 
 def run_tool(script, *args, hashseed="0"):

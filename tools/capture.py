@@ -16,8 +16,8 @@ record holds
   20,000-step trajectory;
 
 and the digests are, for every chain the operation built with build_downup,
-the SHA-256 of its P.tobytes() and of its pi.tobytes(), since a chain_checks
-report can hide a last-bit change in P.
+the SHA-256 of its factor.tobytes() and of its pi.tobytes(), since a
+chain_checks report can hide a last-bit change in the chain.
 
 Two checkouts give byte-identical files under `cmp` exactly when their
 reports, chains and seeded walks agree bit for bit.
@@ -52,7 +52,7 @@ def main(out_path):
 
     def recorded_chain(*args):
         C = build_downup(*args)
-        chains.append(tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (C.P, C.pi)))
+        chains.append(tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (C.factor, C.pi)))
         return C
 
     downup.sample_walk, downup.build_downup = recorded_walk, recorded_chain

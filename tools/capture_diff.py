@@ -4,7 +4,7 @@
 
 Each line is one JSON array, [workload, label, record, digests].  Both
 files must list the same operations in the same order, and every SHA-256
-digest of a chain's P and pi must be equal.  Every other value is
+digest of a chain's factor and pi must be equal.  Every other value is
 compared structurally: a float may differ, and for each key path whose
 floats differ the largest absolute difference is printed.  A dict key that
 only NEW has is allowed when it is named as an ADDED_KEY; for each such key
