@@ -52,10 +52,10 @@ def build_plan(mu: SetDistribution, parts, zeta=0.5) -> PartitionPlan:
 
 def _map_within(mu: SetDistribution, P):
     """Exact argmax of mu over the size-k subsets of P; mu's own table when P
-    is all of [n]."""
+    is all of [n], and (None, -inf) when nothing exceeds -inf."""
     nu = mu if P == tuple(range(mu.n)) else mu.restrict(P)
     S, v = brute_force_map(nu, len(P), mu.k)
-    return tuple(P[i] for i in S), v
+    return (None if S is None else tuple(P[i] for i in S)), v
 
 
 def compose_and_report(mu: SetDistribution, plan: PartitionPlan, zeta=0.5):

@@ -7,10 +7,11 @@ pairwise exchange inequality and its even-polynomial Hurwitz corollary.  The
 verifier over all pairs sweeps those buckets with arrays: it lays
 mu.tabulate() out by colex rank, enumerates the pairs at each distance by
 their union, so that every set it reads sits at a fixed position pattern of
-the union, gathers about PAIR_BLOCK sets per block of unions, and judges the
-pairs with one pair verdict and one Hurwitz rule.  A block's colex ranks are
-k gathers from its slot table, the binomial entries of each union element
-at each rank place, and the verdict masks with `where=`, never by copying.
+the union, gathers about PAIR_BLOCK sets per block of unions, halves first,
+folds whole rows of the buckets that a verdict reads, and judges the pairs
+with one pair verdict and one Hurwitz rule.  A block's colex ranks are k
+gathers from its slot table, the binomial entries of each union element at
+each rank place, and the verdict masks with `where=`, never by copying.
 The brute-force argmax reads the same table.  The strong basis exchange,
 which pairs single swaps element by element, is checked on its own, by two
 completions calls per pair, for the core-set certificate.
@@ -145,25 +146,29 @@ def _distance_tables(k, t):
     so T's half is half -1 - s, and a core's other positions are a row of
     the reversed subsets(range(k + t), 2t).
 
-    P[c, h] (cores x halves x k) holds the ascending positions of c and half
-    h.  cols[a][j, s] is the half of the j-th set W = c u A u B of split s
-    with A of size a in S's half and B of size t - a in T's, taken in
-    combinations order of A, then of B.  Halves are looked up by their
-    2t-bit masks."""
+    P[h, c] (halves x cores x k) holds the ascending positions of c and half
+    h, halves first, so that a column of halves picks whole rows of an array
+    laid out like P.  cols[a][j, s] is the half of the j-th set W = c u A u B
+    of split s with A of size a in S's half and B of size t - a in T's,
+    taken in combinations order of A, then of B.  Halves are looked up by
+    their 2t-bit masks.  cols holds the buckets a <= 2 and t - a <= 2 only,
+    the ones that the pair verdict at r = 2 and the Hurwitz rule read."""
     halves = subsets(range(2 * t), t)
     splits = math.comb(2 * t - 1, t - 1)
     bit = (1 << np.arange(2 * t)).astype(np.min_scalar_type((1 << 2 * t) - 1))
     index = np.empty(1 << 2 * t, dtype=np.min_scalar_type(len(halves) - 1))
     index[np.bitwise_or.reduce(bit[halves], axis=1)] = np.arange(len(halves))
-    cols = []
+    cols = {}
     for a in range(t + 1):
+        if min(a, t - a) > 2:
+            continue
         A = np.bitwise_or.reduce(bit[halves[:splits, subsets(range(t), a)]], axis=2)
         B = np.bitwise_or.reduce(bit[halves[::-1][:splits, subsets(range(t), t - a)]], axis=2)
-        cols.append(index[(A[:, :, None] | B[:, None, :]).reshape(splits, -1)].T.copy())
+        cols[a] = index[(A[:, :, None] | B[:, None, :]).reshape(splits, -1)].T.copy()
     cores = subsets(range(k + t), k - t)
     others = subsets(range(k + t), 2 * t)[::-1]
-    core = np.broadcast_to(cores[:, None, :], (len(cores), len(halves), k - t))
-    P = np.sort(np.concatenate((core, others[:, halves]), axis=2), axis=2)
+    core = np.broadcast_to(cores, (len(halves), len(cores), k - t))
+    P = np.sort(np.concatenate((core, others[:, halves].swapaxes(0, 1)), axis=2), axis=2)
     return P, cols
 
 
@@ -177,16 +182,18 @@ def verify_exchange_all_pairs(mu: SetDistribution):
     k + t), and by their place in it (`_distance_tables`).  Every set between
     S n T and S u T is then the union at a fixed ascending position pattern,
     so its colex rank is a sum over the rank places j of the union's slot
-    table binom[U][:, p_j, j], one gather per place.  Each block of unions
-    makes one gather V (unions x cores x halves) of about PAIR_BLOCK sets,
-    and each bucket's maximum and sum over every pair is a running fold of
-    fixed columns of V, to which the pair verdict and the Hurwitz rule apply
-    as arrays.  Failures are listed in pair order.  Raises CapacityError past
-    the walk's CHAIN_STATE_CAP sets before any array is built (both suites
-    are quadratic in the sets), and where float64 cannot decide a verdict: a
-    mu value or a product mu(S)mu(T) that is not finite.  Every other
-    product that overflows is judged as the infinity it rounds to: an
-    infinite ratio is an infinite beta_i, and an infinite right side holds.
+    table binom[j, U[:, p_j]], one gather per place.  Each block of unions
+    makes one gather V (halves x cores x unions) of about PAIR_BLOCK sets,
+    and each read bucket's maximum and sum over every pair is a running fold
+    in place of the whole rows V[c] of its fixed columns c (no sums at t <= 2,
+    where the Hurwitz rule is vacuous), to which the pair verdict and the
+    Hurwitz rule apply as arrays over splits x cores x unions.  Failures are
+    listed in pair order.  Raises CapacityError past the walk's
+    CHAIN_STATE_CAP sets before any array is built (both suites are
+    quadratic in the sets), and where float64 cannot decide a verdict: a mu
+    value or a product mu(S)mu(T) that is not finite.  Every other product
+    that overflows is judged as the infinity it rounds to: an infinite ratio
+    is an infinite beta_i, and an infinite right side holds.
     """
     n, k = mu.n, mu.k
     N = math.comb(n, k)
@@ -194,11 +201,10 @@ def verify_exchange_all_pairs(mu: SetDistribution):
         raise CapacityError(f"C({n},{k}) exceeds the all-pairs cap {CHAIN_STATE_CAP}")
     # A rank below N uses only terms below N, so clamping keeps int64 exact.
     binom = np.array(
-        [[min(math.comb(w, j), N) for j in range(1, k + 1)] for w in range(n)], dtype=np.int64
-    ).reshape(n, k)
-    place = np.arange(k)
+        [[min(math.comb(w, j), N) for w in range(n)] for j in range(1, k + 1)], dtype=np.int64
+    ).reshape(k, n)
     vals = np.empty(N)
-    vals[binom[subsets(range(n), k), place].sum(axis=1)] = mu.tabulate()
+    vals[binom[np.arange(k), subsets(range(n), k)].sum(axis=1)] = mu.tabulate()
     if not np.isfinite(vals).all():
         raise CapacityError("mu is past the float64 range on some size-k set")
     beta = float(k) ** 4
@@ -212,20 +218,20 @@ def verify_exchange_all_pairs(mu: SetDistribution):
             rows = max(1, PAIR_BLOCK // (P.shape[0] * P.shape[1]))
             for u0 in range(0, len(unions), rows):
                 U = unions[u0:u0 + rows]
-                slots = binom[U]  # slots[u, p, j]: C(U[u, p], j + 1)
-                ranks = slots[:, P[..., 0], 0]
+                slots = binom[:, U.T]  # slots[j, p, u]: C(U[u, p], j + 1)
+                ranks = slots[0, P[..., 0]]
                 for j in range(1, k):
-                    ranks += slots[:, P[..., j], j]
+                    ranks += slots[j, P[..., j]]
                 V = vals[ranks]
-                maxima, sums = [], []
-                for bucket in cols:
-                    m, tot = -math.inf, 0.0
-                    for c in bucket:
-                        v = V[:, :, c]
-                        tot = tot + v
-                        m = np.maximum(m, v)
-                    maxima.append(m)
-                    sums.append(tot)
+                maxima, sums = [None] * (t + 1), [None] * (t + 1)
+                for a, bucket in cols.items():
+                    maxima[a] = m = V[bucket[0]]
+                    sums[a] = tot = m + 0.0 if t > 2 else None  # 0.0 + m, as a sum from 0.0
+                    for c in bucket[1:]:
+                        v = V[c]
+                        np.maximum(m, v, out=m)
+                        if tot is not None:
+                            np.add(tot, v, out=tot)
                 # bucket t holds S alone and bucket 0 holds T alone
                 mu_st = maxima[t] * maxima[0]
                 if not np.isfinite(mu_st).all():
@@ -234,16 +240,16 @@ def verify_exchange_all_pairs(mu: SetDistribution):
                 finite = measured[np.isfinite(measured)]
                 beta_max = max(beta_max, float(finite.max(initial=0.0)))
 
-                def pair(u, c, s):
-                    return tuple(U[u, P[c, s]].tolist()), tuple(U[u, P[c, -1 - s]].tolist())
+                def pair(s, c, u):
+                    return tuple(U[u, P[s, c]].tolist()), tuple(U[u, P[-1 - s, c]].tolist())
 
-                for u, c, s in zip(*np.nonzero(~ok)):
-                    exch.append((*pair(u, c, s), float(measured[u, c, s])))
+                for s, c, u in zip(*np.nonzero(~ok)):
+                    exch.append((*pair(s, c, u), float(measured[s, c, u])))
                 bad = np.nonzero(~np.broadcast_to(hurwitz_coeff_check(sums), ok.shape))
                 if len(bad[0]):
                     lhs, rhs = _hurwitz_sides(sums)
-                    for u, c, s in zip(*bad):
-                        hurw.append((*pair(u, c, s), float(lhs[u, c, s]), float(rhs[u, c, s])))
+                    for s, c, u in zip(*bad):
+                        hurw.append((*pair(s, c, u), float(lhs[s, c, u]), float(rhs[s, c, u])))
     return {
         "pairs": N * (N - 1) // 2,
         "exchange_failures": sorted(exch),

@@ -222,6 +222,14 @@ class TestComposeAndReport:
         with pytest.raises(CapacityError):
             compose_and_report(mu, plan)
 
+    def test_all_nan_mu_is_infeasible(self):
+        # no set exceeds -inf, in the union or in the merged core-sets
+        mu = TableDistribution(6, 2, {S: math.nan for S in combinations(range(6), 2)})
+        assert _map_within(mu, (0, 1, 3, 4)) == (None, -math.inf)
+        plan = PartitionPlan([(0, 1, 2), (3, 4, 5)], [(0, 1), (3, 4)])
+        with pytest.raises(InfeasibilityError, match="no positive-mass subset"):
+            compose_and_report(mu, plan)
+
     def test_exchange_past_float64_is_capacity(self):
         # the chain's first check pairs C_0 = (0, 1) with W = (2, 5), whose
         # mu(S)mu(T) = 1.5 big^2 is past float64 at big = 1e200: a capacity

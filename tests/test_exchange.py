@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -408,14 +409,17 @@ class TestBatchVerifier:
         assert not hurwitz_coeff_check([1e6, 9e-6, 9e-6, 1e6])
 
 
-def per_pair_reference(mu):
+def per_pair_reference(mu, distance=None):
     """The batch verifier's result, pair by pair in (S, T) order, from
-    `pair_buckets`, the pair verdict and the Hurwitz rule on mu.value."""
+    `pair_buckets`, the pair verdict and the Hurwitz rule on mu.value; over
+    the pairs at the given distance only, when one is given."""
     values = {S: mu.value(S) for S in combinations(range(mu.n), mu.k)}
     sets = list(values)
     res = {"pairs": 0, "exchange_failures": [], "hurwitz_failures": [], "max_measured_beta": 0.0}
     for ai, S in enumerate(sets):
         for T in sets[ai + 1:]:
+            if distance is not None and len(set(S) - set(T)) != distance:
+                continue
             res["pairs"] += 1
             maxima, sums = pair_buckets(values.__getitem__, S, T)
             ok, measured = _pair_verdict(
@@ -453,14 +457,37 @@ class TestSweepMatchesPerPair:
             signed_table(8, 6, 3),
             signed_table(7, 6, 1),
             KernelDistribution(lowrank_npsd(10, 3, 1), 4),
+            signed_table(10, 5, 4),
         ],
         ids=[
             "signed-7-3", "signed-9-4", "k1", "one-set", "kernel-9-4",
-            "signed-8-6", "signed-7-6", "lowrank-10-4",
+            "signed-8-6", "signed-7-6", "lowrank-10-4", "signed-10-5",
         ],
     )
     def test_identical_results(self, mu):
         assert verify_exchange_all_pairs(mu) == per_pair_reference(mu)
+
+    def test_bucket_sums_start_from_zero(self):
+        # a bucket of one set at -0.0 sums to 0.0 + -0.0 = 0.0, so the
+        # failing pair's b_0 b_3 = 0.0 * -1.0 is -0.0; == would miss the sign
+        S, T = (0, 1, 2), (3, 4, 5)
+        table = {W: 1.0 if len(set(W) & set(S)) == 1 else -1.0 for W in combinations(range(6), 3)}
+        table[T] = -0.0
+        mu = TableDistribution(6, 3, table)
+        got = verify_exchange_all_pairs(mu)
+        assert repr(got) == repr(per_pair_reference(mu))
+        sides = [repr(f[2:]) for f in got["hurwitz_failures"] if f[:2] == (S, T)]
+        assert sides == ["(-0.0, -81.0)"]
+
+    def test_distance_six_matches_per_pair(self):
+        # at t = 6 the sweep folds no bucket a = 3, which no verdict reads
+        mu = signed_table(12, 6, 0)
+        want = per_pair_reference(mu, distance=6)
+        got = verify_exchange_all_pairs(mu)
+        assert want["pairs"] == 462
+        assert len(want["hurwitz_failures"]) == 22 and not want["exchange_failures"]
+        for key in ("exchange_failures", "hurwitz_failures"):
+            assert [f for f in got[key] if len(set(f[0]) - set(f[1])) == 6] == want[key]
 
     def test_signed_table_reaches_every_verdict_path(self):
         res = per_pair_reference(signed_table(9, 4, 2))
@@ -555,6 +582,20 @@ class TestSweepCapacity:
         res = verify_exchange_all_pairs(TableDistribution(4, 2, table))
         assert res["max_measured_beta"] == 1.0
         assert not res["exchange_failures"] and not res["hurwitz_failures"]
+
+    @pytest.mark.parametrize("n, k", [(12, 4), (12, 6)])
+    def test_peak_memory_is_a_few_blocks(self, n, k):
+        # a sweep that held every column of a bucket, or every split against
+        # every half, would pass this bound in its widest block
+        mu = KernelDistribution(random_npsd(n, 1), k)
+        mu.tabulate()
+        tracemalloc.start()
+        try:
+            verify_exchange_all_pairs(mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * exchange.PAIR_BLOCK * 8
 
     @pytest.mark.parametrize(
         "diag",
