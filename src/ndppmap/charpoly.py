@@ -13,7 +13,9 @@ singular pin can still have nonsingular supersets, so its marginal is summed
 over its one-element extensions instead.
 
 step_marginals prices the marginal of S u {i} for every i outside S from one
-conditioning on S and one eigendecomposition of L^S.
+conditioning on S.  With t = k - |S| elements left to add it reads the last
+two steps off L^S alone, (L^S)_ii at t = 1 and the 2 x 2 principal minors
+through i at t = 2, and takes one eigendecomposition of L^S only at t >= 3.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import CapacityError, ConditioningError, DomainError
 from .kernel import Kernel, _normalize_indices, condition_on, principal_minor
 
 SINGULAR_PIN_CAP = 1000
-EIGENBASIS_COND_LIMIT = 1e8  # 1-norm cond(V) above which L^S = V diag(lam) V^-1 is not used
+EIGENBASIS_COND_LIMIT = 1e8  # t >= 3: 1-norm cond(V) above which L^S = V diag(lam) V^-1 is unused
 
 
 def superset_marginal(K: Kernel, Y, k):
@@ -69,13 +71,23 @@ def superset_marginal(K: Kernel, Y, k):
 def step_marginals(K: Kernel, S, k):
     """(candidates, values): the marginal of S u {i} for every i outside S,
     in increasing i, from one conditioning on S; None when S is a singular
-    pin, L^S has an eigenbasis with cond(V) above EIGENBASIS_COND_LIMIT, or
-    a value overflows to inf or NaN.
+    pin, a value overflows to inf or NaN, or, at t >= 3, L^S has an
+    eigenbasis with cond(V) above EIGENBASIS_COND_LIMIT.
 
-    With L^S = V diag(lam) V^-1 and t = k - |S|, Jacobi's identity for the
-    minors of I + x L^S gives the marginal of S u {i} as
+    With t = k - |S| and M = L^S, each size-k superset of S u {i} is S u D
+    for a size-t set D outside S that holds i, with det(L_{S u D}) =
+    det(L_S) det(M_D), so the marginal of S u {i} is
+
+        t = 1:  det(L_S) * M_ii,
+        t = 2:  det(L_S) * sum over j != i of (M_ii M_jj - M_ij M_ji),
+
+    and at t >= 3, with M = V diag(lam) V^-1, Jacobi's identity for the
+    minors of I + x M gives it as
 
         det(L_S) * sum_j V_ij (V^-1)_ji lam_j e_{t-1}(lam without lam_j).
+
+    Only this last form reads the spectrum, so only it can meet a defective
+    or ill-conditioned eigenbasis.
     """
     idx = _normalize_indices(S, K.n)
     if not len(idx) < k <= K.n:
@@ -83,26 +95,46 @@ def step_marginals(K: Kernel, S, k):
     cands = [i for i in range(K.n) if i not in idx]
     if K.rank_d is not None and k > K.rank_d:
         return cands, [0.0] * len(cands)  # every k x k principal minor vanishes
+    t = k - len(idx)
     try:
         M, det_S = condition_on(K, idx)
-        lam, V = np.linalg.eig(M)
-        W = np.linalg.inv(V)
+        vals = _last_steps(M, det_S, t) if t <= 2 else _spectral_step(M, det_S, t)
     except (ConditioningError, np.linalg.LinAlgError):
         return None
+    if vals is None or not np.isfinite(vals).all():
+        return None
+    return cands, vals.tolist()
+
+
+def _last_steps(M, det_S, t):
+    """det(L_S) times M_ii (t = 1), or times the row sums of the 2 x 2
+    principal minors M_ii M_jj - M_ij M_ji (t = 2).  The diagonal term of
+    each row is d_i d_i - M_ii M_ii, exactly 0 for finite entries, so the
+    full row sum is the sum over j != i; overflow is silent, since
+    non-finite values give None."""
+    d = np.diag(M)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if t == 1:
+            return det_S * d
+        return det_S * (np.multiply.outer(d, d) - M * M.T).sum(axis=1)
+
+
+def _spectral_step(M, det_S, t):
+    """det(L_S) times the Jacobi sum over one eigendecomposition of M, or
+    None where its eigenbasis has cond(V) above EIGENBASIS_COND_LIMIT."""
+    lam, V = np.linalg.eig(M)
+    W = np.linalg.inv(V)
     cond = np.linalg.norm(V, 1) * np.linalg.norm(W, 1)
-    if not cond <= EIGENBASIS_COND_LIMIT:  # also NaN: L^S may be defective
+    if not cond <= EIGENBASIS_COND_LIMIT:  # also NaN: M may be defective
         return None
     # Row j of E: e_0..e_{t-1} of lam without lam_j, by the product recurrence
     # less the j-th factor; overflow is silent, since non-finite values give None.
-    m, t = len(lam), k - len(idx)
+    m = len(lam)
     factors = lam * (1.0 - np.eye(m))
     E = np.zeros((m, t), dtype=complex)
     E[:, 0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(m if t > 1 else 0):
+        for j in range(m):
             E[:, 1:] += factors[:, j, None] * E[:, :-1]
         VW = V * W.T  # VW[i, j] = V_ij (V^-1)_ji
-        vals = det_S * (VW @ (lam * E[:, -1])).real
-    if not np.isfinite(vals).all():
-        return None
-    return cands, vals.tolist()
+        return det_S * (VW @ (lam * E[:, -1])).real

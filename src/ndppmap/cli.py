@@ -10,6 +10,7 @@ stderr.  Exit codes: 0 success, 1 verification failure, 2 infeasibility,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -42,11 +43,13 @@ def _finite(x):
 
 
 def _emit(report, out_path=None):
+    """Write the report to out_path, if given, and then to stdout, so a path
+    that cannot be written leaves stdout empty."""
     text = json.dumps(_finite(report), sort_keys=True, allow_nan=False) + "\n"
-    sys.stdout.write(text)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 def cmd_gen(args):
@@ -164,7 +167,10 @@ def cmd_verify(args):
     return EXIT_OK if passed else EXIT_VERIFY
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parse_args fills a new
+    Namespace on every call, so no parsed value carries over between calls."""
     ap = argparse.ArgumentParser(prog="ndppmap")
     sub = ap.add_subparsers(dest="command", required=True)
 

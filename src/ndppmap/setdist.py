@@ -196,8 +196,9 @@ class KernelDistribution(SetDistribution):
 
     def step_marginals(self, S):
         """One conditioning on S prices every candidate (charpoly.step_marginals);
-        a singular pin or an ill-conditioned eigenbasis of L^S falls back to
-        one marginal per candidate."""
+        a singular pin, a value that is not finite or, with more than two
+        elements left to add, an ill-conditioned eigenbasis of L^S falls back
+        to one marginal per candidate."""
         priced = charpoly.step_marginals(self.kernel, S, self.k)
         if priced is None:
             return super().step_marginals(S)

@@ -248,19 +248,26 @@ class TestHighPrecisionOracle:
         [
             (lambda: random_npsd(40, seed=6), (3, 17), 6),
             (lambda: lowrank_npsd(60, 8, seed=7), (5,), 4),
+            (lambda: random_npsd(40, seed=6), (3, 17, 25, 31), 6),
+            (lambda: random_npsd(40, seed=6), (3, 8, 17, 25, 31), 6),
+            (lambda: lowrank_npsd(60, 8, seed=7), (5, 40), 4),
+            (lambda: lowrank_npsd(60, 8, seed=7), (5, 12, 40), 4),
         ],
-        ids=["dense-n40", "lowrank-n60"],
+        ids=["dense-n40", "lowrank-n60", "dense-n40-t2", "dense-n40-t1",
+             "lowrank-n60-t2", "lowrank-n60-t1"],
     )
     def test_step_marginals(self, make, S, k):
         # The argmax decides the greedy's pick; the median candidate lies well
-        # below it. Both come from the one eigendecomposition of L^S.
+        # below it. Both come from the one eigendecomposition of L^S, or at
+        # t = k - |S| <= 2 from the closed forms, which take no spectrum.
         K = make()
         cands, vals = step_marginals(K, S, k)
         median = int(np.argsort(vals)[len(vals) // 2])
         assert vals[median] < 0.99 * max(vals)
+        rel = 1e-12 if k - len(S) <= 2 else 1e-9
         for p in (int(np.argmax(vals)), median):
             want = mp_marginal(K, S + (cands[p],), k)
-            assert vals[p] == pytest.approx(want, rel=1e-9)
+            assert vals[p] == pytest.approx(want, rel=rel)
 
 
 class TestStepMarginalsOverflow:
@@ -271,4 +278,20 @@ class TestStepMarginalsOverflow:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert step_marginals(K, (), 3) is None
+        assert caught == []
+
+    @pytest.mark.parametrize("S, k", [((3,), 3), ((3,), 2)], ids=["t2", "t1"])
+    def test_last_steps_overflow_returns_none_without_warnings(self, S, k):
+        # Pinned on 3, det(L_S) = 1e200 and L^S is the leading 3 x 3 block:
+        # det(L_S) * L^S_00 overflows at t = 1, and the +-1e200 pair's minor
+        # at t = 2. The closed forms take no spectrum, and their overflow is
+        # silent too.
+        K = Kernel(
+            np.array(
+                [[1e200, 1e200, 0.5, 0], [-1e200, 1, 0, 0], [0.5, 0, 2, 0], [0, 0, 0, 1e200]]
+            )
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert step_marginals(K, S, k) is None
         assert caught == []

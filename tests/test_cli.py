@@ -131,6 +131,46 @@ class TestMap:
         assert out.read_text() == text
 
 
+    @pytest.mark.parametrize("command", ["map", "verify"])
+    def test_unwritable_out_prints_nothing(self, command, skew_path, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--kernel", skew_path, "--k", "2", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert exc.value.code == 4 and captured.out == ""
+        assert captured.err.startswith("usage error: [Errno 2]")
+
+
+def fresh_report(argv):
+    """The report of argv run in a new interpreter, without its timing."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ndppmap.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    report.pop("timing")
+    return report
+
+
+def test_back_to_back_calls_match_fresh_ones(tmp_path, capsys):
+    # main builds its parser once per process; a flag given to one call must
+    # not reach the next.
+    path = str(tmp_path / "r7.knl")
+    save_kernel(instances.random_npsd(7, 1), path)
+    base = ["--kernel", path, "--k", "3"]
+    for calls in (
+        (["map", *base, "--oracle"], ["map", *base]),
+        (["verify", *base, "--suite", "walk"], ["verify", *base]),
+    ):
+        for argv in calls:
+            code, report, _ = run_cli(argv, capsys)
+            report.pop("timing")
+            assert code == 0 and report == fresh_report(argv)
+    assert cli.build_parser() is cli.build_parser()
+
+
 class TestExitCodes:
     def test_infeasible_zero_kernel(self, tmp_path, capsys):
         path = tmp_path / "zero.knl"

@@ -89,9 +89,12 @@ class TestStepMarginals:
         monkeypatch.setattr(
             charpoly, "superset_marginal", lambda *a: marginals.append(a) or superset(*a)
         )
+        eigs, eig = [], np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda M: eigs.append(len(M)) or eig(M))
         trace = induced_greedy(mu)
         assert len(calls) == 5
         assert marginals == []  # a conditioned step prices no candidate on its own
+        assert eigs == [12, 11, 10]  # t = k - |S| <= 2 is priced without a spectrum
         assert trace.conditioned_steps == 5 and trace.per_candidate_steps == 0
 
     def test_singular_pin_falls_back(self):
@@ -106,11 +109,12 @@ class TestStepMarginals:
 
     def test_defective_eigenbasis_falls_back(self):
         # I plus a strictly upper triangle of ones: every L^S is again unit
-        # upper triangular, one Jordan block, so no eigenbasis exists.
+        # upper triangular, one Jordan block, so no eigenbasis exists. Only
+        # the first step (t = 3) reads one; t = 2 and t = 1 are closed forms.
         K = Kernel(np.eye(6) + np.triu(np.ones((6, 6)), 1))
         fast, ref = induced_greedy(KernelDistribution(K, 3)), induced_greedy(PerCandidate(K, 3))
         assert fast.picks == ref.picks and fast.final_set == (0, 1, 2)
-        assert fast.per_candidate_steps == 3 and fast.conditioned_steps == 0
+        assert fast.per_candidate_steps == 1 and fast.conditioned_steps == 2
 
 
 class TestInducedGreedy:
