@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, compress
+from numbers import Integral
 
 import numpy as np
 
@@ -221,6 +222,13 @@ def _add_products(out, R1, V1, R2, V2):
     np.add.at(out.reshape(-1), ij.ravel(), (V1[:, :, None] * V2[:, None, :]).ravel())
 
 
+def _whole(name, x):
+    """x as an int; DomainError for a bool or a non-integer."""
+    if isinstance(x, bool) or not isinstance(x, Integral):
+        raise DomainError(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
 def build_downup(mu: SetDistribution, n, k, l) -> DownUpChain:
     """The k<->l down-up walk on supp(mu), held as its operators.
 
@@ -234,6 +242,7 @@ def build_downup(mu: SetDistribution, n, k, l) -> DownUpChain:
     """
     if (n, k) != (mu.n, mu.k):
         raise DomainError(f"(n, k) = ({n}, {k}) but mu is over ({mu.n}, {mu.k})")
+    l = _whole("l", l)
     if not 0 <= l <= k <= n:
         raise DomainError(f"need 0 <= l <= k <= n, got n={n}, k={k}, l={l}")
     if math.comb(n, k) > CHAIN_STATE_CAP:
@@ -296,7 +305,11 @@ def conductance(C: ChainMatrix) -> ConductanceResult:
     are swept in blocks of about CUT_BLOCK cuts, each block over the columns
     its lightest row reaches, and the sweep stops at the first row that
     reaches none.  Every cut is priced by the same expression as on the full
-    grid, so the minimum is over the same cuts with the same values.
+    grid, so the minimum is over the same cuts with the same values.  A
+    block's pi_S, Q and keep are views of three flat buffers allocated once
+    per call, filled in place by `out=` ufuncs, and its minimum is taken over
+    the kept cuts only (`where=keep`), so a block allocates only its
+    cross-flow product.
 
     F is `C.flow()`: on a chain of `build_downup` it is read off the factor,
     so no m x m P is built even here."""
@@ -316,19 +329,24 @@ def conductance(C: ChainMatrix) -> ConductanceResult:
     p_h, out_h, B_h = p_h[by_h], out_h[by_h], B_h[by_h]
     empty_h, empty_l = int(np.argmin(by_h)), int(np.argmin(by_l))  # where sub-cut 0 went
     rows = max(1, CUT_BLOCK >> lo)
+    size = min(rows, len(B_h)) * len(p_l)
+    bufs = np.empty(size), np.empty(size), np.empty(size, bool)  # pi_S, Q and keep
     best = math.inf
     for h0 in range(0, len(B_h), rows):
         reach = int(np.count_nonzero(p_h[h0] + p_l <= 0.5 + 1e-12))
         if reach == 0:
             break
         blk = slice(h0, h0 + rows)
-        pi_S = p_h[blk, None] + p_l[:reach]
-        Q = out_h[blk, None] + out_l[:reach] - B_h[blk] @ cross[:, :reach]
-        keep = pi_S <= 0.5 + 1e-12
+        height = min(rows, len(B_h) - h0)
+        pi_S, Q, keep = (b[: height * reach].reshape(height, reach) for b in bufs)
+        np.add(p_h[blk, None], p_l[:reach], out=pi_S)
+        np.add(out_h[blk, None], out_l[:reach], out=Q)
+        Q -= B_h[blk] @ cross[:, :reach]
+        np.less_equal(pi_S, 0.5 + 1e-12, out=keep)
         if h0 <= empty_h < h0 + rows and empty_l < reach:
             keep[empty_h - h0, empty_l] = False  # the empty cut
-        phi = np.divide(Q, pi_S, out=np.full_like(Q, math.inf), where=keep)
-        best = min(best, float(phi.min()))
+        np.divide(Q, pi_S, out=Q, where=keep)
+        best = min(best, float(Q.min(where=keep, initial=math.inf)))
     if not math.isfinite(best):
         best = 0.0
     best = max(best, 0.0)
@@ -344,10 +362,11 @@ def cheeger_ok(gap, cond: ConductanceResult):
 
 
 def _up_step(mu: SetDistribution, core, s):
-    """The up-step from a core, as (cdf, labels, core, D): D holds the C(n-l, s)
+    """The up-step from a core, as (cdf, nxt, core, D): D holds the C(n-l, s)
     size-s index sets outside the core, priced once by one `mu.completions`
-    call; cdf is their normalized cumulative distribution, and labels[j], the
-    sorted set core u D[j], is filled in when row j is first drawn."""
+    call; cdf is their normalized cumulative distribution, and nxt[j], the
+    walk's id of the sorted set core u D[j], is -1 until row j is first
+    drawn."""
     D = subsets([i for i in range(mu.n) if i not in core], s)
     wts = np.maximum(mu.completions(core, D), 0.0)
     total = wts.sum()
@@ -356,7 +375,7 @@ def _up_step(mu: SetDistribution, core, s):
     if total == math.inf:
         raise CapacityError(f"mu sums to inf over the supersets of {core}")
     cdf = (wts / total).cumsum()
-    return (cdf / cdf[-1]).tolist(), [None] * len(D), core, D
+    return (cdf / cdf[-1]).tolist(), [-1] * len(D), core, D
 
 
 def sample_walk(mu: SetDistribution, S0, l, steps, seed):
@@ -369,16 +388,20 @@ def sample_walk(mu: SetDistribution, S0, l, steps, seed):
     steps at a time; `Generator.random` fills row-major, so the trajectory
     depends on the seed only, never on the block size.
 
+    The walk steps on int ids, given to the states as they are first drawn:
+    `labels` maps an id to its sorted tuple and `index` a tuple to its id.
     Each block's kept positions become one vector of pattern numbers, the
     colex rank of the sorted positions.  A core's up-step (`_up_step`) is
-    priced once, and the move from a state under a pattern is cached, so a
-    seen (state, pattern) costs one dict lookup and one `bisect_right`; a
-    candidate's sorted label is built only when it is first drawn.
+    priced once, and the move from a state under a pattern is cached in one
+    flat list at id * C(k, l) + pattern, so a step seen before is one list
+    index, one `bisect_right` and one list index into the up-step's next
+    ids; a candidate's sorted label is built only when it is first drawn.
     """
     S0 = as_set(S0)
     k = mu.k
     if len(S0) != k:
         raise DomainError(f"walk needs a size-{k} start, got {S0}")
+    l, steps = _whole("l", l), _whole("steps", steps)
     if not 0 <= l <= k:
         raise DomainError(f"need 0 <= l <= k, got l={l}, k={k}")
     if steps < 0:
@@ -390,28 +413,39 @@ def sample_walk(mu: SetDistribution, S0, l, steps, seed):
     rank = np.array([math.comb(p, j + 1) for p in range(k) for j in range(l)], np.intp)
     rank = rank.reshape(k, l)  # k x l even at k = 0
     patterns = sorted(combinations(range(k), l), key=lambda p: p[::-1])  # by colex rank
-    ups, moves = {}, {}  # core -> up-step; (state, pattern rank) -> up-step
-    traj = [S0]
-    cur = S0
+    per = len(patterns)
+    labels, index = [S0], {S0: 0}  # id -> state, state -> id
+    ups = {}  # core -> up-step
+    moves = [None] * per  # id * per + pattern rank -> up-step
+    ids = [0]
+    cur = 0
     for t0 in range(0, steps, WALK_BLOCK):
         U = rng.random((min(WALK_BLOCK, steps - t0), k + 1))
         keeps = np.sort(U[:, :k].argsort(axis=1, kind="stable")[:, :l], axis=1)
         pats = rank[keeps, np.arange(l)].sum(axis=1).tolist()
         for pat, u in zip(pats, U[:, k].tolist()):
-            move = moves.get((cur, pat))
+            slot = cur * per + pat
+            move = moves[slot]
             if move is None:
-                core = tuple(cur[i] for i in patterns[pat])  # sorted, since cur is
+                S = labels[cur]
+                core = tuple(S[i] for i in patterns[pat])  # sorted, since S is
                 move = ups.get(core)
                 if move is None:
                     move = ups[core] = _up_step(mu, core, k - l)
-                moves[cur, pat] = move
-            cdf, labels, core, D = move
+                moves[slot] = move
+            cdf, nxt, core, D = move
             j = bisect_right(cdf, u)
-            cur = labels[j]
-            if cur is None:
-                cur = labels[j] = tuple(sorted(core + tuple(D[j].tolist())))
-            traj.append(cur)
-    return traj
+            cur = nxt[j]
+            if cur < 0:
+                S = tuple(sorted(core + tuple(D[j].tolist())))
+                cur = index.get(S)
+                if cur is None:
+                    cur = index[S] = len(labels)
+                    labels.append(S)
+                    moves += [None] * per
+                nxt[j] = cur
+            ids.append(cur)
+    return [labels[i] for i in ids]
 
 
 def tv_distance(p, q) -> float:
@@ -426,6 +460,8 @@ def tv_distance(p, q) -> float:
 
 def empirical_density(traj, states):
     """Visit frequencies of `traj` over the enumerated, distinct `states`."""
+    if len(set(states)) != len(states):
+        raise DomainError("the enumerated states repeat")
     visits = Counter(traj)
     counts = np.array([visits[S] for S in states], dtype=float)
     if counts.sum() != len(traj):

@@ -25,6 +25,7 @@ from ndppmap import (
 from ndppmap import downup
 from ndppmap.downup import chain_checks, cheeger_ok, empirical_density
 from ndppmap.instances import lowrank_npsd, random_field, random_npsd
+from test_setdist import CountingKernel
 
 
 def uniform(n, k):
@@ -714,7 +715,7 @@ class TestSampleWalk:
         assert tv_distance(emp, np.full(len(states), 0.1)) < 0.05
 
     @pytest.mark.parametrize("seed", [17, 5])
-    @pytest.mark.parametrize("l", [1, 2])
+    @pytest.mark.parametrize("l", [0, 1, 2, 3])
     def test_stream_matches_reference_walk(self, seed, l, monkeypatch):
         mu = KernelDistribution(random_npsd(6, seed), 3)
         steps = 2 * downup.WALK_BLOCK + 3
@@ -724,7 +725,7 @@ class TestSampleWalk:
         assert sample_walk(mu, (0, 1, 2), l, steps, seed) == ref
 
     @pytest.mark.parametrize("seed", [17, 5])
-    @pytest.mark.parametrize("l", [2, 3])
+    @pytest.mark.parametrize("l", [0, 2, 3, 5])
     def test_stream_matches_reference_walk_at_k5(self, seed, l, monkeypatch):
         # at k = 5 the colex and lex orders of the kept-position patterns differ
         mu = KernelDistribution(random_npsd(7, seed), 5)
@@ -744,6 +745,58 @@ class TestSampleWalk:
         assert sample_walk(nu, (1, 2, 3, 4), 2, steps, 6) == ref
         monkeypatch.setattr(downup, "WALK_BLOCK", 7)
         assert sample_walk(nu, (1, 2, 3, 4), 2, steps, 6) == ref
+
+    def test_states_found_after_the_first_block(self, monkeypatch):
+        # the five sets holding element 5 are rare: at seed 36 the walk meets
+        # three of them first at steps 5421-5425, past the first WALK_BLOCK
+        table = {S: (2e-4 if 5 in S else 1.0) for S in combinations(range(6), 2)}
+        mu = TableDistribution(6, 2, table)
+        steps = 2 * downup.WALK_BLOCK + 3
+        ref = reference_walk(mu, (0, 1), 1, steps, 36)
+        first = {}
+        for t, S in enumerate(ref):
+            first.setdefault(S, t)
+        assert max(first.values()) > downup.WALK_BLOCK
+        assert sample_walk(mu, (0, 1), 1, steps, 36) == ref
+        monkeypatch.setattr(downup, "WALK_BLOCK", 7)
+        assert sample_walk(mu, (0, 1), 1, steps, 36) == ref
+
+    @pytest.mark.parametrize("l", [0, 1, 2, 3])
+    def test_one_completions_call_per_core(self, l):
+        mu = CountingKernel(random_npsd(7, 4), 3)
+        S0, steps, seed = (0, 2, 5), 3000, 9
+        traj = sample_walk(mu, S0, l, steps, seed)
+        rng = np.random.default_rng(seed)
+        cores = {}  # the retained cores in order of first appearance
+        for S in traj[:-1]:
+            u = rng.random(4)
+            cores.setdefault(tuple(sorted(S[i] for i in np.argsort(u[:3], kind="stable")[:l])))
+        # the first call is mu.value(S0), the check that S0 is in the support
+        assert mu.cores[0] == () and mu.arrays[0].tolist() == [list(S0)]
+        assert mu.cores[1:] == list(cores)
+
+    @pytest.mark.parametrize(
+        "l", [1.5, 1.0, True, np.float64(1.0), "1"], ids=["1.5", "1.0", "True", "f64", "str"]
+    )
+    def test_non_integer_l_rejected(self, l):
+        with pytest.raises(DomainError, match="l must be an integer"):
+            sample_walk(uniform(5, 2), (0, 1), l, 3, seed=0)
+        with pytest.raises(DomainError, match="l must be an integer"):
+            build_downup(uniform(5, 2), 5, 2, l)
+
+    @pytest.mark.parametrize(
+        "steps", [3.0, 2.5, True, False, np.float64(3.0)], ids=["3.0", "2.5", "True", "False", "f64"]
+    )
+    def test_non_integer_steps_rejected(self, steps):
+        with pytest.raises(DomainError, match="steps must be an integer"):
+            sample_walk(uniform(5, 2), (0, 1), 1, steps, seed=0)
+
+    def test_numpy_integers_accepted(self):
+        mu = uniform(5, 2)
+        assert sample_walk(mu, (0, 1), np.int64(1), np.int32(40), 3) == sample_walk(
+            mu, (0, 1), 1, 40, 3
+        )
+        assert build_downup(mu, 5, 2, np.int8(1)).states == build_downup(mu, 5, 2, 1).states
 
     @pytest.mark.parametrize("l", [1, 2])
     def test_negative_steps_rejected(self, l):
@@ -790,6 +843,10 @@ class TestEmpiricalDensity:
     def test_state_outside_states_rejected(self):
         with pytest.raises(DomainError, match="outside the enumerated states"):
             empirical_density([(0, 1), (2, 3)], [(0, 1), (1, 2)])
+
+    def test_repeated_states_rejected(self):
+        with pytest.raises(DomainError, match="states repeat"):
+            empirical_density([(0, 1)], [(0, 1), (0, 1)])
 
 
 class TestTvDistance:
