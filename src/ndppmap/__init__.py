@@ -3,7 +3,6 @@
 from .charpoly import superset_marginal
 from .coreset import PartitionPlan, build_plan, compose_and_report, coreset_map
 from .downup import (
-    ChainMatrix,
     apply_field,
     build_downup,
     conductance,

@@ -1,15 +1,16 @@
 """Exact down-up walks, external fields, and spectral diagnostics.
 
 The k<->l walk drops k-l elements uniformly, then re-completes
-proportionally to mu.  A chain from `build_downup` is held as its operators,
-P = D U: D averages a state over its l-set cores and U sends a core to its
-normalized distribution over its supersets in the support, so both live on
-the (state, core) incidence, C(k, l) entries per state.  Row sums and
-stationarity are read off the operators, and the spectrum off one
-eigenproblem on the smaller Gram matrix of the factor A with sym(P) = A A^T.
-No m x m P is ever built: the exact conductance, which enumerates the cuts
-of at most CONDUCTANCE_STATE_CAP states, reads the ergodic flow
-diag(pi) P = diag(sqrt(pi)) A A^T diag(sqrt(pi)) off the factor.
+proportionally to mu.  A chain from `build_downup`, a `DownUpChain` and the
+only chain type here, is held as its operators, P = D U: D averages a state
+over its l-set cores and U sends a core to its normalized distribution over
+its supersets in the support, so both live on the (state, core) incidence,
+C(k, l) entries per state.  Row sums and stationarity are read off the
+operators, and the spectrum off one eigenproblem on the smaller Gram matrix
+of the factor A with sym(P) = A A^T.  No m x m P is ever built: the exact
+conductance, which enumerates the cuts of at most CONDUCTANCE_STATE_CAP
+states, reads the ergodic flow diag(pi) P = diag(sqrt(pi)) A A^T
+diag(sqrt(pi)) off the factor.
 """
 
 from __future__ import annotations
@@ -38,29 +39,33 @@ WALK_BLOCK = 4096  # sampler steps per array of uniform draws
 CHEEGER_TOL = 1e-9  # absolute slack of both sides of the Cheeger sandwich
 
 
-class ChainMatrix:
-    """A chain on its m states given by a dense row-stochastic P and a
-    stationary density pi, as a caller builds one by hand.  Every check reads
-    P, and the spectrum is the m x m `eigvalsh` of the reversible
-    symmetrization."""
+class DownUpChain:
+    """The k<->l down-up chain P = D U on its m states, held as its operators.
 
-    def __init__(self, states, P, pi):
-        self.states = states  # sorted size-k tuples carrying positive mass
-        self.P = P  # row-stochastic transition matrix
-        self.pi = pi  # stationary density (normalized mu over states)
+    Both live on the (state, core) incidence: `core_ids` is m x C(k, l), row
+    S the ids of the l-set cores under S in `combinations` order, the cores
+    numbered in the order they first appear.  With the state masses w,
+    pi = w / sum(w), and the core sums W_c of w over the supersets of c,
+    D[S, c] = `scale` = 1/C(k, l), U[c, S] = w_S / W_c (`up`) and the factor
+    A[S, c] = sqrt(w_S / (C(k, l) W_c)) (`factor`), each m x C(k, l) in the
+    layout of `core_ids`.  So pi_S (D U)[S, T] is symmetric in (S, T): the
+    chain is reversible by construction, sym(P) = A A^T identically, and no
+    m x m P is built.
+    """
+
+    def __init__(self, states, w, core_ids):
+        per = core_ids.shape[1]
+        self.states, self.pi = states, w / w.sum()
+        self.core_ids, self.scale = core_ids, 1.0 / per
+        self.W = np.bincount(core_ids.ravel(), weights=np.repeat(w, per))
+        W = self.W[core_ids]
+        self.up = w[:, None] / W
+        self.factor = np.sqrt(self.scale * w[:, None] / W)
 
     @property
     def eig_dim(self):
         """The size of `gram()`, the one eigenproblem behind the spectrum."""
-        return len(self.states)
-
-    def gram(self):
-        """A symmetric matrix whose eigenvalues, joined with zeros up to m,
-        are those of P: here the reversible symmetrization sym(P) =
-        (B + B^T) / 2 with B = D^{1/2} P D^{-1/2} and D = diag(pi)."""
-        s = np.sqrt(self.pi)
-        B = (s[:, None] * self.P) / s[None, :]
-        return 0.5 * (B + B.T)
+        return min(len(self.W), len(self.states))
 
     @cached_property
     def spectrum(self):
@@ -68,46 +73,6 @@ class ChainMatrix:
         eigensolve, joined with m - eig_dim zeros."""
         ev = np.linalg.eigvalsh(self.gram())
         return np.sort(np.concatenate((np.zeros(len(self.states) - len(ev)), ev)))
-
-    def flow(self):
-        """The ergodic flow F = diag(pi) P, whose cuts the exact conductance
-        prices."""
-        return self.pi[:, None] * self.P
-
-    def row_sums(self):
-        return self.P.sum(axis=1)
-
-    def pi_P(self):
-        """pi P, which is pi when pi is stationary."""
-        return self.pi @ self.P
-
-
-class DownUpChain(ChainMatrix):
-    """The k<->l down-up chain P = D U on its m states, held as its operators.
-
-    Both live on the (state, core) incidence: `core_ids` is m x C(k, l), row
-    S the ids of the l-set cores under S in `combinations` order, the cores
-    numbered in the order they first appear.  With the state masses w and
-    the core sums W_c of w over the supersets of c, D[S, c] = `scale` =
-    1/C(k, l), U[c, S] = w_S / W_c (`up`) and the factor
-    A[S, c] = sqrt(w_S / (C(k, l) W_c)) (`factor`), each m x C(k, l) in the
-    layout of `core_ids`.  So pi_S (D U)[S, T] is symmetric in (S, T): the
-    chain is reversible by construction, sym(P) = A A^T identically, and no
-    m x m P is built.
-    """
-
-    def __init__(self, states, pi, w, core_ids, scale):
-        self.states, self.pi = states, pi
-        self.core_ids, self.scale = core_ids, scale
-        per = core_ids.shape[1]
-        self.W = np.bincount(core_ids.ravel(), weights=np.repeat(w, per))
-        W = self.W[core_ids]
-        self.up = w[:, None] / W
-        self.factor = np.sqrt(scale * w[:, None] / W)
-
-    @property
-    def eig_dim(self):
-        return min(len(self.W), len(self.states))
 
     def gram(self):
         """The smaller of A^T A (cores x cores) and A A^T (m x m), which
@@ -240,9 +205,9 @@ def build_downup(mu: SetDistribution, n, k, l) -> DownUpChain:
     core ids per state, the cores numbered in the order they first appear
     under the sorted states, and builds no m x m array.
     """
+    n, k, l = _whole("n", n), _whole("k", k), _whole("l", l)
     if (n, k) != (mu.n, mu.k):
         raise DomainError(f"(n, k) = ({n}, {k}) but mu is over ({mu.n}, {mu.k})")
-    l = _whole("l", l)
     if not 0 <= l <= k <= n:
         raise DomainError(f"need 0 <= l <= k <= n, got n={n}, k={k}, l={l}")
     if math.comb(n, k) > CHAIN_STATE_CAP:
@@ -260,10 +225,10 @@ def build_downup(mu: SetDistribution, n, k, l) -> DownUpChain:
     pairs = (ids.setdefault(core, len(ids)) for S in states for core in combinations(S, l))
     per = math.comb(k, l)
     core_ids = np.fromiter(pairs, dtype=np.intp, count=len(states) * per).reshape(-1, per)
-    return DownUpChain(states, w / total, w, core_ids, 1.0 / per)
+    return DownUpChain(states, w, core_ids)
 
 
-def spectral_gap(C: ChainMatrix) -> float:
+def spectral_gap(C: DownUpChain) -> float:
     """1 - lambda_2 of the transition matrix, from `C.spectrum`."""
     if len(C.states) < 2:
         return 1.0
@@ -287,7 +252,7 @@ def _cut_tables(pi, rowflow, F):
     return B, B @ pi, B @ rowflow - ((B @ F) * B).sum(axis=1)
 
 
-def conductance(C: ChainMatrix) -> ConductanceResult:
+def conductance(C: DownUpChain) -> ConductanceResult:
     """Exact min-cut bottleneck ratio when the state count is at most
     CONDUCTANCE_STATE_CAP, so the 2^m cuts can be enumerated; otherwise an
     interval inverted from the Cheeger sandwich.
@@ -311,8 +276,8 @@ def conductance(C: ChainMatrix) -> ConductanceResult:
     the kept cuts only (`where=keep`), so a block allocates only its
     cross-flow product.
 
-    F is `C.flow()`: on a chain of `build_downup` it is read off the factor,
-    so no m x m P is built even here."""
+    F is `C.flow()`, read off the factor, so no m x m P is built even
+    here."""
     m = len(C.states)
     if m > CONDUCTANCE_STATE_CAP:
         gap = spectral_gap(C)
@@ -469,23 +434,17 @@ def empirical_density(traj, states):
     return counts / len(traj)
 
 
-def chain_checks(C: ChainMatrix, n=None, k=None, l=None):
-    """Row sums, reversibility, spectrum, stationarity, gap, Cheeger sandwich.
+def chain_checks(C: DownUpChain, n=None, k=None, l=None):
+    """Row sums, spectrum, stationarity, gap, Cheeger sandwich.
 
-    Row sums and stationarity come from `C.row_sums()` and `C.pi_P()`, on a
-    chain of `build_downup` from its operators.  `eig_dim` is the size of the
-    one eigenproblem solved (`C.gram()`).  Only a hand-built chain, whose P
-    comes from outside, reports `reversibility_err`, max|F - F^T| of its flow
-    F = diag(pi) P, and `ok` requires it to be at most 1e-10; a chain of
-    `build_downup` is reversible by construction, pi_S (D U)[S, T] being
-    symmetric, and its spectrum is read off A with sym(D U) = A A^T, so its
-    report's keys do not depend on its size."""
+    Row sums and stationarity come from `C.row_sums()` and `C.pi_P()`, read
+    off the operators.  `eig_dim` is the size of the one eigenproblem solved
+    (`C.gram()`).  The chain is reversible by construction, pi_S (D U)[S, T]
+    being symmetric, and its spectrum is read off A with sym(D U) = A A^T, so
+    no reversibility is checked and the report's keys do not depend on the
+    chain's size."""
     row_err = float(np.max(np.abs(C.row_sums() - 1.0)))
     stat_err = float(np.max(np.abs(C.pi_P() - C.pi)))
-    rev_err = None
-    if not isinstance(C, DownUpChain):
-        F = C.flow()
-        rev_err = float(np.max(np.abs(F - F.T)))
     ev = C.spectrum
     gap = spectral_gap(C)
     cond = conductance(C)
@@ -495,24 +454,17 @@ def chain_checks(C: ChainMatrix, n=None, k=None, l=None):
         "l": l,
         "num_states": len(C.states),
         "row_sum_err": row_err,
-        "reversibility_err": rev_err,
         "min_eigenvalue": float(ev[0]),
         "eig_dim": C.eig_dim,
         "stationarity_err": stat_err,
         "gap": gap,
         "cheeger_ok": len(C.states) < 2 or cheeger_ok(gap, cond),  # one state has no cut
     }
-    if rev_err is None:
-        del report["reversibility_err"]
     if cond.exact:
         report["conductance"] = cond.value
     else:
         report["conductance_bounds"] = [cond.lower, cond.upper]
     report["ok"] = bool(
-        row_err <= 1e-12
-        and (rev_err is None or rev_err <= 1e-10)
-        and ev[0] >= -1e-9
-        and stat_err <= 1e-10
-        and report["cheeger_ok"]
+        row_err <= 1e-12 and ev[0] >= -1e-9 and stat_err <= 1e-10 and report["cheeger_ok"]
     )
     return report

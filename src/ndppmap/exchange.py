@@ -24,7 +24,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .downup import CHAIN_STATE_CAP
+from .downup import CHAIN_STATE_CAP, _whole
 from .errors import CapacityError, DomainError
 from .kernel import _normalize_indices
 from .setdist import SetDistribution, subsets
@@ -37,6 +37,7 @@ PAIR_BLOCK = 1 << 15  # sets gathered per block of unions in the all-pairs sweep
 def brute_force_map(mu: SetDistribution, n, k):
     """Exact argmax of mu over size-k subsets of [n], smallest set on ties;
     NaN never wins, and (None, -inf) when nothing exceeds -inf."""
+    n, k = _whole("n", n), _whole("k", k)
     if (n, k) != (mu.n, mu.k):
         raise DomainError(f"(n, k) = ({n}, {k}) but mu is over ({mu.n}, {mu.k})")
     if not 0 <= k <= n:

@@ -16,13 +16,15 @@ from .greedy import induced_greedy, standard_greedy
 from .kernel import Kernel, is_npsd
 from .setdist import KernelDistribution, SetDistribution, as_set
 
+# Moves per search.  Each gains a factor > 1/zeta, so the cap only stops
+# rounding-level cycles.
+MAX_ITERS = 1000
+
 
 @dataclass
 class SearchConfig:
     r: int = 2
     zeta: float = 0.5
-    # Each move gains a factor > 1/zeta, so the cap only stops rounding-level cycles.
-    max_iters: int = 1000
 
     def __post_init__(self):
         if self.r < 1:
@@ -62,9 +64,9 @@ def local_search(mu: SetDistribution, S0, cfg: SearchConfig):
         if cur_val >= cfg.zeta * best_val:
             trace.certified_local_max = True
             return cur, trace
-        if trace.iterations >= cfg.max_iters:
+        if trace.iterations >= MAX_ITERS:
             raise IncompleteSearchError(
-                f"exceeded max_iters={cfg.max_iters}",
+                f"exceeded MAX_ITERS={MAX_ITERS}",
                 best_set=best,
                 best_value=best_val,
                 trace=trace,

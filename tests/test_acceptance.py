@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from ndppmap import (
-    ChainMatrix,
     Kernel,
     KernelDistribution,
     SearchConfig,
@@ -43,6 +42,7 @@ from ndppmap.instances import (
     skew_block,
     sym_psd,
 )
+from chains import DenseChain
 
 BATCH_CONFIGS = [(5, 2, 50), (6, 2, 50), (6, 3, 40), (7, 3, 40), (8, 4, 25)]
 ZETA = 0.5
@@ -73,9 +73,7 @@ def pipeline(batch):
     runs = []
     for n, k, seed, K, mu in batch:
         g = induced_greedy(mu)
-        S, trace = local_search(
-            mu, g.final_set, SearchConfig(r=2, zeta=ZETA, max_iters=10000)
-        )
+        S, trace = local_search(mu, g.final_set, SearchConfig(r=2, zeta=ZETA))
         runs.append(
             {
                 "n": n,
@@ -214,7 +212,7 @@ def test_criterion_7_chain_validity_and_sampler():
                 B = s[:, None] * P / s
                 assert np.linalg.norm((B + B.T) / 2 - A @ A.T) <= 1e-10, (n, k, l)
                 if len(C.states) <= 22:  # the exact conductance
-                    want = conductance(ChainMatrix(C.states, P, C.pi)).value
+                    want = conductance(DenseChain(C.states, P, C.pi)).value
                     assert abs(conductance(C).value - want) <= 1e-12 * want, (n, k, l)
                 chains += 1
     mu = KernelDistribution(random_npsd(6, 4242), 3)

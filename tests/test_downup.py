@@ -7,7 +7,6 @@ import pytest
 
 from ndppmap import (
     CapacityError,
-    ChainMatrix,
     DomainError,
     InfeasibilityError,
     Kernel,
@@ -25,6 +24,7 @@ from ndppmap import (
 from ndppmap import downup
 from ndppmap.downup import chain_checks, cheeger_ok, empirical_density
 from ndppmap.instances import lowrank_npsd, random_field, random_npsd
+from chains import DenseChain, symmetrized
 from test_setdist import CountingKernel
 
 
@@ -91,7 +91,7 @@ def random_chain(m, seed):
     rng = np.random.default_rng(seed)
     P = rng.uniform(size=(m, m))
     pi = rng.uniform(0.5, 2.0, size=m)
-    return ChainMatrix([(i,) for i in range(m)], P / P.sum(axis=1, keepdims=True), pi / pi.sum())
+    return DenseChain([(i,) for i in range(m)], P / P.sum(axis=1, keepdims=True), pi / pi.sum())
 
 
 CUT_CHAINS = {
@@ -130,7 +130,7 @@ def near_half_chain():
     W[:4, 4:] = W[4:, :4] = 1e-3
     W[:4, :4] *= 1 + 2e-12
     d = W.sum(axis=1)
-    return ChainMatrix([(i,) for i in range(8)], W / d[:, None], d / d.sum())
+    return DenseChain([(i,) for i in range(8)], W / d[:, None], d / d.sum())
 
 
 # The benchmark's seed-11 walk kernels: random_npsd(6, s) at k = 3.
@@ -338,6 +338,15 @@ class TestBuildDownup:
         with pytest.raises(DomainError):
             build_downup(mu, 5, 3, 1)
 
+    @pytest.mark.parametrize(
+        "n, k", [(5.0, 2), (5, 2.0), (True, 2), (5, "2")],
+        ids=["float-n", "float-k", "bool-n", "str-k"],
+    )
+    def test_non_integer_n_k_rejected(self, n, k):
+        # 5.0 == 5 passed the match with mu, then math.comb raised TypeError
+        with pytest.raises(DomainError, match="must be an integer"):
+            build_downup(uniform(5, 2), n, k, 1)
+
     def test_field_commutation(self):
         mu = KernelDistribution(random_npsd(6, 11), 2)
         lam = random_field(6, seed=5)
@@ -388,13 +397,6 @@ def dense_factor(C):
 def with_reference(mu, l):
     """The k<->l chain of mu and its P from `per_core_reference`."""
     return build_downup(mu, mu.n, mu.k, l), per_core_reference(mu, l)[0]
-
-
-def symmetrized(P, pi):
-    """(B + B^T) / 2 with B = D^{1/2} P D^{-1/2} and D = diag(pi), written out."""
-    s = np.sqrt(pi)
-    B = (s[:, None] * P) / s[None, :]
-    return 0.5 * (B + B.T)
 
 
 def dense_errors(C, P):
@@ -482,7 +484,7 @@ class TestSpectralGap:
         p, q = 0.3, 0.2
         P = np.array([[1 - p, p], [q, 1 - q]])
         pi = np.array([q, p]) / (p + q)
-        C = ChainMatrix([(0,), (1,)], P, pi)
+        C = DenseChain([(0,), (1,)], P, pi)
         assert spectral_gap(C) == pytest.approx(p + q)
 
     def test_matches_independent_eigensolver(self):
@@ -571,8 +573,8 @@ class TestCoreSide:
     def test_factor_check_bites(self):
         C, P = with_reference(KernelDistribution(random_npsd(6, 3), 3), 1)
         i, j = 0, int(np.argmax(P[0, 1:])) + 1
-        # move flow eps between F_ii and F_ij and likewise in row j: row sums,
-        # reversibility and stationarity hold, but P is no longer A A^T
+        # move flow eps between F_ii and F_ij and likewise in row j: P stays
+        # reversible, but is no longer A A^T
         eps = 1e-3 * C.pi[i] * P[i, j]
         P[i, i] += eps / C.pi[i]
         P[i, j] -= eps / C.pi[i]
@@ -580,31 +582,22 @@ class TestCoreSide:
         P[j, i] -= eps / C.pi[j]
         rev_err, factor_err = dense_errors(C, P)
         assert rev_err <= 1e-10 and factor_err > 1e-10
-        dense = ChainMatrix(C.states, P, C.pi)
-        rep = chain_checks(dense)
-        assert rep["ok"] and rep["row_sum_err"] <= 1e-12 and rep["stationarity_err"] <= 1e-10
-        assert rep["reversibility_err"] <= 1e-10
 
-    def test_built_P_sums_are_checked(self):
-        # a hand-built chain's row sums and pi P are read off its P
-        C, P = with_reference(KernelDistribution(random_npsd(6, 3), 3), 1)
-        P[0, 0] += 1e-6
-        rep = chain_checks(ChainMatrix(C.states, P, C.pi))
+    def test_perturbed_up_step_is_caught(self):
+        # one entry of U moved by 1e-6: the row sums of the states under its
+        # core and pi P move with it, and the report fails
+        C = build_downup(KernelDistribution(random_npsd(6, 3), 3), 6, 3, 1)
+        rep = chain_checks(C)
+        assert rep["ok"] and rep["row_sum_err"] <= 1e-12 and rep["stationarity_err"] <= 1e-10
+        C.up[0, 0] += 1e-6
+        rep = chain_checks(C)
         assert rep["row_sum_err"] > 1e-7 and rep["stationarity_err"] > 1e-10
         assert not rep["ok"], rep
 
-    def test_hand_built_chain_keeps_state_side(self):
-        C = random_chain(9, 4)
-        assert type(C) is ChainMatrix
-        assert np.array_equal(C.spectrum, state_side_spectrum(C.P, C.pi))
-        rep = chain_checks(C)
-        assert "reversibility_err" in rep and "factor_err" not in rep and rep["eig_dim"] == 9
-
 
 class TestDenseChecks:
-    """The checks on a dense P that `chain_checks` never runs on a chain of
-    `build_downup`, run on the benchmark's verify chains against the P of
-    `per_core_reference`."""
+    """The checks on a dense P that `chain_checks` does not run, on the
+    benchmark's verify chains against the P of `per_core_reference`."""
 
     @pytest.mark.parametrize("name", sorted(DENSE_CHECK_CHAINS))
     def test_dense_checks_hold(self, name):
@@ -623,7 +616,7 @@ class TestDenseChecks:
 class TestConductance:
     def test_two_state_symmetric(self):
         P = np.array([[0.5, 0.5], [0.5, 0.5]])
-        C = ChainMatrix([(0,), (1,)], P, np.array([0.5, 0.5]))
+        C = DenseChain([(0,), (1,)], P, np.array([0.5, 0.5]))
         res = conductance(C)
         assert res.exact and res.value == pytest.approx(0.5)
 
@@ -796,7 +789,8 @@ class TestSampleWalk:
         assert sample_walk(mu, (0, 1), np.int64(1), np.int32(40), 3) == sample_walk(
             mu, (0, 1), 1, 40, 3
         )
-        assert build_downup(mu, 5, 2, np.int8(1)).states == build_downup(mu, 5, 2, 1).states
+        C = build_downup(mu, np.int64(5), np.int32(2), np.int8(1))
+        assert C.states == build_downup(mu, 5, 2, 1).states
 
     @pytest.mark.parametrize("l", [1, 2])
     def test_negative_steps_rejected(self, l):

@@ -92,6 +92,17 @@ class TestBruteForceMap:
             brute_force_map(mu, 5, 2)
         with pytest.raises(DomainError):
             brute_force_map(mu, 4, 3)
+        assert brute_force_map(mu, np.int64(4), np.int32(2)) == brute_force_map(mu, 4, 2)
+
+    @pytest.mark.parametrize(
+        "n, k", [(4.0, 2), (4, 2.0), (4, True), (4, "2")],
+        ids=["float-n", "float-k", "bool-k", "str-k"],
+    )
+    def test_non_integer_n_k_rejected(self, n, k):
+        # 4.0 == 4 passed the match with mu, then math.comb raised TypeError
+        mu = KernelDistribution(Kernel(np.eye(4)), 2)
+        with pytest.raises(DomainError, match="must be an integer"):
+            brute_force_map(mu, n, k)
 
     def test_smallest_set_wins_ties_and_nan_never_wins(self):
         mu = TableDistribution(4, 2, {(0, 1): math.nan, (0, 3): 2.0, (1, 2): 2.0})

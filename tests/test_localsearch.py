@@ -21,6 +21,7 @@ from ndppmap import (
     local_search,
     map_inference,
 )
+from ndppmap import localsearch
 from ndppmap.instances import lowrank_npsd, random_npsd, skew_block
 
 
@@ -113,13 +114,14 @@ class TestLocalSearch:
             local_search(mu, start, SearchConfig(r=r))
 
     def test_default_budget(self):
-        assert SearchConfig().max_iters == 1000
+        assert localsearch.MAX_ITERS == 1000
 
-    def test_max_iters_carries_best(self):
+    def test_max_iters_carries_best(self, monkeypatch):
         K = skew_block([4, 3, 2], [100, 200, 300])
         mu = KernelDistribution(K, 2)
+        monkeypatch.setattr(localsearch, "MAX_ITERS", 0)
         with pytest.raises(IncompleteSearchError) as exc:
-            local_search(mu, (0, 1), SearchConfig(r=2, zeta=0.5, max_iters=0))
+            local_search(mu, (0, 1), SearchConfig(r=2, zeta=0.5))
         assert exc.value.best_set is not None
 
     def test_certification_rescan(self):
@@ -203,11 +205,12 @@ class TestMapInference:
         with pytest.raises(DomainError):
             map_inference(Kernel(np.array([[0.0, 2.0], [0.0, 0.0]])), 1)
 
-    def test_budget_reaches_the_search(self):
+    def test_budget_reaches_the_search(self, monkeypatch):
         # the determinant greedy starts at (0, 1), one move from the optimum
         K = skew_block([4, 3, 2], [100, 200, 300])
+        monkeypatch.setattr(localsearch, "MAX_ITERS", 0)
         with pytest.raises(IncompleteSearchError):
-            map_inference(K, 2, SearchConfig(max_iters=0), init="standard")
+            map_inference(K, 2, SearchConfig(), init="standard")
 
     @pytest.mark.parametrize(
         "K",
