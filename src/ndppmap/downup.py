@@ -11,6 +11,8 @@ of the factor A with sym(P) = A A^T.  No m x m P is ever built: the exact
 conductance, which enumerates the cuts of at most CONDUCTANCE_STATE_CAP
 states, reads the ergodic flow diag(pi) P = diag(sqrt(pi)) A A^T
 diag(sqrt(pi)) off the factor.
+A field over a kernel with no forced element is a kernel (apply_field), so
+its scans, greedy steps, walks and chains take the kernel's routes.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, compress
-from numbers import Integral
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, InfeasibilityError, TrappedStateError
-from .setdist import SetDistribution, as_set, subsets, union_rows
+from .kernel import Kernel, _whole
+from .setdist import KernelDistribution, SetDistribution, TableDistribution, as_set, subsets
 
 CHAIN_STATE_CAP = 20000
 CONDUCTANCE_STATE_CAP = 22
@@ -121,46 +123,40 @@ class DownUpChain:
         return (piD[self.core_ids] * self.up).sum(axis=1)
 
 
-class FieldDistribution(SetDistribution):
-    """(lambda * mu)(S) = mu(S) * prod_{i in S} lambda_i, with zero and
-    infinite entries realized as support restriction (mass exactly +0.0);
-    completions() are the base's times each set's field product."""
-
-    def __init__(self, base: SetDistribution, lam: np.ndarray):
-        super().__init__(base.n, base.k)
-        self.base = base
-        self.lam = lam
-
-    def _field(self, sets):
-        """Each row's field product, in row order with a forced entry counted as
-        1.0, and whether the row lies in the support, for sorted rows of sets."""
-        forced = np.isinf(self.lam)
-        lam = np.where(forced, 1.0, self.lam)
-        factor = np.ones(len(sets))
-        for c in range(sets.shape[1]):
-            factor *= lam[sets[:, c]]
-        inside = (forced[sets].sum(axis=1) == forced.sum()) & (self.lam[sets] != 0.0).all(axis=1)
-        return factor, inside
-
-    def completions(self, core, D):
-        factor, inside = self._field(union_rows(core, D))
-        return np.where(inside, self.base.completions(core, D) * factor, 0.0)
-
-
-def apply_field(mu: SetDistribution, lam) -> FieldDistribution:
-    """Reweight mu by the external field lam (one nonnegative entry per
-    element: 0 deletes it, inf forces it); errors out on empty support
-    whenever the state space is small enough to enumerate."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.ndim != 1:
-        raise DomainError(f"field must be one-dimensional, got shape {lam.shape}")
+def apply_field(mu: SetDistribution, lam) -> SetDistribution:
+    """mu(S) prod_{i in S} lam_i for the field lam (0 deletes an element, inf
+    forces it): for a kernel and no inf entry, the kernel Lambda^{1/2} L
+    Lambda^{1/2}, factors kept; else a TableDistribution of mu's table times
+    each set's product, inf read as 1.0, the sets off the support left out
+    (+0.0), and CapacityError past CHAIN_STATE_CAP sets.  InfeasibilityError
+    when fewer than k entries are positive or more than k are inf, and on
+    empty support within CHAIN_STATE_CAP sets."""
+    n, k, lam = mu.n, mu.k, np.asarray(lam, dtype=float)
+    if lam.shape != (n,):
+        raise DomainError(f"field must have shape ({n},), one entry per element; got {lam.shape}")
     if np.any(lam < 0) or np.any(np.isnan(lam)):
         raise DomainError("field entries must be nonnegative")
-    if len(lam) != mu.n:
-        raise DomainError(f"field has {len(lam)} entries, ground set has {mu.n}")
-    out = FieldDistribution(mu, lam)
-    if math.comb(mu.n, mu.k) <= CHAIN_STATE_CAP and not (out.tabulate() > 0.0).any():
-        raise InfeasibilityError("field leaves no size-k subset with positive mass")
+    forced, small = np.isinf(lam), math.comb(n, k) <= CHAIN_STATE_CAP
+    empty = InfeasibilityError(f"field leaves no size-{k} subset with positive mass")
+    if np.count_nonzero(lam) < k or np.count_nonzero(forced) > k:
+        raise empty
+    if isinstance(mu, KernelDistribution) and not forced.any():
+        K, s = mu.kernel, np.sqrt(lam)
+        lowrank = None if K.lowrank is None else (K.lowrank[0] * s[:, None], K.lowrank[1])
+        out = KernelDistribution(Kernel(s[:, None] * K.entries * s, lowrank=lowrank), k)
+        table = out.tabulate() if small else None
+    elif not small:
+        raise CapacityError(f"C({n},{k}) exceeds the field table cap {CHAIN_STATE_CAP}")
+    else:
+        sets, factor, lam1 = subsets(range(n), k), 1.0, np.where(forced, 1.0, lam)
+        for c in range(k):
+            factor = factor * lam1[sets[:, c]]
+        inside = (forced[sets].sum(axis=1) == forced.sum()) & (lam[sets] != 0.0).all(axis=1)
+        table = np.where(inside, mu.tabulate() * factor, 0.0)
+        kept = compress(zip(combinations(range(n), k), table.tolist()), inside)
+        out = TableDistribution(n, k, dict(kept))
+    if small and not (table > 0.0).any():
+        raise empty
     return out
 
 
@@ -185,13 +181,6 @@ def _add_products(out, R1, V1, R2, V2):
     the flat view of out, in the order (g, i, j)."""
     ij = (R1 * out.shape[1])[:, :, None] + R2[:, None, :]
     np.add.at(out.reshape(-1), ij.ravel(), (V1[:, :, None] * V2[:, None, :]).ravel())
-
-
-def _whole(name, x):
-    """x as an int; DomainError for a bool or a non-integer."""
-    if isinstance(x, bool) or not isinstance(x, Integral):
-        raise DomainError(f"{name} must be an integer, got {x!r}")
-    return int(x)
 
 
 def build_downup(mu: SetDistribution, n, k, l) -> DownUpChain:

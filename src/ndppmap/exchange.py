@@ -24,9 +24,9 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .downup import CHAIN_STATE_CAP, _whole
+from .downup import CHAIN_STATE_CAP
 from .errors import CapacityError, DomainError
-from .kernel import _normalize_indices
+from .kernel import _normalize_indices, _whole
 from .setdist import SetDistribution, subsets
 
 BRUTE_FORCE_CAP = 2 * 10**6

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -35,6 +36,13 @@ def _normalize_indices(S, n):
     if idx and (idx[0] < 0 or idx[-1] >= n):
         raise DomainError(f"index out of range [0, {n}): {idx}")
     return idx
+
+
+def _whole(name, x):
+    """x as an int; DomainError for a bool or a non-integer."""
+    if isinstance(x, bool) or not isinstance(x, Integral):
+        raise DomainError(f"{name} must be an integer, got {x!r}")
+    return int(x)
 
 
 def _frozen(M):

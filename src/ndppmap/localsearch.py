@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import CapacityError, DomainError, IncompleteSearchError
 from .greedy import induced_greedy, standard_greedy
-from .kernel import Kernel, is_npsd
+from .kernel import Kernel, _whole, is_npsd
 from .setdist import KernelDistribution, SetDistribution, as_set
 
 # Moves per search.  Each gains a factor > 1/zeta, so the cap only stops
@@ -27,6 +27,7 @@ class SearchConfig:
     zeta: float = 0.5
 
     def __post_init__(self):
+        self.r = _whole("r", self.r)
         if self.r < 1:
             raise DomainError(f"swap radius r must be >= 1, got {self.r}")
         if not 0.0 < self.zeta < 1.0:

@@ -58,7 +58,8 @@ class SetDistribution:
     tabulate(), marginal(), neighborhood_values() and restrict() read
     completions() over index arrays from subsets(); KernelDistribution
     overrides completions(), tabulate(), marginal(), step_marginals() and
-    restrict() with faster routes.
+    restrict() with faster routes, and TableDistribution defines value().
+    An external field (downup.apply_field) returns one of these two.
     """
 
     def __init__(self, n, k):

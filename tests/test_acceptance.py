@@ -195,6 +195,7 @@ def test_criterion_7_chain_validity_and_sampler():
                 apply_field(mu, random_field(n, seed=100 * n + 10 * k + f))
                 for f in range(20)
             ]
+            assert all(isinstance(nu, KernelDistribution) for nu in dists[1:])
             for nu in dists:
                 C = build_downup(nu, n, k, l)
                 rep = chain_checks(C, n, k, l)

@@ -11,12 +11,15 @@ from ndppmap import (
     InfeasibilityError,
     Kernel,
     KernelDistribution,
+    SearchConfig,
     SetDistribution,
     TableDistribution,
     TrappedStateError,
     apply_field,
     build_downup,
     conductance,
+    induced_greedy,
+    local_search,
     sample_walk,
     spectral_gap,
     tv_distance,
@@ -236,7 +239,7 @@ class TestApplyField:
     )
     def test_table_equals_enumerated_values(self, head):
         mu = KernelDistribution(random_npsd(8, 6), 3)
-        nu = downup.FieldDistribution(mu, np.r_[head, random_field(8 - len(head), seed=7)])
+        nu = apply_field(mu, np.r_[head, random_field(8 - len(head), seed=7)])
         want = [nu.value(S) for S in combinations(range(8), 3)]
         assert np.array_equal(nu.tabulate(), want)
         assert np.array_equal(SetDistribution.tabulate(nu), want)
@@ -245,6 +248,42 @@ class TestApplyField:
         mu = uniform(4, 2)
         with pytest.raises(InfeasibilityError):
             apply_field(mu, [0.0, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "lam", [[0.0] * 21 + [1.0] * 9, [math.inf] * 11 + [1.0] * 19], ids=["deleted", "forced"]
+    )
+    def test_empty_field_rejected_past_the_cap(self, lam):
+        # C(30, 10) sets: past CHAIN_STATE_CAP, so no table tells that the
+        # support is empty; 9 positive or 11 forced entries leave no 10-set
+        mu = KernelDistribution(random_npsd(30, 1), 10)
+        with pytest.raises(InfeasibilityError, match="leaves no size-10 subset"):
+            apply_field(mu, lam)
+
+    def test_forced_field_past_the_cap_is_capacity(self):
+        mu = KernelDistribution(random_npsd(30, 1), 10)
+        with pytest.raises(CapacityError):
+            apply_field(mu, [math.inf] + [1.0] * 29)
+
+    def test_greedy_on_a_field_conditions_every_step(self):
+        nu = apply_field(KernelDistribution(random_npsd(40, 1), 6), random_field(40, 2))
+        assert isinstance(nu, KernelDistribution)
+        g = induced_greedy(nu)
+        assert (g.conditioned_steps, g.per_candidate_steps) == (6, 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_greedy_and_search_match_the_definition(self, seed):
+        mu = KernelDistribution(random_npsd(10, seed), 4)
+        lam = random_field(10, seed=seed + 20)
+        lam[3] = 0.0
+        nu = apply_field(mu, lam)
+        table = {
+            S: mu.value(S) * math.prod(lam[list(S)]) for S in combinations(range(10), 4)
+        }
+        ref = TableDistribution(10, 4, table)
+        g, g_ref = induced_greedy(nu), induced_greedy(ref)
+        assert [i for i, _ in g.picks] == [i for i, _ in g_ref.picks]
+        cfg = SearchConfig(r=2)
+        assert local_search(nu, g.final_set, cfg)[0] == local_search(ref, g_ref.final_set, cfg)[0]
 
     def test_negative_field_rejected(self):
         mu = uniform(4, 2)

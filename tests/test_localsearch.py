@@ -113,6 +113,18 @@ class TestLocalSearch:
         with pytest.raises(CapacityError, match=r"mu\(0, 1\) = inf is past the float64 range"):
             local_search(mu, start, SearchConfig(r=r))
 
+    @pytest.mark.parametrize("r", [2.0, True, "2", 1.5])
+    def test_non_integer_r_rejected(self, r):
+        # 2.0 passed the r >= 1 check and then raised TypeError in the scan; True ran as r = 1
+        with pytest.raises(DomainError, match="r must be an integer"):
+            SearchConfig(r=r)
+
+    def test_numpy_integer_r_accepted(self):
+        cfg = SearchConfig(r=np.int64(2))
+        assert type(cfg.r) is int and cfg.r == 2
+        mu = KernelDistribution(random_npsd(6, 1), 3)
+        assert local_search(mu, (0, 1, 2), cfg)[0] == local_search(mu, (0, 1, 2), SearchConfig())[0]
+
     def test_default_budget(self):
         assert localsearch.MAX_ITERS == 1000
 

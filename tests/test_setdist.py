@@ -21,6 +21,7 @@ from ndppmap import (
     SetDistribution,
     SearchConfig,
     TableDistribution,
+    apply_field,
     condition_on,
     kernel_table,
     local_search,
@@ -28,7 +29,6 @@ from ndppmap import (
     sample_walk,
 )
 from ndppmap import setdist
-from ndppmap.downup import FieldDistribution
 from ndppmap.instances import lowrank_npsd, random_field, random_npsd, sym_psd
 from ndppmap.setdist import subsets
 from test_localsearch import neighborhood
@@ -340,16 +340,15 @@ class TestValue:
     def test_field_value_is_the_parent_formula(self, base):
         lam = random_field(7, seed=1)
         lam[1], lam[4] = 0.0, math.inf
-        nu = FieldDistribution(base, lam)
+        nu = apply_field(base, lam)
         for S in combinations(range(7), 3):
-            factor, inside = nu._field(np.array([S], dtype=np.intp))
-            want = base.value(S) * factor[0] if inside[0] else 0.0
+            want = base.value(S) * field_product(lam, S) if 4 in S and 1 not in S else 0.0
             assert repr(nu.value(S)) == repr(float(want)), S
 
     @pytest.mark.parametrize(
         "mu",
         [KernelDistribution(random_npsd(4, 0), 2), TableDistribution(4, 2, {(1, 2): 3.0}),
-         FieldDistribution(TableDistribution(4, 2, {(1, 2): 3.0}), np.ones(4))],
+         apply_field(TableDistribution(4, 2, {(1, 2): 3.0}), np.ones(4))],
     )
     @pytest.mark.parametrize("bad", [(1, 9), (-1, 2), (2, 2)])
     def test_bad_index_sets_rejected(self, mu, bad):
@@ -362,16 +361,64 @@ class TestValue:
             local_search(mu, (1, 9), SearchConfig(r=1))
 
 
+def field_product(lam, S):
+    """prod_{i in S} lam_i, left to right from 1.0, a forced entry counted as 1.0."""
+    out = 1.0
+    for i in S:
+        out *= 1.0 if math.isinf(lam[i]) else float(lam[i])
+    return out
+
+
+def field_definition(base, lam):
+    """(lam * mu)(S) = mu(S) prod_{i in S} lam_i [F subset of S], F the forced
+    elements, over every size-k set in combinations order, from base.value."""
+    forced = set(np.flatnonzero(np.isinf(lam)).tolist())
+    return np.array([
+        base.value(S) * field_product(lam, S) if forced <= set(S) else 0.0
+        for S in combinations(range(base.n), base.k)
+    ])
+
+
+FIELD_BASES = {
+    "dense": lambda n, k, seed: KernelDistribution(random_npsd(n, seed), k),
+    "lowrank": lambda n, k, seed: KernelDistribution(lowrank_npsd(n, k + 2, seed), k),
+    "table": lambda n, k, seed: TableDistribution(
+        n, k, dict(zip(combinations(range(n), k), kernel_table(random_npsd(n, seed), k).tolist()))
+    ),
+}
+FIELD_HEADS = {"deleted": [0.0, 0.0], "forced": [math.inf], "mixed": [0.0, math.inf]}
+
+
 class TestFieldCompletions:
-    """A field's completions are its base's completions times each set's
-    field product; a set that holds a deleted element or misses a forced
-    one is exactly +0.0."""
+    """apply_field against its definition mu(S) prod_{i in S} lam_i, with
+    [F subset of S] for the forced elements F: a kernel under a field with
+    no forced entry is the rescaled kernel, anything else a table, and a set
+    that holds a deleted element or misses a forced one is exactly +0.0."""
 
     @staticmethod
     def field(base, seed):
         lam = random_field(base.n, seed=seed)
         lam[1], lam[4] = 0.0, math.inf  # element 1 deleted, element 4 forced
-        return FieldDistribution(base, lam)
+        return apply_field(base, lam), lam
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n, k", [(8, 4), (10, 5)])
+    @pytest.mark.parametrize("head", FIELD_HEADS.values(), ids=FIELD_HEADS.keys())
+    @pytest.mark.parametrize("base", FIELD_BASES.values(), ids=FIELD_BASES.keys())
+    def test_table_is_the_definition(self, base, head, n, k, seed):
+        base = base(n, k, seed)
+        lam = np.r_[head, random_field(n - len(head), seed=seed + 10)]
+        nu = apply_field(base, lam)
+        rescaled = isinstance(base, KernelDistribution) and not np.isinf(lam).any()
+        assert type(nu) is (KernelDistribution if rescaled else TableDistribution)
+        assert (nu.n, nu.k) == (n, k)
+        if rescaled:
+            assert nu.kernel.rank_d == base.kernel.rank_d
+        got, want = nu.tabulate(), field_definition(base, lam)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        off = want == 0.0
+        assert off.any() and got[off].tolist() == [0.0] * off.sum()
+        assert not np.signbit(got[off]).any()
 
     @pytest.mark.parametrize(
         "base",
@@ -379,7 +426,7 @@ class TestFieldCompletions:
         ids=["kernel", "table"],
     )
     def test_matches_enumeration(self, base):
-        nu = self.field(base, 3)
+        nu, _ = self.field(base, 3)
         for core in [(), (4,), (1,), (0, 6), (2, 4, 7)]:
             pool = [i for i in range(8) if i not in core]
             for s in range(5 - len(core)):
@@ -393,7 +440,7 @@ class TestFieldCompletions:
                 assert not np.signbit(got[want == 0.0]).any()
 
     def test_off_support_is_positive_zero(self):
-        nu = self.field(signed_table(7, 3, 2), 4)
+        nu, _ = self.field(signed_table(7, 3, 2), 4)
         D = subsets(range(7), 3)
         off = [1 in S or 4 not in S for S in combinations(range(7), 3)]
         got = nu.completions((), D)
@@ -405,28 +452,26 @@ class TestFieldCompletions:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_table_is_base_table_times_product(self, seed):
         base = KernelDistribution(random_npsd(9, seed), 4)
-        nu = self.field(base, seed)
-        lam = np.where(np.isinf(nu.lam), 1.0, nu.lam)
-        want = base.tabulate().copy()  # the table itself is read-only
-        for j, S in enumerate(combinations(range(9), 4)):
-            factor = np.ones(1)
-            for i in S:
-                factor *= lam[i]
-            want[j] = want[j] * factor[0] if 4 in S and 1 not in S else 0.0
-        assert np.array_equal(nu.tabulate(), want)
+        nu, lam = self.field(base, seed)
+        assert np.array_equal(nu.tabulate(), field_definition(base, lam))
 
-    def test_walk_and_scan_price_through_base_completions(self):
-        base = CountingKernel(random_npsd(9, 7), 4)
-        nu = FieldDistribution(base, random_field(9, seed=8))
-        traj = sample_walk(nu, (0, 1, 2, 3), 2, 300, seed=3)
-        assert len(set(traj)) > 1
-        assert len(base.cores) == len(set(base.cores)) > 1
-        # the start's support check is one completions row, priced by the base
-        assert base.values == 0 and base.cores[0] == () and len(base.arrays[0]) == 1
-        base.cores, base.values = [], 0
-        nu.neighborhood_values((0, 2, 5, 7), 2)
-        assert len(base.cores) == len(set(base.cores)) == 1 + 4 + 6
-        assert base.values == 0  # the size-0 completion, S itself, is a determinant too
+    def test_scan_takes_the_jacobi_route(self, monkeypatch):
+        base = KernelDistribution(random_npsd(9, 7), 4)
+        lam = random_field(9, seed=8)
+        lam[1] = 0.0
+        nu = apply_field(base, lam)
+        want = dict(zip(combinations(range(9), 4), field_definition(base, lam).tolist()))
+        cores = []
+        completions = KernelDistribution.completions
+        monkeypatch.setattr(
+            KernelDistribution, "completions",
+            lambda self, core, D: cores.append(core) or completions(self, core, D),
+        )
+        nb = nu.neighborhood_values((0, 2, 5, 7), 2)
+        assert cores == []  # every set within two swaps priced from one conditioning
+        assert len(nb) == 1 + 4 * 5 + 6 * 10
+        top = max(abs(v) for v in want.values())
+        assert all(abs(v - want[S]) <= 1e-12 * top for S, v in nb.items())
 
 
 @pytest.fixture
