@@ -13,9 +13,12 @@ singular pin can still have nonsingular supersets, so its marginal is summed
 over its one-element extensions instead.
 
 step_marginals prices the marginal of S u {i} for every i outside S from one
-conditioning on S.  With t = k - |S| elements left to add it reads the last
-two steps off L^S alone, (L^S)_ii at t = 1 and the 2 x 2 principal minors
-through i at t = 2, and takes one eigendecomposition of L^S only at t >= 3.
+conditioning on S, as the diagonal of one polynomial in L^S for every
+t = k - |S|: its coefficients are the e_j of L^S (no spectrum at t <= 2,
+one eigvals at t >= 3), and it reads no eigenvector.  Only where the
+polynomial's terms would cancel past POLYNOMIAL_ERROR_LIMIT, at t >= 3 on a
+wide spectrum with t near its numerical rank, does the step take one
+eigendecomposition of L^S instead.
 """
 
 from __future__ import annotations
@@ -26,7 +29,20 @@ from .errors import CapacityError, ConditioningError, DomainError
 from .kernel import Kernel, _normalize_indices, condition_on, principal_minor
 
 SINGULAR_PIN_CAP = 1000
-EIGENBASIS_COND_LIMIT = 1e8  # t >= 3: 1-norm cond(V) above which L^S = V diag(lam) V^-1 is unused
+# t >= 3: the polynomial's estimated rounding error, relative to its largest
+# value, above which the step is priced from one eigendecomposition of L^S.
+POLYNOMIAL_ERROR_LIMIT = 1e-12
+EIGENBASIS_COND_LIMIT = 1e8  # 1-norm cond(V) above which L^S = V diag(lam) V^-1 is unused
+
+
+def _elementary(lam, t):
+    """e_0..e_t of lam, complex: the coefficients of prod (1 + lam_i x), by
+    the product recurrence."""
+    e = np.zeros(t + 1, dtype=complex)
+    e[0] = 1.0
+    for x in lam:
+        e[1:] += x * e[:-1]
+    return e
 
 
 def superset_marginal(K: Kernel, Y, k):
@@ -58,12 +74,7 @@ def superset_marginal(K: Kernel, Y, k):
         except ConditioningError:
             rest = [j for j in range(K.n) if j not in pin]
             return sum(marginal(tuple(sorted(pin + (j,))), t - 1) for j in rest) / t
-        # e_0..e_t of the eigenvalues: the coefficients of prod (1 + lambda_i x).
-        e = np.zeros(t + 1, dtype=complex)
-        e[0] = 1.0
-        for lam in np.linalg.eigvals(M):
-            e[1:] += lam * e[:-1]
-        return detY * float(e[t].real)
+        return detY * float(_elementary(np.linalg.eigvals(M), t)[t].real)
 
     return marginal(idx, k - len(idx))
 
@@ -71,23 +82,27 @@ def superset_marginal(K: Kernel, Y, k):
 def step_marginals(K: Kernel, S, k):
     """(candidates, values): the marginal of S u {i} for every i outside S,
     in increasing i, from one conditioning on S; None when S is a singular
-    pin, a value overflows to inf or NaN, or, at t >= 3, L^S has an
-    eigenbasis with cond(V) above EIGENBASIS_COND_LIMIT.
+    pin, a value is not finite or, on the eigenbasis route, cond(V) is above
+    EIGENBASIS_COND_LIMIT.
 
     With t = k - |S| and M = L^S, each size-k superset of S u {i} is S u D
     for a size-t set D outside S that holds i, with det(L_{S u D}) =
-    det(L_S) det(M_D), so the marginal of S u {i} is
+    det(L_S) det(M_D).  Summed over D, det(M_D) is the coefficient of x^t
+    in det(I + xM) - adj(I + xM)_ii = x (M adj(I + xM))_ii, by
+    (I + xM) adj(I + xM) = det(I + xM) I.  The same identity gives
+    adj(I + xM) = sum_j x^j A_j with A_0 = I and A_j = e_j I - M A_{j-1},
+    e_j the elementary symmetric functions of spec(M), so the marginal of
+    S u {i} is
 
-        t = 1:  det(L_S) * M_ii,
-        t = 2:  det(L_S) * sum over j != i of (M_ii M_jj - M_ij M_ji),
+        det(L_S) * (M A_{t-1})_ii.
 
-    and at t >= 3, with M = V diag(lam) V^-1, Jacobi's identity for the
-    minors of I + x M gives it as
+    At t = 1 that is det(L_S) M_ii, and at t = 2 det(L_S)(tr(M) M_ii - (M^2)_ii);
+    only t >= 3 takes e_1..e_{t-1} from one eigvals of M, and no eigenvector
+    is read.  Where that polynomial loses accuracy (see _polynomial_step),
+    the step is priced from one eigendecomposition M = V diag(lam) V^-1 by
+    Jacobi's identity for the minors of I + xM:
 
         det(L_S) * sum_j V_ij (V^-1)_ji lam_j e_{t-1}(lam without lam_j).
-
-    Only this last form reads the spectrum, so only it can meet a defective
-    or ill-conditioned eigenbasis.
     """
     idx = _normalize_indices(S, K.n)
     if not len(idx) < k <= K.n:
@@ -98,7 +113,9 @@ def step_marginals(K: Kernel, S, k):
     t = k - len(idx)
     try:
         M, det_S = condition_on(K, idx)
-        vals = _last_steps(M, det_S, t) if t <= 2 else _spectral_step(M, det_S, t)
+        vals = _polynomial_step(M, det_S, t)
+        if vals is None:
+            vals = _spectral_step(M, det_S, t)
     except (ConditioningError, np.linalg.LinAlgError):
         return None
     if vals is None or not np.isfinite(vals).all():
@@ -106,17 +123,34 @@ def step_marginals(K: Kernel, S, k):
     return cands, vals.tolist()
 
 
-def _last_steps(M, det_S, t):
-    """det(L_S) times M_ii (t = 1), or times the row sums of the 2 x 2
-    principal minors M_ii M_jj - M_ij M_ji (t = 2).  The diagonal term of
-    each row is d_i d_i - M_ii M_ii, exactly 0 for finite entries, so the
-    full row sum is the sum over j != i; overflow is silent, since
-    non-finite values give None."""
-    d = np.diag(M)
+def _polynomial_step(M, det_S, t):
+    """det(L_S) * diag(M A_{t-1}), or None at t >= 3 when its estimated
+    rounding error is above POLYNOMIAL_ERROR_LIMIT of its largest value.
+
+    An error made in A_j grows by up to rho = max |lam| in each later
+    product, so the estimate is eps (rho^t + sum_j rho^(t-j) max |A_j|).
+    It stays near eps while the values are as large as rho^t, and not when
+    t nears the numerical rank of a wide spectrum (a low-rank kernel at k
+    near d, or k near n), where the polynomial's terms cancel.  Overflow is
+    silent, since non-finite values give None."""
+    m = len(M)
     with np.errstate(over="ignore", invalid="ignore"):
-        if t == 1:
-            return det_S * d
-        return det_S * (np.multiply.outer(d, d) - M * M.T).sum(axis=1)
+        if t <= 2:
+            e, rho = (1.0, np.trace(M)), 0.0
+        else:
+            lam = np.linalg.eigvals(M)
+            e, rho = _elementary(lam, t - 1).real, np.abs(lam).max()
+        A = np.eye(m)
+        growth = rho**t
+        for j in range(1, t):
+            A = -M if j == 1 else -(M @ A)
+            A.flat[:: m + 1] += e[j]
+            growth += rho ** (t - j) * np.abs(A).max()
+        d = (M * A.T).sum(axis=1)
+        limit = POLYNOMIAL_ERROR_LIMIT * np.abs(d).max()
+        if t >= 3 and np.isfinite(d).all() and not np.finfo(float).eps * growth <= limit:
+            return None
+        return det_S * d
 
 
 def _spectral_step(M, det_S, t):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -43,6 +43,13 @@ def _whole(name, x):
     if isinstance(x, bool) or not isinstance(x, Integral):
         raise DomainError(f"{name} must be an integer, got {x!r}")
     return int(x)
+
+
+def _real(name, x):
+    """x as a float; DomainError for a bool or a non-real number."""
+    if isinstance(x, bool) or not isinstance(x, Real):
+        raise DomainError(f"{name} must be a real number, got {x!r}")
+    return float(x)
 
 
 def _frozen(M):

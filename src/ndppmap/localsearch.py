@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import CapacityError, DomainError, IncompleteSearchError
 from .greedy import induced_greedy, standard_greedy
-from .kernel import Kernel, _whole, is_npsd
+from .kernel import Kernel, _real, _whole, is_npsd
 from .setdist import KernelDistribution, SetDistribution, as_set
 
 # Moves per search.  Each gains a factor > 1/zeta, so the cap only stops
@@ -30,6 +30,7 @@ class SearchConfig:
         self.r = _whole("r", self.r)
         if self.r < 1:
             raise DomainError(f"swap radius r must be >= 1, got {self.r}")
+        self.zeta = _real("zeta", self.zeta)
         if not 0.0 < self.zeta < 1.0:
             raise DomainError(f"zeta must lie in (0, 1), got {self.zeta}")
 

@@ -197,9 +197,9 @@ class KernelDistribution(SetDistribution):
 
     def step_marginals(self, S):
         """One conditioning on S prices every candidate (charpoly.step_marginals);
-        a singular pin, a value that is not finite or, with more than two
-        elements left to add, an ill-conditioned eigenbasis of L^S falls back
-        to one marginal per candidate."""
+        a singular pin, a value that is not finite or, on the eigenbasis route
+        that a cancelling polynomial takes, an ill-conditioned eigenbasis of
+        L^S falls back to one marginal per candidate."""
         priced = charpoly.step_marginals(self.kernel, S, self.k)
         if priced is None:
             return super().step_marginals(S)

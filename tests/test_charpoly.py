@@ -15,8 +15,10 @@ from ndppmap import (
     principal_minor,
     superset_marginal,
 )
+from ndppmap import charpoly
 from ndppmap.charpoly import step_marginals
 from ndppmap.instances import lowrank_npsd, random_npsd
+from ndppmap.kernel import condition_on
 
 
 def brute_marginal(K, Y, k):
@@ -258,16 +260,31 @@ class TestHighPrecisionOracle:
     )
     def test_step_marginals(self, make, S, k):
         # The argmax decides the greedy's pick; the median candidate lies well
-        # below it. Both come from the one eigendecomposition of L^S, or at
-        # t = k - |S| <= 2 from the closed forms, which take no spectrum.
+        # below it. Both are the diagonal of one polynomial in L^S, whose
+        # coefficients take one eigvals at t >= 3 and no spectrum at t <= 2.
         K = make()
         cands, vals = step_marginals(K, S, k)
         median = int(np.argsort(vals)[len(vals) // 2])
         assert vals[median] < 0.99 * max(vals)
-        rel = 1e-12 if k - len(S) <= 2 else 1e-9
         for p in (int(np.argmax(vals)), median):
             want = mp_marginal(K, S + (cands[p],), k)
-            assert vals[p] == pytest.approx(want, rel=rel)
+            assert vals[p] == pytest.approx(want, rel=1e-12)
+
+
+class TestStepMarginalsRoute:
+    def test_cancelling_polynomial_takes_the_eigenbasis(self, monkeypatch):
+        # Pinned on 5, L^S has rank t = 9 and a spectrum from 2.9 to 682, so
+        # the terms of the polynomial reach about 1e9 times its values; its
+        # error estimate is far above the limit, and one eig prices the step.
+        K = lowrank_npsd(40, 10, seed=5)
+        M, det_S = condition_on(K, (5,))
+        assert charpoly._polynomial_step(M, det_S, 9) is None
+        eigs, eig = [], np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda A: eigs.append(len(A)) or eig(A))
+        cands, vals = step_marginals(K, (5,), 10)
+        assert eigs == [39]
+        want = [superset_marginal(K, (5, i), 10) for i in cands]
+        assert np.abs(np.subtract(vals, want)).max() <= 1e-12 * max(map(abs, want))
 
 
 class TestStepMarginalsOverflow:

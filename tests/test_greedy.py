@@ -36,6 +36,11 @@ STEP_KERNELS = {
     "lowrank-k-le-d": (lambda: lowrank_npsd(24, 12, 5), 6),
     "lowrank-k-eq-d": (lambda: lowrank_npsd(16, 3, 5), 3),
     "lowrank-k-gt-d": (lambda: lowrank_npsd(16, 3, 5), 4),
+    # Steps with t near the numerical rank of L^S, where the polynomial in
+    # L^S cancels (with no guard it lost up to 0.8 and 2e-6 of the largest
+    # marginal), so the step is priced from the eigenbasis.
+    "dense-k-near-n": (lambda: random_npsd(24, 1), 18),
+    "lowrank-k-eq-d-wide": (lambda: lowrank_npsd(40, 10, 5), 10),
     "skew-block": (lambda: skew_block([4, 3, 2], [100, 200, 300]), 4),
     "relabelled-skew-block": (lambda: relabelled_skew_block(3), 4),
 }
@@ -89,12 +94,14 @@ class TestStepMarginals:
         monkeypatch.setattr(
             charpoly, "superset_marginal", lambda *a: marginals.append(a) or superset(*a)
         )
-        eigs, eig = [], np.linalg.eig
-        monkeypatch.setattr(np.linalg, "eig", lambda M: eigs.append(len(M)) or eig(M))
+        spectra, eigvals = [], np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda M: spectra.append(len(M)) or eigvals(M))
+        for name in ("eig", "inv"):
+            monkeypatch.setattr(np.linalg, name, lambda *a, name=name: pytest.fail(name))
         trace = induced_greedy(mu)
         assert len(calls) == 5
         assert marginals == []  # a conditioned step prices no candidate on its own
-        assert eigs == [12, 11, 10]  # t = k - |S| <= 2 is priced without a spectrum
+        assert spectra == [12, 11, 10]  # t = k - |S| <= 2 is priced without a spectrum
         assert trace.conditioned_steps == 5 and trace.per_candidate_steps == 0
 
     def test_singular_pin_falls_back(self):
@@ -107,14 +114,20 @@ class TestStepMarginals:
         assert fast.per_candidate_steps >= 1
         assert fast.conditioned_steps + fast.per_candidate_steps == 4
 
-    def test_defective_eigenbasis_falls_back(self):
+    def test_defective_kernel_is_conditioned(self):
         # I plus a strictly upper triangle of ones: every L^S is again unit
-        # upper triangular, one Jordan block, so no eigenbasis exists. Only
-        # the first step (t = 3) reads one; t = 2 and t = 1 are closed forms.
+        # upper triangular, one Jordan block with no eigenbasis, and every
+        # principal minor is 1. The step reads no eigenvector, so all three
+        # steps are conditioned, and each marginal counts its supersets:
+        # C(n - |S| - 1, t - 1) = 10, 4 and 1, exactly.
         K = Kernel(np.eye(6) + np.triu(np.ones((6, 6)), 1))
-        fast, ref = induced_greedy(KernelDistribution(K, 3)), induced_greedy(PerCandidate(K, 3))
+        mu = KernelDistribution(K, 3)
+        fast, ref = induced_greedy(mu), induced_greedy(PerCandidate(K, 3))
         assert fast.picks == ref.picks and fast.final_set == (0, 1, 2)
-        assert fast.per_candidate_steps == 1 and fast.conditioned_steps == 2
+        assert fast.per_candidate_steps == 0 and fast.conditioned_steps == 3
+        for S, want in (((), 10.0), ((0,), 4.0), ((0, 1), 1.0)):
+            cands, vals, conditioned = mu.step_marginals(S)
+            assert conditioned and vals == [want] * len(cands)
 
 
 class TestInducedGreedy:

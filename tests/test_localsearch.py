@@ -125,6 +125,16 @@ class TestLocalSearch:
         mu = KernelDistribution(random_npsd(6, 1), 3)
         assert local_search(mu, (0, 1, 2), cfg)[0] == local_search(mu, (0, 1, 2), SearchConfig())[0]
 
+    @pytest.mark.parametrize("zeta", ["0.5", None, True, math.nan])
+    def test_non_real_zeta_rejected(self, zeta):
+        # "0.5" and None raised a bare TypeError from the range comparison
+        with pytest.raises(DomainError, match="zeta must"):
+            SearchConfig(zeta=zeta)
+
+    def test_numpy_float_zeta_accepted(self):
+        cfg = SearchConfig(zeta=np.float64(0.25))
+        assert type(cfg.zeta) is float and cfg.zeta == 0.25
+
     def test_default_budget(self):
         assert localsearch.MAX_ITERS == 1000
 
