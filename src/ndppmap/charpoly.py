@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError, ConditioningError, DomainError
-from .kernel import Kernel, _normalize_indices, condition_on, principal_minor
+from .kernel import Kernel, _normalize_indices, _whole, condition_on, principal_minor
 
 SINGULAR_PIN_CAP = 1000
 # t >= 3: the polynomial's estimated rounding error, relative to its largest
@@ -53,7 +53,7 @@ def superset_marginal(K: Kernel, Y, k):
     Raises CapacityError when one marginal needs more than SINGULAR_PIN_CAP
     conditioning steps.
     """
-    idx = _normalize_indices(Y, K.n)
+    idx, k = _normalize_indices(Y, K.n), _whole("k", k)
     if not len(idx) <= k <= K.n:
         raise DomainError(f"need |Y| <= k <= n, got |Y|={len(idx)}, k={k}, n={K.n}")
     if K.rank_d is not None and k > K.rank_d:
@@ -104,7 +104,7 @@ def step_marginals(K: Kernel, S, k):
 
         det(L_S) * sum_j V_ij (V^-1)_ji lam_j e_{t-1}(lam without lam_j).
     """
-    idx = _normalize_indices(S, K.n)
+    idx, k = _normalize_indices(S, K.n), _whole("k", k)
     if not len(idx) < k <= K.n:
         raise DomainError(f"need |S| < k <= n, got |S|={len(idx)}, k={k}, n={K.n}")
     cands = [i for i in range(K.n) if i not in idx]

@@ -130,7 +130,7 @@ def _suite_walk(mu, args):
 def _suite_coreset(mu, args):
     parts = instances.random_partition(mu.n, min(3, mu.n // mu.k), args.seed)  # each >= k long
     plan = build_plan(mu, parts, args.zeta)
-    rep = compose_and_report(mu, plan, args.zeta)
+    rep = compose_and_report(mu, plan)
     rep.pop("chain", None)
     rep["passed"] = rep["bound_ok"]
     return rep

@@ -1,10 +1,10 @@
 """Composable core-sets from 1-neighborhood local maxima.
 
 Each part P contributes the size-k set found by greedy + 1-swap local search
-on mu.restrict(P), so it depends on the part alone; compose_and_report
-compares the optimum over the merged core-sets against the optimum over the
-full union and exhibits the explicit swap chain that certifies the
-(beta_hat / zeta)^k composition bound.
+on mu.restrict(P), so it depends on the part alone; a plan keeps the zeta its
+core-sets meet.  compose_and_report compares the optimum over the merged
+core-sets with that over the full union, and exhibits the swap chain that
+certifies the (beta_hat / plan.zeta)^k composition bound.
 """
 
 from __future__ import annotations
@@ -23,8 +23,11 @@ from .setdist import SetDistribution, as_set
 
 @dataclass
 class PartitionPlan:
+    """Disjoint parts, a (1, zeta)-local maximum of mu on each, and that zeta."""
+
     parts: list = field(default_factory=list)  # disjoint index tuples
     coresets: list = field(default_factory=list)  # one size-k set per part
+    zeta: float = 0.5
 
 
 def coreset_map(mu: SetDistribution, P, zeta=0.5):
@@ -41,13 +44,13 @@ def coreset_map(mu: SetDistribution, P, zeta=0.5):
 
 
 def build_plan(mu: SetDistribution, parts, zeta=0.5) -> PartitionPlan:
-    parts = [as_set(P) for P in parts]
+    parts, zeta = [as_set(P) for P in parts], SearchConfig(r=1, zeta=zeta).zeta
     seen = set()
     for P in parts:
         if seen & set(P):
             raise DomainError("parts must be pairwise disjoint")
         seen |= set(P)
-    return PartitionPlan(parts, [coreset_map(mu, P, zeta) for P in parts])
+    return PartitionPlan(parts, [coreset_map(mu, P, zeta) for P in parts], zeta)
 
 
 def _map_within(mu: SetDistribution, P):
@@ -58,8 +61,8 @@ def _map_within(mu: SetDistribution, P):
     return (None if S is None else tuple(P[i] for i in S)), v
 
 
-def compose_and_report(mu: SetDistribution, plan: PartitionPlan, zeta=0.5):
-    """Composition certificate for a partitioned optimization run.
+def compose_and_report(mu: SetDistribution, plan: PartitionPlan):
+    """Composition certificate for a plan, its bound (beta_hat / plan.zeta)^k.
 
     Replays the local-search core-set argument: starting from the union
     optimum W0, each step removes one element j outside the merged core-set
@@ -101,7 +104,7 @@ def compose_and_report(mu: SetDistribution, plan: PartitionPlan, zeta=0.5):
     for step, v in zip(chain[1:], mu.completions((), rows).tolist()):
         step["value"] = v
     try:
-        bound = (beta_hat / zeta) ** mu.k
+        bound = (beta_hat / plan.zeta) ** mu.k
     except OverflowError:
         bound = math.inf
     return {

@@ -126,11 +126,12 @@ class DownUpChain:
 def apply_field(mu: SetDistribution, lam) -> SetDistribution:
     """mu(S) prod_{i in S} lam_i for the field lam (0 deletes an element, inf
     forces it): for a kernel and no inf entry, the kernel Lambda^{1/2} L
-    Lambda^{1/2}, factors kept; else a TableDistribution of mu's table times
-    each set's product, inf read as 1.0, the sets off the support left out
-    (+0.0), and CapacityError past CHAIN_STATE_CAP sets.  InfeasibilityError
-    when fewer than k entries are positive or more than k are inf, and on
-    empty support within CHAIN_STATE_CAP sets."""
+    Lambda^{1/2}, from_lowrank(Lambda^{1/2} B, C) if factored; else a
+    TableDistribution of mu's table times each set's product, inf read as 1.0,
+    the sets off the support left out (+0.0), and CapacityError past
+    CHAIN_STATE_CAP sets.  InfeasibilityError when fewer than k entries are
+    positive or more than k are inf, and on empty support within
+    CHAIN_STATE_CAP sets."""
     n, k, lam = mu.n, mu.k, np.asarray(lam, dtype=float)
     if lam.shape != (n,):
         raise DomainError(f"field must have shape ({n},), one entry per element; got {lam.shape}")
@@ -142,8 +143,9 @@ def apply_field(mu: SetDistribution, lam) -> SetDistribution:
         raise empty
     if isinstance(mu, KernelDistribution) and not forced.any():
         K, s = mu.kernel, np.sqrt(lam)
-        lowrank = None if K.lowrank is None else (K.lowrank[0] * s[:, None], K.lowrank[1])
-        out = KernelDistribution(Kernel(s[:, None] * K.entries * s, lowrank=lowrank), k)
+        K = (Kernel(s[:, None] * K.entries * s) if K.lowrank is None
+             else Kernel.from_lowrank(K.lowrank[0] * s[:, None], K.lowrank[1]))
+        out = KernelDistribution(K, k)
         table = out.tabulate() if small else None
     elif not small:
         raise CapacityError(f"C({n},{k}) exceeds the field table cap {CHAIN_STATE_CAP}")

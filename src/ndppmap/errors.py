@@ -20,10 +20,6 @@ class InfeasibilityError(NdppError):
 class ConditioningError(NdppError):
     """Conditioning on a set with (numerically) singular principal submatrix."""
 
-    def __init__(self, msg, det=None):
-        super().__init__(msg)
-        self.det = det
-
 
 class IncompleteSearchError(NdppError):
     """Local search hit its iteration cap; carries the best set seen so far."""

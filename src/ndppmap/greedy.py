@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibilityError
+from .errors import DomainError, InfeasibilityError
 from .setdist import SetDistribution, as_set, subsets
 
 
@@ -64,6 +64,8 @@ def standard_greedy(mu: SetDistribution) -> GreedyTrace:
     """Classic greedy on mu(S u {i}) up to size mu.k; ties (including
     all-zero) take the smallest index, so it may end on a zero-mass set.
     Each step prices every S u {i} as one completions call on the core S."""
+    if mu.k > mu.n:
+        raise DomainError(f"need k <= n, got k={mu.k}, n={mu.n}")
     trace = GreedyTrace()
     S = ()
     for _ in range(mu.k):

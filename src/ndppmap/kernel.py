@@ -1,9 +1,9 @@
 """Kernel matrices, principal minors, and Schur-complement conditioning.
 
-A kernel is an n x n real matrix L, optionally carried together with a
-low-rank factorization L = B C B^T.  The induced set function is
-S -> det(L_S), the principal minor on rows/columns S.  A Kernel is checked
-once, where it is built, and keeps read-only copies of its arrays.
+A kernel is an n x n real matrix L; a factored one is built from its factors
+alone, Kernel.from_lowrank(B, C), its entries B C B^T formed once.  The set
+function is S -> det(L_S), the principal minor on rows/columns S.  A Kernel is
+checked once, where it is built, and keeps read-only copies of its arrays.
 condition_on is the one conditioning step: it returns the Schur complement as
 a plain array, and superset marginals and neighbourhood prices are both read
 off it.
@@ -12,7 +12,7 @@ off it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral, Real
 
@@ -21,7 +21,6 @@ import numpy as np
 from .errors import ConditioningError, DomainError
 
 NPSD_TOL = 1e-9
-LOWRANK_RTOL = 1e-8
 # Largest |L_ij| a Kernel accepts.  condition_on does not re-check its Schur
 # complement, whose entries reach about m^2 1e12 max|L| (the zero threshold
 # bounds 1/det(L_Y)); this bound keeps them finite at desk-scale m.
@@ -69,33 +68,22 @@ def _check_finite(name, M):
 
 @dataclass(frozen=True)
 class Kernel:
-    """Dense kernel matrix with an optional rank-d factorization (B, C), each
-    kept as a read-only copy that was checked once, here."""
+    """Kernel matrix, a read-only copy checked once, here; lowrank is the
+    rank-d factorization (B, C) that from_lowrank built it from, else None."""
 
     entries: np.ndarray
-    lowrank: tuple | None = None
+    lowrank: tuple | None = field(default=None, init=False)
 
     def __post_init__(self):
         L = _frozen(self.entries)
         if L.ndim != 2 or L.shape[0] != L.shape[1] or L.shape[0] < 1:
             raise DomainError(f"kernel must be square, n >= 1; got shape {L.shape}")
-        if self.lowrank is not None:
-            B, C = (_frozen(M) for M in self.lowrank)
-            if B.shape[0] != L.shape[0] or C.shape != (B.shape[1], B.shape[1]):
-                raise DomainError("low-rank factor shapes inconsistent with kernel")
-            _check_finite("factor B", B)
-            _check_finite("factor C", C)
         _check_finite("kernel", L)
         object.__setattr__(self, "entries", L)
         if self.max_abs > MAX_ABS_ENTRY:
             raise DomainError(
                 f"kernel entries reach {self.max_abs:.3e}; |L_ij| must be at most {MAX_ABS_ENTRY:.0e}"
             )
-        if self.lowrank is not None:
-            err = np.max(np.abs(L - B @ C @ B.T))
-            if err > LOWRANK_RTOL * self.max_abs:
-                raise DomainError(f"B C B^T deviates from entries by {err:.3e}")
-            object.__setattr__(self, "lowrank", (B, C))
 
     @property
     def n(self):
@@ -107,9 +95,17 @@ class Kernel:
 
     @classmethod
     def from_lowrank(cls, B, C):
-        B = np.asarray(B, dtype=float)
-        C = np.asarray(C, dtype=float)
-        return cls(B @ C @ B.T, lowrank=(B, C))
+        """The kernel L = B C B^T of an n x d factor B and a d x d factor C,
+        both finite: its entries are that one product of read-only copies of
+        the factors, which it keeps."""
+        B, C = _frozen(B), _frozen(C)
+        if B.ndim != 2 or C.shape != (B.shape[1], B.shape[1]):
+            raise DomainError(f"factors must be n x d and d x d; got {B.shape} and {C.shape}")
+        _check_finite("factor B", B)
+        _check_finite("factor C", C)
+        K = cls(B @ C @ B.T)
+        object.__setattr__(K, "lowrank", (B, C))
+        return K
 
     @cached_property
     def max_abs(self):
@@ -160,7 +156,7 @@ def condition_on(K: Kernel, Y):
     with np.errstate(over="ignore"):  # an infinite det(L_Y) is returned as is
         detY = float(np.linalg.det(G[:m, :m]))
     if abs(detY) <= K.zero_threshold(m):
-        raise ConditioningError(f"singular L_Y for Y={idx}", det=detY)
+        raise ConditioningError(f"singular L_Y for Y={idx}")
     # No NaN/inf re-check: Kernel bounds max|L| by MAX_ABS_ENTRY, so L^Y is finite.
     return G[m:, m:] - G[m:, :m] @ np.linalg.solve(G[:m, :m], G[:m, m:]), detY
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import charpoly
 from .errors import ConditioningError, DomainError
-from .kernel import Kernel, _normalize_indices, condition_on
+from .kernel import Kernel, _normalize_indices, _whole, condition_on
 
 TABLE_BLOCK = 1 << 15  # rows of D per batched determinant
 
@@ -63,8 +63,8 @@ class SetDistribution:
     """
 
     def __init__(self, n, k):
-        self.n = int(n)
-        self.k = int(k)
+        self.n = _whole("n", n)
+        self.k = _whole("k", k)
 
     def value(self, S) -> float:
         """mu(S) for a set S of distinct elements of [n]."""
@@ -206,11 +206,12 @@ class KernelDistribution(SetDistribution):
         return (*priced, True)
 
     def restrict(self, P):
-        """The sub-kernel on P, keeping its factors so marginals keep the rank bound."""
+        """The sub-kernel on P: L_P, or from_lowrank(B_P, C) if factored."""
         P = list(_normalize_indices(P, self.n))
         K = self.kernel
-        lowrank = None if K.lowrank is None else (K.lowrank[0][P], K.lowrank[1])
-        return KernelDistribution(Kernel(K.entries[np.ix_(P, P)], lowrank=lowrank), self.k)
+        sub = (Kernel(K.entries[np.ix_(P, P)]) if K.lowrank is None
+               else Kernel.from_lowrank(K.lowrank[0][P], K.lowrank[1]))
+        return KernelDistribution(sub, self.k)
 
     def neighborhood_values(self, S, r):
         """The base scan's Neighborhood, its blocks of size s <= 2 priced from

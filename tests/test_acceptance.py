@@ -231,7 +231,7 @@ def test_criterion_8_coreset_certificates():
     for seed in range(20):
         mu = KernelDistribution(sym_psd(9, 5000 + seed), 2)
         plan = build_plan(mu, random_partition(9, 3, seed=seed), ZETA)
-        rep = compose_and_report(mu, plan, ZETA)
+        rep = compose_and_report(mu, plan)
         assert rep["bound_ok"], (seed, rep["ratio"], rep["bound"])
         core = set(i for Ci in rep["coresets"] for i in Ci)
         chain = rep["chain"]

@@ -104,6 +104,19 @@ class TestElementarySymmetric:
 
 
 class TestSupersetMarginal:
+    @pytest.mark.parametrize("k", [True, 2.5])
+    def test_k_must_be_an_integer(self, k):
+        K = random_npsd(6, seed=1)
+        with pytest.raises(DomainError, match="k must be an integer"):
+            superset_marginal(K, (), k)
+        with pytest.raises(DomainError, match="k must be an integer"):
+            step_marginals(K, (), k)
+
+    def test_numpy_integer_k_accepted(self):
+        K = random_npsd(6, seed=1)
+        assert superset_marginal(K, (0,), np.int64(3)) == superset_marginal(K, (0,), 3)
+        assert step_marginals(K, (0,), np.int64(3)) == step_marginals(K, (0,), 3)
+
     def test_identity_trace(self):
         assert superset_marginal(Kernel(np.eye(3)), [], 1) == pytest.approx(3.0)
 

@@ -144,8 +144,8 @@ class TestComposeAndReport:
     def test_seeded_sym_psd_bound_and_chain(self):
         for seed in range(8):
             mu = KernelDistribution(sym_psd(9, 100 + seed), 2)
-            plan = build_plan(mu, random_partition(9, 3, seed=seed))
-            rep = compose_and_report(mu, plan, zeta=0.5)
+            plan = build_plan(mu, random_partition(9, 3, seed=seed), zeta=0.5)
+            rep = compose_and_report(mu, plan)
             assert rep["bound_ok"], rep
             core = set(i for Ci in rep["coresets"] for i in Ci)
             chain = rep["chain"]
@@ -168,6 +168,21 @@ class TestComposeAndReport:
         core = [i for Ci in plan.coresets for i in Ci]
         core_best = max(mu.value(S) for S in combinations(sorted(core), 2))
         assert rep["opt_coreset"] == pytest.approx(core_best)
+
+    def test_bound_priced_at_the_plans_zeta(self):
+        mu = KernelDistribution(random_npsd(9, 2), 2)
+        plan = build_plan(mu, [(0, 1, 2), (3, 4, 5), (6, 7, 8)], zeta=0.1)
+        assert plan.zeta == 0.1
+        rep = compose_and_report(mu, plan)
+        assert rep["bound"] == (rep["beta_hat"] / 0.1) ** 2
+        assert rep["bound_ok"]
+
+    @pytest.mark.parametrize("zeta", [0.0, 1.0, "0.5", None])
+    def test_plan_zeta_checked_where_the_plan_is_built(self, zeta):
+        # every part has exactly k elements, so no search would check it
+        mu = KernelDistribution(random_npsd(4, 0), 2)
+        with pytest.raises(DomainError, match="zeta"):
+            build_plan(mu, [(0, 1), (2, 3)], zeta=zeta)
 
     def test_bound_past_float_range_is_inf(self):
         # beta_hat is about 1e242, so (beta_hat / zeta)^2 leaves the float range

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ndppmap import (
+    DomainError,
     InfeasibilityError,
     Kernel,
     KernelDistribution,
@@ -194,6 +195,20 @@ class TestInducedGreedy:
 
 
 class TestStandardGreedy:
+    @pytest.mark.parametrize(
+        "greedy, mu",
+        [
+            (standard_greedy, KernelDistribution(lowrank_npsd(4, 3, 10), 6)),
+            (induced_greedy, KernelDistribution(lowrank_npsd(4, 3, 10), 6)),
+            (standard_greedy, TableDistribution(4, 6, {})),
+        ],
+        ids=["standard-kernel", "induced-kernel", "standard-table"],
+    )
+    def test_k_above_n_is_a_domain_error(self, greedy, mu):
+        # k > n is a legal, empty mu, but no greedy can pick k elements
+        with pytest.raises(DomainError, match="k <= n"):
+            greedy(mu)
+
     @pytest.mark.parametrize(
         "K", [random_npsd(16, 2), skew_block([5, 4, 3, 2], [100, 200, 300, 400])],
         ids=["dense", "skew-block"],

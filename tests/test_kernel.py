@@ -9,6 +9,8 @@ from ndppmap import (
     ConditioningError,
     DomainError,
     Kernel,
+    KernelDistribution,
+    apply_field,
     condition_on,
     is_npsd,
     load_kernel,
@@ -183,7 +185,47 @@ class TestNonFinite:
             Kernel.from_lowrank(B, C)
         C[0, 1] = math.inf
         with pytest.raises(DomainError, match=r"factor C entries at \(0, 1\)"):
-            Kernel(np.eye(4), lowrank=(np.ones((4, 2)), C))
+            Kernel.from_lowrank(np.ones((4, 2)), C)
+
+
+class TestFactored:
+    """A factored kernel is built from its factors alone, and its entries are
+    exactly B C B^T of the factors it keeps."""
+
+    def test_entries_cannot_be_passed_with_factors(self):
+        with pytest.raises(TypeError):
+            Kernel(np.eye(3), lowrank=(np.ones((3, 1)), np.array([[1.0]])))
+
+    @pytest.mark.parametrize(
+        "B, C",
+        [
+            (np.ones(3), np.array([[1.0]])),
+            (np.ones((3, 2)), np.eye(3)),
+            (np.ones((3, 2)), np.ones((2, 3))),
+            (np.ones((3, 2)), np.ones(2)),
+        ],
+        ids=["B-1d", "C-too-large", "C-not-square", "C-1d"],
+    )
+    def test_malformed_factors_rejected(self, B, C):
+        with pytest.raises(DomainError, match="factors must be n x d and d x d"):
+            Kernel.from_lowrank(B, C)
+
+    @staticmethod
+    def assert_own_product(K):
+        B, C = K.lowrank
+        assert np.array_equal(K.entries, B @ C @ B.T)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_factored_kernel_is_its_own_product(self, seed):
+        K = lowrank_npsd(9, 4, seed)
+        self.assert_own_product(K)
+        mu = KernelDistribution(K, 3)
+        self.assert_own_product(mu.restrict((0, 2, 3, 5, 8)).kernel)
+        lam = np.linspace(0.5, 2.0, 9)
+        lam[4] = 0.0  # deletes element 4
+        F = apply_field(mu, lam).kernel
+        self.assert_own_product(F)
+        assert not F.entries[4].any() and not F.entries[:, 4].any()
 
 
 class TestEntryBound:
@@ -309,10 +351,6 @@ class TestKernelIO:
         for M, M2 in zip(K.lowrank or (), K2.lowrank or ()):
             assert np.array_equal(M, M2)
 
-    def test_lowrank_contract_enforced(self):
-        with pytest.raises(DomainError):
-            Kernel(np.eye(3), lowrank=(np.ones((3, 1)), np.array([[2.0]])))
-
 
 class TestScaleRelativeTolerances:
     """Each tolerance is judged against the kernel's own scale, with no
@@ -320,11 +358,6 @@ class TestScaleRelativeTolerances:
 
     def test_small_negative_eigenvalue_rejected(self):
         assert not is_npsd(Kernel(np.diag([1.0, -0.5, 2.0]) * 1e-10))
-
-    def test_small_lowrank_mismatch_rejected(self):
-        # B C B^T is 2e-10 in every entry, while L is 1e-10 I.
-        with pytest.raises(DomainError, match="deviates"):
-            Kernel(1e-10 * np.eye(3), lowrank=(1e-5 * np.ones((3, 1)), np.array([[2.0]])))
 
     def test_zero_threshold_scales_with_the_kernel(self):
         K = random_npsd(6, seed=1)

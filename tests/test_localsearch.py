@@ -223,6 +223,10 @@ class TestMapInference:
         _, opt = brute_force_map(mu, 6, 2)
         assert report["value"] == pytest.approx(opt)
 
+    def test_fractional_k_rejected(self):
+        with pytest.raises(DomainError, match="k must be an integer"):
+            map_inference(random_npsd(6, 1), 2.5)
+
     def test_rejects_non_npsd(self):
         with pytest.raises(DomainError):
             map_inference(Kernel(np.array([[0.0, 2.0], [0.0, 0.0]])), 1)

@@ -325,6 +325,26 @@ class TestCallCounts:
         assert len(set(traj)) > 1
 
 
+class TestIntegerSizes:
+    """n and k are integers: a float, a bool or a string is refused rather
+    than truncated, and a numpy integer is kept as an int."""
+
+    @pytest.mark.parametrize("k", [2.5, True, "2", None])
+    def test_kernel_k_must_be_an_integer(self, k):
+        with pytest.raises(DomainError, match="k must be an integer"):
+            KernelDistribution(random_npsd(6, 1), k)
+
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_table_n_must_be_an_integer(self, n):
+        with pytest.raises(DomainError, match="n must be an integer"):
+            TableDistribution(n, 1, {(0,): 1.0})
+
+    def test_numpy_integers_accepted(self):
+        mu = TableDistribution(np.int64(3), np.int32(1), {(0,): 1.0})
+        assert (mu.n, mu.k) == (3, 1) and type(mu.n) is int and type(mu.k) is int
+        assert KernelDistribution(random_npsd(6, 1), np.int64(2)).k == 2
+
+
 class TestValue:
     """value(S) is the completions of the empty core over the one row S."""
 
