@@ -37,11 +37,17 @@ EIGENBASIS_COND_LIMIT = 1e8  # 1-norm cond(V) above which L^S = V diag(lam) V^-1
 
 def _elementary(lam, t):
     """e_0..e_t of lam, complex: the coefficients of prod (1 + lam_i x), by
-    the product recurrence."""
-    e = np.zeros(t + 1, dtype=complex)
+    the product recurrence e_j^(i) = e_j^(i-1) + lam_i e_{j-1}^(i-1) over
+    the first i entries of lam, one column j at a time: e_j^(0..m) is the
+    running sum of [0, lam_1 e_{j-1}^(0), ..., lam_m e_{j-1}^(m-1)], whose
+    leading 0 is the recurrence's start, so that even signed zeros agree."""
+    col = np.ones(len(lam) + 1, dtype=complex)  # e_0^(i), i = 0..m
+    terms = np.zeros(len(lam) + 1, dtype=complex)
+    e = np.empty(t + 1, dtype=complex)
     e[0] = 1.0
-    for x in lam:
-        e[1:] += x * e[:-1]
+    for j in range(1, t + 1):
+        np.multiply(lam, col[:-1], out=terms[1:])
+        e[j] = np.add.accumulate(terms, out=col)[-1]
     return e
 
 

@@ -28,7 +28,9 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, InfeasibilityError, TrappedStateError
 from .kernel import Kernel, _whole
-from .setdist import KernelDistribution, SetDistribution, TableDistribution, as_set, subsets
+from .setdist import (
+    KernelDistribution, SetDistribution, TableDistribution, as_set, colex_table, subsets,
+)
 
 CHAIN_STATE_CAP = 20000
 CONDUCTANCE_STATE_CAP = 22
@@ -205,18 +207,22 @@ def build_downup(mu: SetDistribution, n, k, l) -> DownUpChain:
         raise CapacityError(f"C({n},{k}) exceeds chain cap {CHAIN_STATE_CAP}")
     vals = mu.tabulate()
     support = vals > 0.0
-    states = list(compress(combinations(range(n), k), support))
-    if not states:
+    S = subsets(range(n), k)[support]
+    if not len(S):
         raise InfeasibilityError("mu has empty support on size-k subsets")
     w = vals[support]
     total = w.sum()
     if not math.isfinite(total):
         raise CapacityError(f"mu sums to {total} over the support, past the float64 range")
-    ids = {}  # core -> id, in order of first appearance
-    pairs = (ids.setdefault(core, len(ids)) for S in states for core in combinations(S, l))
-    per = math.comb(k, l)
-    core_ids = np.fromiter(pairs, dtype=np.intp, count=len(states) * per).reshape(-1, per)
-    return DownUpChain(states, w, core_ids)
+    # A core's key is its colex rank, below C(n, l) <= C(n, k) C(k, l), so
+    # int64 holds it for any incidence that fits in memory.  One np.unique
+    # numbers the keys; the ids are then reordered by first appearance.
+    cores = S[:, subsets(range(k), l)]  # m x C(k, l) x l
+    keys = colex_table(n, l)[np.arange(l), cores].sum(axis=2)
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    rank = np.empty(len(first), np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return DownUpChain(list(map(tuple, S.tolist())), w, rank[inverse].reshape(keys.shape))
 
 
 def spectral_gap(C: DownUpChain) -> float:
@@ -365,9 +371,7 @@ def sample_walk(mu: SetDistribution, S0, l, steps, seed):
     if not mu.value(S0) > 0.0:
         raise DomainError("walk must start in the support of mu")
     rng = np.random.default_rng(seed)
-    # Positions p_0 < ... < p_{l-1} have colex rank sum_j C(p_j, j + 1).
-    rank = np.array([math.comb(p, j + 1) for p in range(k) for j in range(l)], np.intp)
-    rank = rank.reshape(k, l)  # k x l even at k = 0
+    rank = colex_table(k, l)  # the colex rank of positions p_0 < ... < p_{l-1}
     patterns = sorted(combinations(range(k), l), key=lambda p: p[::-1])  # by colex rank
     per = len(patterns)
     labels, index = [S0], {S0: 0}  # id -> state, state -> id
@@ -378,7 +382,7 @@ def sample_walk(mu: SetDistribution, S0, l, steps, seed):
     for t0 in range(0, steps, WALK_BLOCK):
         U = rng.random((min(WALK_BLOCK, steps - t0), k + 1))
         keeps = np.sort(U[:, :k].argsort(axis=1, kind="stable")[:, :l], axis=1)
-        pats = rank[keeps, np.arange(l)].sum(axis=1).tolist()
+        pats = rank[np.arange(l), keeps].sum(axis=1).tolist()
         for pat, u in zip(pats, U[:, k].tolist()):
             slot = cur * per + pat
             move = moves[slot]

@@ -12,6 +12,7 @@ folds whole rows of the buckets that a verdict reads, and judges the pairs
 with one pair verdict and one Hurwitz rule.  A block's colex ranks are k
 gathers from its slot table, the binomial entries of each union element at
 each rank place, and the verdict masks with `where=`, never by copying.
+Every block writes views of one working set that the call allocates once.
 The brute-force argmax reads the same table.  The strong basis exchange,
 which pairs single swaps element by element, is checked on its own, by two
 completions calls per pair, for the core-set certificate.
@@ -27,7 +28,7 @@ import numpy as np
 from .downup import CHAIN_STATE_CAP
 from .errors import CapacityError, DomainError
 from .kernel import _normalize_indices, _whole
-from .setdist import SetDistribution, subsets
+from .setdist import SetDistribution, colex_table, subsets
 
 BRUTE_FORCE_CAP = 2 * 10**6
 RTOL = 1e-9  # relative slack of the exchange and Hurwitz inequalities
@@ -51,14 +52,14 @@ def brute_force_map(mu: SetDistribution, n, k):
     return next(islice(combinations(range(n), k), i, None)), float(vals[i])
 
 
-def _root(q, i, where=True):
+def _root(q, i, where=True, out=None):
     """q ** (1/i) elementwise by np.float_power: libm's pow in float64, like
     Python's float power, which numpy's power and sqrt miss in the last bit.
-    Entries where `where` is False are left unset."""
-    return q if i == 1 else np.float_power(q, 1.0 / i, out=None, where=where)
+    Entries where `where` is False are left unset, or as they are in out."""
+    return q if i == 1 else np.float_power(q, 1.0 / i, out=out, where=where)
 
 
-def _pair_verdict(lhs, maxima, beta, r):
+def _pair_verdict(lhs, maxima, beta, r, scratch=None):
     """(passed, measured beta) of mu(S)mu(T) = lhs <= max_{i<=r} beta^i M^i(S->T) M^i(T->S),
     as arrays over pairs: lhs[p] and maxima[a][p], the largest mu(W) over the
     sets W = (S n T) u A u B with A of size a in S\\T and B in T\\S, so that
@@ -66,18 +67,33 @@ def _pair_verdict(lhs, maxima, beta, r):
 
     The measured beta is the smallest (lhs / prod_i)^(1/i) over i <= r with
     prod_i > 0, inf if there is none and 0 when lhs <= 0; the pair passes when
-    lhs <= 0 or beta^i prod_i >= lhs (1 - RTOL) for some i.
+    lhs <= 0 or beta^i prod_i >= lhs (1 - RTOL) for some i.  scratch, if
+    given, is the `_verdict_scratch` of lhs's shape that the verdict writes
+    and returns its (passed, measured) in, so that a caller judging many
+    blocks allocates nothing per block.
     """
+    ok, measured, prod, q, pos, tmp = scratch or _verdict_scratch(np.shape(lhs))
     t = len(maxima) - 1
-    ok = lhs <= 0.0
-    measured = np.where(ok, 0.0, math.inf)
+    np.less_equal(lhs, 0.0, out=ok)
+    measured.fill(math.inf)
+    np.copyto(measured, 0.0, where=ok)
     for i in range(1, min(r, t) + 1):
-        prod = maxima[t - i] * maxima[i]
-        pos = (prod > 0.0) & (lhs > 0.0)
-        q = np.divide(lhs, prod, out=None, where=pos)  # entries off pos stay unread
-        np.minimum(measured, _root(q, i, where=pos), out=measured, where=pos)
-        ok |= pos & (beta**i * prod >= lhs * (1.0 - RTOL))
+        np.multiply(maxima[t - i], maxima[i], out=prod)
+        np.greater(prod, 0.0, out=pos)
+        pos &= np.greater(lhs, 0.0, out=tmp)
+        np.divide(lhs, prod, out=q, where=pos)  # entries off pos stay unread
+        np.minimum(measured, _root(q, i, where=pos, out=q), out=measured, where=pos)
+        # beta^i prod >= lhs (1 - RTOL), with prod and q reused for its sides
+        np.multiply(prod, beta**i, out=prod)
+        np.greater_equal(prod, np.multiply(lhs, 1.0 - RTOL, out=q), out=tmp)
+        ok |= np.logical_and(tmp, pos, out=tmp)
     return ok, measured
+
+
+def _verdict_scratch(shape):
+    """Uninitialised arrays for `_pair_verdict` over pairs of this shape."""
+    return (np.empty(shape, bool), np.empty(shape), np.empty(shape), np.empty(shape),
+            np.empty(shape, bool), np.empty(shape, bool))
 
 
 def check_strong_basis_exchange(mu: SetDistribution, S, T):
@@ -117,9 +133,22 @@ def check_strong_basis_exchange(mu: SetDistribution, S, T):
     return float(best.max()), witnesses
 
 
-def _hurwitz_sides(b):
+def _hurwitz_sides(b, out=None):
+    """(b_0 b_t, max{b_1 b_{t-1}, b_2 b_{t-2}}), the sides of the Hurwitz
+    rule, written in the arrays out = (lhs, rhs, scratch), or in new arrays
+    of the b_a's broadcast shape."""
     t = len(b) - 1
-    return b[0] * b[t], np.maximum(b[1] * b[t - 1], b[2] * b[t - 2])
+    lhs, rhs, tmp = out or (np.empty(np.broadcast_shapes(*map(np.shape, b))) for _ in range(3))
+    np.maximum(np.multiply(b[1], b[t - 1], out=rhs), np.multiply(b[2], b[t - 2], out=tmp), out=rhs)
+    return np.multiply(b[0], b[t], out=lhs), rhs
+
+
+def _hurwitz_holds(lhs, rhs, slack, holds):
+    """lhs <= rhs (1 - RTOL) where rhs < 0 and lhs <= rhs (1 + RTOL)
+    elsewhere, written in holds, with slack an array of holds' shape."""
+    slack.fill(1.0 + RTOL)
+    np.copyto(slack, 1.0 - RTOL, where=np.less(rhs, 0.0, out=holds))
+    return np.less_equal(lhs, np.multiply(rhs, slack, out=slack), out=holds)
 
 
 def hurwitz_coeff_check(b):
@@ -134,7 +163,8 @@ def hurwitz_coeff_check(b):
     if len(b) <= 3:
         return True
     lhs, rhs = _hurwitz_sides(b)
-    return lhs <= rhs * np.where(rhs < 0.0, 1.0 - RTOL, 1.0 + RTOL)
+    holds = _hurwitz_holds(lhs, rhs, np.empty(lhs.shape), np.empty(lhs.shape, bool))
+    return holds[()]  # a numpy bool, as before, when every b_a is a scalar
 
 
 def _distance_tables(k, t):
@@ -173,6 +203,19 @@ def _distance_tables(k, t):
     return P, cols
 
 
+def _block_width(n, k, t):
+    """(halves, cores, rows): the shape of each block of unions at distance
+    t, about PAIR_BLOCK sets of halves x cores x rows unions, at least one
+    union and at most all C(n, k + t) of them."""
+    halves, cores = math.comb(2 * t, t), math.comb(k + t, k - t)
+    return halves, cores, min(max(1, PAIR_BLOCK // (halves * cores)), math.comb(n, k + t))
+
+
+def _view(buf, *shape):
+    """The first prod(shape) entries of the flat buffer buf, in that shape."""
+    return buf[:math.prod(shape)].reshape(shape)
+
+
 def verify_exchange_all_pairs(mu: SetDistribution):
     """Batch check of the pairwise exchange inequality (constants beta^i,
     beta = k^4, i <= 2) and the even-polynomial Hurwitz inequality over every
@@ -188,8 +231,12 @@ def verify_exchange_all_pairs(mu: SetDistribution):
     and each read bucket's maximum and sum over every pair is a running fold
     in place of the whole rows V[c] of its fixed columns c (no sums at t <= 2,
     where the Hurwitz rule is vacuous), to which the pair verdict and the
-    Hurwitz rule apply as arrays over splits x cores x unions.  Failures are
-    listed in pair order.  Raises CapacityError past the walk's
+    Hurwitz rule apply as arrays over splits x cores x unions.  Every block
+    array, from the slot table to the verdict's, is a view of one working
+    set allocated per call, sized for the widest block and written by `out=`
+    (`take` gathers a column V[c] into one column buffer), so a block
+    allocates nothing of its size, and failures, listed in pair order, are
+    looked for only in a block where some pair fails.  Raises CapacityError past the walk's
     CHAIN_STATE_CAP sets before any array is built (both suites are
     quadratic in the sets), and where float64 cannot decide a verdict: a mu
     value or a product mu(S)mu(T) that is not finite.  Every other product
@@ -200,57 +247,79 @@ def verify_exchange_all_pairs(mu: SetDistribution):
     N = math.comb(n, k)
     if N > CHAIN_STATE_CAP:
         raise CapacityError(f"C({n},{k}) exceeds the all-pairs cap {CHAIN_STATE_CAP}")
-    # A rank below N uses only terms below N, so clamping keeps int64 exact.
-    binom = np.array(
-        [[min(math.comb(w, j), N) for w in range(n)] for j in range(1, k + 1)], dtype=np.int64
-    ).reshape(k, n)
+    binom = colex_table(n, k)
     vals = np.empty(N)
     vals[binom[np.arange(k), subsets(range(n), k)].sum(axis=1)] = mu.tabulate()
     if not np.isfinite(vals).all():
         raise CapacityError("mu is past the float64 range on some size-k set")
     beta = float(k) ** 4
     exch, hurw, beta_max = [], [], 0.0
+    # One working set for the call, sized for the widest block: a block's
+    # arrays are views of these flat buffers, written by `out=`.  The sets of
+    # a block are its ranks and V, whose int64 view holds each rank term.
+    ts = range(1, min(k, n - k) + 1)
+    widths = {t: _block_width(n, k, t) for t in ts}
+    sets = max((h * c * r for h, c, r in widths.values()), default=0)
+    half = sets // 2  # pairs per block: the splits are half the halves
+    slot_len = max((k * (k + t) * r for t, (_, _, r) in widths.items()), default=0)
+    slot_buf = np.empty(slot_len, np.int64)
+    rank_buf, V_buf = np.empty(sets, np.int64), np.empty(sets)
+    col_buf, lhs_buf, finite_buf = np.empty(half), np.empty(half), np.empty(half, bool)
+    max_buf, sum_buf = np.empty(6 * half), np.empty(6 * half)  # a verdict reads at most 6 buckets
+    verdict_bufs = _verdict_scratch(half)
     # A bucket sum overflows only where two of its sets have mu(S)mu(T) past
     # float64, so the call raises and no NaN verdict it leaves is returned.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, min(k, n - k) + 1):
+        for t in ts:
             P, cols = _distance_tables(k, t)
+            halves, cores, rows = widths[t]
             unions = subsets(range(n), k + t)
-            rows = max(1, PAIR_BLOCK // (P.shape[0] * P.shape[1]))
             for u0 in range(0, len(unions), rows):
                 U = unions[u0:u0 + rows]
-                slots = binom[:, U.T]  # slots[j, p, u]: C(U[u, p], j + 1)
-                ranks = slots[0, P[..., 0]]
+                block, pairs = (halves, cores, len(U)), (halves // 2, cores, len(U))
+                # mode="clip" lets take write out= without a copy; every index is in range
+                slots = _view(slot_buf, k, k + t, len(U))  # slots[j, p, u]: C(U[u, p], j + 1)
+                binom.take(U.T, axis=1, out=slots, mode="clip")
+                ranks, V = _view(rank_buf, *block), _view(V_buf, *block)
+                term = V.view(np.int64)
+                slots[0].take(P[..., 0], axis=0, out=ranks, mode="clip")
                 for j in range(1, k):
-                    ranks += slots[j, P[..., j]]
-                V = vals[ranks]
+                    ranks += slots[j].take(P[..., j], axis=0, out=term, mode="clip")
+                vals.take(ranks, out=V, mode="clip")
+                col = _view(col_buf, *pairs)
+                block_max, block_sum = (_view(b, len(cols), *pairs) for b in (max_buf, sum_buf))
                 maxima, sums = [None] * (t + 1), [None] * (t + 1)
-                for a, bucket in cols.items():
-                    maxima[a] = m = V[bucket[0]]
-                    sums[a] = tot = m + 0.0 if t > 2 else None  # 0.0 + m, as a sum from 0.0
+                for b, (a, bucket) in enumerate(cols.items()):
+                    maxima[a] = m = V.take(bucket[0], axis=0, out=block_max[b], mode="clip")
+                    # 0.0 + m, as a sum from 0.0
+                    sums[a] = tot = np.add(m, 0.0, out=block_sum[b]) if t > 2 else None
                     for c in bucket[1:]:
-                        v = V[c]
+                        v = V.take(c, axis=0, out=col, mode="clip")
                         np.maximum(m, v, out=m)
                         if tot is not None:
                             np.add(tot, v, out=tot)
                 # bucket t holds S alone and bucket 0 holds T alone
-                mu_st = maxima[t] * maxima[0]
-                if not np.isfinite(mu_st).all():
+                mu_st, finite = _view(lhs_buf, *pairs), _view(finite_buf, *pairs)
+                np.multiply(maxima[t], maxima[0], out=mu_st)
+                if not np.isfinite(mu_st, out=finite).all():
                     raise CapacityError("mu(S)mu(T) is past the float64 range on some pair")
-                ok, measured = _pair_verdict(mu_st, maxima, beta, 2)
-                finite = measured[np.isfinite(measured)]
-                beta_max = max(beta_max, float(finite.max(initial=0.0)))
+                scratch = tuple(_view(buf, *pairs) for buf in verdict_bufs)
+                ok, measured = _pair_verdict(mu_st, maxima, beta, 2, scratch)
+                top = measured.max(where=np.isfinite(measured, out=finite), initial=0.0)
+                beta_max = max(beta_max, float(top))
 
                 def pair(s, c, u):
                     return tuple(U[u, P[s, c]].tolist()), tuple(U[u, P[-1 - s, c]].tolist())
 
-                for s, c, u in zip(*np.nonzero(~ok)):
-                    exch.append((*pair(s, c, u), float(measured[s, c, u])))
-                bad = np.nonzero(~np.broadcast_to(hurwitz_coeff_check(sums), ok.shape))
-                if len(bad[0]):
-                    lhs, rhs = _hurwitz_sides(sums)
-                    for s, c, u in zip(*bad):
-                        hurw.append((*pair(s, c, u), float(lhs[s, c, u]), float(rhs[s, c, u])))
+                if not ok.all():
+                    for s, c, u in zip(*np.nonzero(~ok)):
+                        exch.append((*pair(s, c, u), float(measured[s, c, u])))
+                if t > 2:  # the verdict's scratch, read, holds the Hurwitz sides
+                    _, lhs, rhs, slack, _, holds = scratch
+                    _hurwitz_sides(sums, (lhs, rhs, slack))
+                    if not _hurwitz_holds(lhs, rhs, slack, holds).all():
+                        for s, c, u in zip(*np.nonzero(~holds)):
+                            hurw.append((*pair(s, c, u), float(lhs[s, c, u]), float(rhs[s, c, u])))
     return {
         "pairs": N * (N - 1) // 2,
         "exchange_failures": sorted(exch),

@@ -3,7 +3,8 @@
 A kernel is an n x n real matrix L; a factored one is built from its factors
 alone, Kernel.from_lowrank(B, C), its entries B C B^T formed once.  The set
 function is S -> det(L_S), the principal minor on rows/columns S.  A Kernel is
-checked once, where it is built, and keeps read-only copies of its arrays.
+checked once, where it is built, and keeps read-only copies of the arrays it
+is given; a factored kernel keeps its own product, uncopied.
 condition_on is the one conditioning step: it returns the Schur complement as
 a plain array, and superset marginals and neighbourhood prices are both read
 off it.
@@ -68,14 +69,17 @@ def _check_finite(name, M):
 
 @dataclass(frozen=True)
 class Kernel:
-    """Kernel matrix, a read-only copy checked once, here; lowrank is the
+    """Kernel matrix, read-only and checked once, here; lowrank is the
     rank-d factorization (B, C) that from_lowrank built it from, else None."""
 
     entries: np.ndarray
     lowrank: tuple | None = field(default=None, init=False)
 
     def __post_init__(self):
-        L = _frozen(self.entries)
+        self._adopt(_frozen(self.entries))
+
+    def _adopt(self, L):
+        """Check the read-only float array L and keep it, uncopied, as the entries."""
         if L.ndim != 2 or L.shape[0] != L.shape[1] or L.shape[0] < 1:
             raise DomainError(f"kernel must be square, n >= 1; got shape {L.shape}")
         _check_finite("kernel", L)
@@ -103,13 +107,18 @@ class Kernel:
             raise DomainError(f"factors must be n x d and d x d; got {B.shape} and {C.shape}")
         _check_finite("factor B", B)
         _check_finite("factor C", C)
-        K = cls(B @ C @ B.T)
+        L = B @ C @ B.T
+        L.flags.writeable = False
+        K = object.__new__(cls)  # no __post_init__: the fresh product needs no copy
         object.__setattr__(K, "lowrank", (B, C))
+        K._adopt(L)
         return K
 
     @cached_property
     def max_abs(self):
-        return float(np.max(np.abs(self.entries)))
+        """max |L_ij|, exact on the finite entries without an |L| array: the
+        leading 0.0 makes an all-zero kernel's +0.0, as abs would."""
+        return max(0.0, float(self.entries.max()), -float(self.entries.min()))
 
     def zero_threshold(self, size):
         """Magnitudes below 1e-12 max|L|^size, relative to the kernel's own

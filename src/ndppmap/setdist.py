@@ -42,6 +42,17 @@ def subsets(pool, s):
     return np.fromiter(chain.from_iterable(combinations(pool, s)), dtype, m * s).reshape(m, s)
 
 
+def colex_table(n, l):
+    """The l x n int64 table of C(p, j + 1) at [j, p], each entry clamped to
+    C(n, l): a sorted l-subset p_0 < ... < p_{l-1} of range(n) has colex
+    rank sum_j table[j, p_j].  Every term of a rank is at most the rank,
+    which is below C(n, l), so the clamp changes no rank and keeps the table
+    in int64 wherever C(n, l) is."""
+    top = math.comb(n, l)
+    table = [[min(math.comb(p, j + 1), top) for p in range(n)] for j in range(l)]
+    return np.array(table, np.int64).reshape(l, n)
+
+
 def union_rows(core, D):
     """The sorted sets core u D[i], one row each: D itself for an empty core."""
     if not core:

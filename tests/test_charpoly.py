@@ -1,3 +1,4 @@
+import math
 import warnings
 from itertools import combinations
 from math import comb
@@ -101,6 +102,58 @@ class TestElementarySymmetric:
         K = Kernel(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         assert superset_marginal(K, [], 1) == pytest.approx(0.0, abs=1e-12)
         assert superset_marginal(K, [], 2) == pytest.approx(1.0)
+
+
+def loop_elementary(lam, t):
+    """e_0..e_t by the product recurrence as a loop over lam: the reference
+    for `charpoly._elementary`."""
+    e = np.zeros(t + 1, dtype=complex)
+    e[0] = 1.0
+    for x in lam:
+        e[1:] += x * e[:-1]
+    return e
+
+
+def same_parts(a, b):
+    """Bit for bit on every real and imaginary part that is not NaN, and NaN
+    in the same parts.  A NaN's sign and payload are not compared: numpy's
+    vector add of +NaN and -NaN returns either, by the array's length."""
+    x, y = a.view(float), b.view(float)
+    nan = np.isnan(x)
+    return np.array_equal(nan, np.isnan(y)) and x[~nan].tobytes() == y[~nan].tobytes()
+
+
+class TestElementaryColumns:
+    POOL = [0.0, -0.0, 1.5, -2.0, 3.0, 1e300, -1e-300, math.inf, -math.inf, math.nan]
+
+    @pytest.mark.parametrize("pairs", [False, True], ids=["real", "conjugate-pairs"])
+    def test_matches_the_loop(self, pairs):
+        rng = np.random.default_rng(7)
+        cases = 0
+        with np.errstate(all="ignore"):
+            for m in range(8):
+                for t in range(m + 3):  # t > m too, and m = 0
+                    for draw in range(12):
+                        pool = self.POOL if draw % 2 else self.POOL[:7]  # finite half the time
+                        lam = rng.choice(pool, m)
+                        if pairs:
+                            lam = lam.astype(complex)
+                            for i in range(0, m - 1, 2):
+                                lam[i] = complex(rng.choice(pool), rng.choice(pool))
+                                lam[i + 1] = np.conj(lam[i])
+                        got, want = charpoly._elementary(lam, t), loop_elementary(lam, t)
+                        assert same_parts(got, want), (lam, t)
+                        if not np.isnan(want.view(float)).any():
+                            assert got.tobytes() == want.tobytes()
+                        cases += 1
+        assert cases == 12 * sum(m + 3 for m in range(8))
+
+    def test_superset_marginal_unchanged(self, monkeypatch):
+        cases = [(random_npsd(9, s), Y, k) for s in range(3) for Y in ((), (2,), (0, 5))
+                 for k in range(len(Y), 10)] + [(lowrank_npsd(9, 4, 1), (1,), 4)]
+        got = [superset_marginal(K, Y, k) for K, Y, k in cases]
+        monkeypatch.setattr(charpoly, "_elementary", loop_elementary)
+        assert repr(got) == repr([superset_marginal(K, Y, k) for K, Y, k in cases])
 
 
 class TestSupersetMarginal:

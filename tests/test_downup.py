@@ -395,6 +395,32 @@ class TestBuildDownup:
         assert np.allclose(C.pi, expect / expect.sum(), atol=1e-12)
 
 
+def first_appearance_ids(states, l):
+    """The m x C(k, l) core ids of the states, numbered by a dict in the
+    order the cores first appear: the reference numbering."""
+    ids = {}
+    pairs = (ids.setdefault(core, len(ids)) for S in states for core in combinations(S, l))
+    per = math.comb(len(states[0]), l)
+    return np.fromiter(pairs, dtype=np.intp, count=len(states) * per).reshape(-1, per)
+
+
+class TestCoreNumbering:
+    @pytest.mark.parametrize(
+        "mu",
+        [KernelDistribution(random_npsd(9, 4), 4), KernelDistribution(lowrank_npsd(10, 3, 2), 3),
+         restricted_table(), KernelDistribution(random_npsd(68, 1), 67)],
+        ids=["dense-9-4", "lowrank-10-3", "table-with-holes", "dense-68-67"],
+    )
+    def test_ids_by_first_appearance(self, mu):
+        k = mu.k
+        for l in sorted({0, 1, k - 1, k}):
+            C = build_downup(mu, mu.n, k, l)
+            want = first_appearance_ids(C.states, l)
+            assert C.core_ids.dtype == want.dtype and np.array_equal(C.core_ids, want)
+        C = build_downup(mu, mu.n, k, 0)
+        assert C.core_ids.shape == (len(C.states), 1) and not C.core_ids.any()  # one empty core
+
+
 def per_core_reference(mu, l):
     """P and the m x cores factor of the k<->l chain, P added one block per
     core by a 2-D `np.add.at`, the factor by one scatter."""

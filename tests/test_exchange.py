@@ -531,6 +531,22 @@ class TestSweepMatchesPerPair:
             assert len({len(set(S) - set(T)) for S, T, *_ in got["hurwitz_failures"]}) > 1
 
 
+class TestWorkingSet:
+    def test_short_last_block_reads_no_stale_entries(self, monkeypatch):
+        # at t = 3 the blocks hold 16, 16 and 4 unions: the first two hold
+        # failing pairs, and the last reuses a prefix of their buffers
+        mu = signed_table(9, 4, 2)
+        want = per_pair_reference(mu)
+        monkeypatch.setattr(exchange, "PAIR_BLOCK", 2250)
+        rows = 2250 // (math.comb(6, 3) * math.comb(7, 1))
+        unions = {u: i for i, u in enumerate(combinations(range(9), 7))}
+        failing = [f for key in ("exchange_failures", "hurwitz_failures") for f in want[key]
+                   if len(set(f[0]) - set(f[1])) == 3]
+        blocks = {unions[tuple(sorted(set(S) | set(T)))] // rows for S, T, *_ in failing}
+        assert rows == 16 and len(unions) % rows == 4 and {0, 1} <= blocks
+        assert verify_exchange_all_pairs(mu) == want
+
+
 def masked_pair_verdict(lhs, maxima, beta, r):
     """The pair verdict with boolean-mask compaction: each root is taken on
     the copies lhs[pos] / prod[pos] and written back through the mask."""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,6 +261,7 @@ class TestReadOnly:
         K, F = Kernel(L), Kernel.from_lowrank(B, C)
         L[0, 0] = B[0, 0] = C[0, 0] = math.nan
         assert np.array_equal(K.entries, np.eye(4)) and K.max_abs == 1.0
+        assert not K.entries.flags.writeable and not np.shares_memory(K.entries, L)
         assert np.array_equal(F.lowrank[0], np.ones((4, 2)))
         assert np.array_equal(F.lowrank[1], np.eye(2))
 
@@ -268,6 +270,31 @@ class TestReadOnly:
         for M in (K.entries, *K.lowrank):
             with pytest.raises(ValueError):
                 M[0, 0] = 2.0
+
+
+class TestCopies:
+    def test_factored_entries_are_the_product_uncopied(self):
+        # the peak holds the one n x n product, its finite mask and no copy
+        n = 300
+        rng = np.random.default_rng(0)
+        B, C = rng.normal(size=(n, 4)), rng.normal(size=(4, 4))
+        tracemalloc.start()
+        try:
+            K = Kernel.from_lowrank(B, C)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
+        assert np.array_equal(K.entries, B @ C @ B.T) and not K.entries.flags.writeable
+
+    @pytest.mark.parametrize(
+        "L",
+        [np.zeros((2, 2)), np.full((2, 2), -0.0), np.array([[-3.0, 1.0], [2.0, -0.5]]),
+         np.array([[1e-300, -MAX_ABS_ENTRY], [0.0, 5.0]])],
+        ids=["zeros", "negative-zeros", "negative-largest", "at-bound"],
+    )
+    def test_max_abs_is_the_largest_magnitude(self, L):
+        assert repr(Kernel(L).max_abs) == repr(float(np.max(np.abs(L))))
 
 
 def reference_save_kernel(K, path):

@@ -30,7 +30,7 @@ from ndppmap import (
 )
 from ndppmap import setdist
 from ndppmap.instances import lowrank_npsd, random_field, random_npsd, sym_psd
-from ndppmap.setdist import subsets
+from ndppmap.setdist import colex_table, subsets
 from test_localsearch import neighborhood
 
 
@@ -81,6 +81,22 @@ class TestSubsets:
         assert D.tolist() == [list(c) for c in combinations(pool, s)]
         assert np.issubdtype(D.dtype, np.integer)
         assert np.iinfo(D.dtype).max >= max(pool, default=0)
+
+
+class TestColexTable:
+    @pytest.mark.parametrize("n, l", [(0, 0), (6, 0), (6, 1), (6, 3), (6, 6), (9, 4)])
+    def test_ranks_count_sets_in_colex_order(self, n, l):
+        table = colex_table(n, l)
+        assert table.shape == (l, n) and table.dtype == np.int64
+        colex = sorted(combinations(range(n), l), key=lambda c: c[::-1])
+        ranks = [int(table[np.arange(l), list(c)].sum()) for c in colex]
+        assert ranks == list(range(len(colex)))
+
+    def test_entries_clamped_to_the_set_count(self):
+        # C(67, 33) is past int64, but no rank of a 66-subset of range(68) reads it
+        table = colex_table(68, 66)
+        assert table.max() == table[32, 67] == math.comb(68, 66)
+        assert table[65, 67] == table[0, 67] == 67
 
 
 class TestCompletions:
