@@ -12,7 +12,12 @@ folds whole rows of the buckets that a verdict reads, and judges the pairs
 with one pair verdict and one Hurwitz rule.  A block's colex ranks are k
 gathers from its slot table, the binomial entries of each union element at
 each rank place, and the verdict masks with `where=`, never by copying.
-Every block writes views of one working set that the call allocates once.
+Every block writes views of one working set that the call allocates once,
+and reads its unions from one combinations stream, a block at a time; each
+distance's position tables are built once per process.  The verdict screens
+its betas with np.sqrt, and only the betas that a report quotes, those of
+failing pairs and those that may be the largest, are rooted by
+np.float_power, as Python's float power roots them.
 The brute-force argmax reads the same table.  The strong basis exchange,
 which pairs single swaps element by element, is checked on its own, by two
 completions calls per pair, for the core-set certificate.
@@ -20,6 +25,7 @@ completions calls per pair, for the core-set certificate.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations, islice
 
@@ -28,11 +34,15 @@ import numpy as np
 from .downup import CHAIN_STATE_CAP
 from .errors import CapacityError, DomainError
 from .kernel import _normalize_indices, _whole
-from .setdist import SetDistribution, colex_table, subsets
+from .setdist import SetDistribution, colex_table, subset_blocks, subsets
 
 BRUTE_FORCE_CAP = 2 * 10**6
 RTOL = 1e-9  # relative slack of the exchange and Hurwitz inequalities
 PAIR_BLOCK = 1 << 15  # sets gathered per block of unions in the all-pairs sweep
+# Relative distance within which `_screen_root`'s beta may lie from `_root`'s:
+# sqrt and pow are each within an ulp of the true root, and 4 ulps leave room
+# for both and for the rounding of the bound itself.
+SCREEN_RTOL = 4 * np.finfo(float).eps
 
 
 def brute_force_map(mu: SetDistribution, n, k):
@@ -55,11 +65,18 @@ def brute_force_map(mu: SetDistribution, n, k):
 def _root(q, i, where=True, out=None):
     """q ** (1/i) elementwise by np.float_power: libm's pow in float64, like
     Python's float power, which numpy's power and sqrt miss in the last bit.
-    Entries where `where` is False are left unset, or as they are in out."""
+    Every beta that a report quotes is this root.  Entries where `where` is
+    False are left unset, or as they are in out."""
     return q if i == 1 else np.float_power(q, 1.0 / i, out=out, where=where)
 
 
-def _pair_verdict(lhs, maxima, beta, r, scratch=None):
+def _screen_root(q, i, where=True, out=None):
+    """`_root`, but by np.sqrt at i = 2: a few times cheaper, and at most one
+    unit in the last place from it, so within SCREEN_RTOL of it."""
+    return np.sqrt(q, out=out, where=where) if i == 2 else _root(q, i, where, out)
+
+
+def _pair_verdict(lhs, maxima, beta, r, scratch=None, root=_root):
     """(passed, measured beta) of mu(S)mu(T) = lhs <= max_{i<=r} beta^i M^i(S->T) M^i(T->S),
     as arrays over pairs: lhs[p] and maxima[a][p], the largest mu(W) over the
     sets W = (S n T) u A u B with A of size a in S\\T and B in T\\S, so that
@@ -67,10 +84,13 @@ def _pair_verdict(lhs, maxima, beta, r, scratch=None):
 
     The measured beta is the smallest (lhs / prod_i)^(1/i) over i <= r with
     prod_i > 0, inf if there is none and 0 when lhs <= 0; the pair passes when
-    lhs <= 0 or beta^i prod_i >= lhs (1 - RTOL) for some i.  scratch, if
-    given, is the `_verdict_scratch` of lhs's shape that the verdict writes
-    and returns its (passed, measured) in, so that a caller judging many
-    blocks allocates nothing per block.
+    lhs <= 0 or beta^i prod_i >= lhs (1 - RTOL) for some i.  The roots are
+    taken by `root`: `_root` gives the beta that reports quote, and
+    `_screen_root` a screen of it, within SCREEN_RTOL of it, finite, zero,
+    infinite or NaN where it is, with the same verdicts and the same
+    floating-point flags.  scratch, if given, is the `_verdict_scratch` of
+    lhs's shape that the verdict writes and returns its (passed, measured)
+    in, so that a caller judging many blocks allocates nothing per block.
     """
     ok, measured, prod, q, pos, tmp = scratch or _verdict_scratch(np.shape(lhs))
     t = len(maxima) - 1
@@ -82,12 +102,18 @@ def _pair_verdict(lhs, maxima, beta, r, scratch=None):
         np.greater(prod, 0.0, out=pos)
         pos &= np.greater(lhs, 0.0, out=tmp)
         np.divide(lhs, prod, out=q, where=pos)  # entries off pos stay unread
-        np.minimum(measured, _root(q, i, where=pos, out=q), out=measured, where=pos)
+        np.minimum(measured, root(q, i, where=pos, out=q), out=measured, where=pos)
         # beta^i prod >= lhs (1 - RTOL), with prod and q reused for its sides
         np.multiply(prod, beta**i, out=prod)
         np.greater_equal(prod, np.multiply(lhs, 1.0 - RTOL, out=q), out=tmp)
         ok |= np.logical_and(tmp, pos, out=tmp)
     return ok, measured
+
+
+def _largest_beta(lhs, maxima, beta):
+    """The largest beta that `_pair_verdict` measures at r = 2, as a float,
+    over pairs whose betas are all finite."""
+    return float(_pair_verdict(lhs, maxima, beta, 2)[1].max())
 
 
 def _verdict_scratch(shape):
@@ -167,6 +193,7 @@ def hurwitz_coeff_check(b):
     return holds[()]  # a numpy bool, as before, when every b_a is a scalar
 
 
+@functools.cache
 def _distance_tables(k, t):
     """(P, cols): where the pairs at distance t sit in a sorted union of
     k + t elements.  A pair is a core pattern c, k - t of the union's
@@ -183,24 +210,32 @@ def _distance_tables(k, t):
     of split s with A of size a in S's half and B of size t - a in T's,
     taken in combinations order of A, then of B.  Halves are looked up by
     their 2t-bit masks.  cols holds the buckets a <= 2 and t - a <= 2 only,
-    the ones that the pair verdict at r = 2 and the Hurwitz rule read."""
+    the ones that the pair verdict at r = 2 and the Hurwitz rule read, as a
+    tuple of (a, cols[a]) in increasing a.
+
+    The tables depend on (k, t) alone, so each is built once per process and
+    shared by every sweep: every array is read-only, in a tuple.  A sweep
+    under CHAIN_STATE_CAP has t <= min(k, n - k) <= 8, so a process holds at
+    most 8 of them per k that it has swept."""
     halves = subsets(range(2 * t), t)
     splits = math.comb(2 * t - 1, t - 1)
     bit = (1 << np.arange(2 * t)).astype(np.min_scalar_type((1 << 2 * t) - 1))
     index = np.empty(1 << 2 * t, dtype=np.min_scalar_type(len(halves) - 1))
     index[np.bitwise_or.reduce(bit[halves], axis=1)] = np.arange(len(halves))
-    cols = {}
+    cols = []
     for a in range(t + 1):
         if min(a, t - a) > 2:
             continue
         A = np.bitwise_or.reduce(bit[halves[:splits, subsets(range(t), a)]], axis=2)
         B = np.bitwise_or.reduce(bit[halves[::-1][:splits, subsets(range(t), t - a)]], axis=2)
-        cols[a] = index[(A[:, :, None] | B[:, None, :]).reshape(splits, -1)].T.copy()
+        cols.append((a, index[(A[:, :, None] | B[:, None, :]).reshape(splits, -1)].T.copy()))
     cores = subsets(range(k + t), k - t)
     others = subsets(range(k + t), 2 * t)[::-1]
     core = np.broadcast_to(cores, (len(halves), len(cores), k - t))
     P = np.sort(np.concatenate((core, others[:, halves].swapaxes(0, 1)), axis=2), axis=2)
-    return P, cols
+    for table in (P, *(bucket for _, bucket in cols)):
+        table.flags.writeable = False
+    return P, tuple(cols)
 
 
 def _block_width(n, k, t):
@@ -223,21 +258,27 @@ def verify_exchange_all_pairs(mu: SetDistribution):
 
     mu.tabulate() is laid out by colex rank.  The pairs (S, T), S < T, at
     distance t are enumerated by their union, a row of subsets(range(n),
-    k + t), and by their place in it (`_distance_tables`).  Every set between
-    S n T and S u T is then the union at a fixed ascending position pattern,
-    so its colex rank is a sum over the rank places j of the union's slot
-    table binom[j, U[:, p_j]], one gather per place.  Each block of unions
-    makes one gather V (halves x cores x unions) of about PAIR_BLOCK sets,
-    and each read bucket's maximum and sum over every pair is a running fold
-    in place of the whole rows V[c] of its fixed columns c (no sums at t <= 2,
-    where the Hurwitz rule is vacuous), to which the pair verdict and the
-    Hurwitz rule apply as arrays over splits x cores x unions.  Every block
-    array, from the slot table to the verdict's, is a view of one working
-    set allocated per call, sized for the widest block and written by `out=`
-    (`take` gathers a column V[c] into one column buffer), so a block
-    allocates nothing of its size, and failures, listed in pair order, are
-    looked for only in a block where some pair fails.  Raises CapacityError past the walk's
-    CHAIN_STATE_CAP sets before any array is built (both suites are
+    k + t) that `subset_blocks` reads a block at a time, and by their place
+    in it (`_distance_tables`, built once per (k, t) in a process).  Every set
+    between S n T and S u T is then the union at a fixed ascending position
+    pattern, so its colex rank is a sum over the rank places j of the
+    union's slot table binom[j, U[:, p_j]], one gather per place.  Each block
+    of unions makes one gather V (halves x cores x unions) of about
+    PAIR_BLOCK sets, and each read bucket's maximum and sum over every pair
+    is a running fold in place of the whole rows V[c] of its fixed columns c
+    (no sums at t <= 2, where the Hurwitz rule is vacuous), to which the pair
+    verdict and the Hurwitz rule apply as arrays over splits x cores x
+    unions.  The verdict takes its roots by `_screen_root`; the betas that
+    the result reports, of the failing pairs and the largest finite one, are
+    those of `_root`, taken again on the failing pairs and on the pairs whose
+    screen is within SCREEN_RTOL of the largest so far, so the result is the
+    one that rooting every pair by `_root` gives.  Every block array, from
+    the slot table to the verdict's, is a view of one working set allocated
+    per call, sized for the widest block and written by `out=` (`take`
+    gathers a column V[c] into one column buffer), so a block allocates
+    nothing of its size, and failures, listed in pair order, are looked for
+    only in a block where some pair fails.  Raises CapacityError past the
+    walk's CHAIN_STATE_CAP sets before any array is built (both suites are
     quadratic in the sets), and where float64 cannot decide a verdict: a mu
     value or a product mu(S)mu(T) that is not finite.  Every other product
     that overflows is judged as the infinity it rounds to: an infinite ratio
@@ -254,6 +295,15 @@ def verify_exchange_all_pairs(mu: SetDistribution):
         raise CapacityError("mu is past the float64 range on some size-k set")
     beta = float(k) ** 4
     exch, hurw, beta_max = [], [], 0.0
+    # The screen decides which betas are rooted.  At t <= 2 it is the beta:
+    # r = 1 takes no root, and at t = 2 the 2-exchange is T itself, so its
+    # ratio mu(S)mu(T) / mu(T)mu(S) is exactly 1.  Past that, a pair can hold
+    # the largest beta only if its screen is within SCREEN_RTOL of the largest
+    # screen so far, the ceiling.  The last block with such pairs keeps them
+    # pending.  When another block has some, the pending pairs are rooted by
+    # `_root` if their top screen is still within reach of the ceiling, and
+    # dropped if not; the last pending pairs are rooted at the end.
+    ceiling, pending = 0.0, None
     # One working set for the call, sized for the widest block: a block's
     # arrays are views of these flat buffers, written by `out=`.  The sets of
     # a block are its ranks and V, whose int64 view holds each rank term.
@@ -273,9 +323,7 @@ def verify_exchange_all_pairs(mu: SetDistribution):
         for t in ts:
             P, cols = _distance_tables(k, t)
             halves, cores, rows = widths[t]
-            unions = subsets(range(n), k + t)
-            for u0 in range(0, len(unions), rows):
-                U = unions[u0:u0 + rows]
+            for U in subset_blocks(range(n), k + t, rows):
                 block, pairs = (halves, cores, len(U)), (halves // 2, cores, len(U))
                 # mode="clip" lets take write out= without a copy; every index is in range
                 slots = _view(slot_buf, k, k + t, len(U))  # slots[j, p, u]: C(U[u, p], j + 1)
@@ -289,7 +337,7 @@ def verify_exchange_all_pairs(mu: SetDistribution):
                 col = _view(col_buf, *pairs)
                 block_max, block_sum = (_view(b, len(cols), *pairs) for b in (max_buf, sum_buf))
                 maxima, sums = [None] * (t + 1), [None] * (t + 1)
-                for b, (a, bucket) in enumerate(cols.items()):
+                for b, (a, bucket) in enumerate(cols):
                     maxima[a] = m = V.take(bucket[0], axis=0, out=block_max[b], mode="clip")
                     # 0.0 + m, as a sum from 0.0
                     sums[a] = tot = np.add(m, 0.0, out=block_sum[b]) if t > 2 else None
@@ -304,22 +352,43 @@ def verify_exchange_all_pairs(mu: SetDistribution):
                 if not np.isfinite(mu_st, out=finite).all():
                     raise CapacityError("mu(S)mu(T) is past the float64 range on some pair")
                 scratch = tuple(_view(buf, *pairs) for buf in verdict_bufs)
-                ok, measured = _pair_verdict(mu_st, maxima, beta, 2, scratch)
-                top = measured.max(where=np.isfinite(measured, out=finite), initial=0.0)
-                beta_max = max(beta_max, float(top))
+                ok, screen = _pair_verdict(mu_st, maxima, beta, 2, scratch, _screen_root)
+
+                def chosen(at):  # mu(S)mu(T) and the maxima of the pairs at flat indices at
+                    return mu_st.take(at), [m if m is None else m.take(at) for m in maxima]
 
                 def pair(s, c, u):
                     return tuple(U[u, P[s, c]].tolist()), tuple(U[u, P[-1 - s, c]].tolist())
 
+                # mu(S)mu(T) and the maxima are finite, so a screen is never
+                # negative or NaN; an infinite one (no positive product, or a
+                # ratio past float64) is no beta to report, and reads as 0.
+                top = float(screen.max())
+                if not top < math.inf:
+                    np.copyto(screen, 0.0, where=np.isinf(screen, out=finite))
+                    top = float(screen.max())
+                floor = max(top, ceiling) * (1.0 - SCREEN_RTOL)
+                ceiling = max(top, ceiling)
+                if t <= 2:
+                    beta_max = max(beta_max, top)
+                elif top > floor:
+                    if pending and pending[0] > floor:  # still within reach of the largest beta
+                        beta_max = max(beta_max, _largest_beta(*pending[1:], beta))
+                    at = np.flatnonzero(np.greater(screen, floor, out=scratch[4]))
+                    pending = (top, *chosen(at))
                 if not ok.all():
-                    for s, c, u in zip(*np.nonzero(~ok)):
-                        exch.append((*pair(s, c, u), float(measured[s, c, u])))
+                    failing = np.flatnonzero(~ok)
+                    betas = _pair_verdict(*chosen(failing), beta, 2)[1].tolist()
+                    for (s, c, u), b in zip(zip(*np.unravel_index(failing, ok.shape)), betas):
+                        exch.append((*pair(s, c, u), b))
                 if t > 2:  # the verdict's scratch, read, holds the Hurwitz sides
                     _, lhs, rhs, slack, _, holds = scratch
                     _hurwitz_sides(sums, (lhs, rhs, slack))
                     if not _hurwitz_holds(lhs, rhs, slack, holds).all():
                         for s, c, u in zip(*np.nonzero(~holds)):
                             hurw.append((*pair(s, c, u), float(lhs[s, c, u]), float(rhs[s, c, u])))
+        if pending:
+            beta_max = max(beta_max, _largest_beta(*pending[1:], beta))
     return {
         "pairs": N * (N - 1) // 2,
         "exchange_failures": sorted(exch),

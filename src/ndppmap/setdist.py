@@ -42,6 +42,19 @@ def subsets(pool, s):
     return np.fromiter(chain.from_iterable(combinations(pool, s)), dtype, m * s).reshape(m, s)
 
 
+def subset_blocks(pool, s, rows):
+    """The rows of subsets(pool, s) in consecutive blocks of `rows` rows (the
+    last may be shorter), each read from one combinations stream when it is
+    asked for, so that a caller holds one block at a time, never the whole
+    table."""
+    dtype = np.min_scalar_type(max(pool, default=0))
+    m = math.comb(len(pool), s)
+    stream = chain.from_iterable(combinations(pool, s))
+    for u0 in range(0, m, rows):
+        size = min(rows, m - u0)
+        yield np.fromiter(stream, dtype, size * s).reshape(size, s)
+
+
 def colex_table(n, l):
     """The l x n int64 table of C(p, j + 1) at [j, p], each entry clamped to
     C(n, l): a sorted l-subset p_0 < ... < p_{l-1} of range(n) has colex

@@ -20,7 +20,9 @@ from ndppmap import (
     principal_minor,
     verify_exchange_all_pairs,
 )
-from ndppmap.exchange import RTOL, _hurwitz_sides, _pair_verdict, _root
+from ndppmap.exchange import (
+    RTOL, SCREEN_RTOL, _distance_tables, _hurwitz_sides, _pair_verdict, _root, _screen_root,
+)
 from ndppmap.instances import lowrank_npsd, random_npsd, skew_block, sym_psd
 from test_setdist import CountingKernel
 
@@ -610,10 +612,11 @@ class TestSweepCapacity:
         assert res["max_measured_beta"] == 1.0
         assert not res["exchange_failures"] and not res["hurwitz_failures"]
 
-    @pytest.mark.parametrize("n, k", [(12, 4), (12, 6)])
+    @pytest.mark.parametrize("n, k", [(12, 4), (12, 6), (60, 2)])
     def test_peak_memory_is_a_few_blocks(self, n, k):
         # a sweep that held every column of a bucket, or every split against
-        # every half, would pass this bound in its widest block
+        # every half, would pass this bound in its widest block; one that held
+        # every union at once would pass it at (60, 2)
         mu = KernelDistribution(random_npsd(n, 1), k)
         mu.tabulate()
         tracemalloc.start()
@@ -667,6 +670,100 @@ class TestPairVerdictEdges:
         assert ok.any() and not ok.all()
         assert np.isinf(measured).any() and np.isnan(measured).any()
         assert (measured == 0.0).any() and (np.isfinite(measured) & (measured > 0.0)).any()
+
+
+def within_screen(screen, exact):
+    """screen is finite, zero, infinite and NaN where exact is, and within
+    SCREEN_RTOL of it elsewhere."""
+    for kind in (np.isnan, np.isinf, lambda x: x == 0.0):
+        if not np.array_equal(kind(screen), kind(exact)):
+            return False
+    pos = np.isfinite(exact) & (exact != 0.0)
+    return bool((np.abs(screen[pos] - exact[pos]) <= SCREEN_RTOL * np.abs(exact[pos])).all())
+
+
+class TestScreenedBeta:
+    # numpy's square root rounds this root one unit higher than Python's power
+    LHS = 9.562958764887671
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-8], ids=["largest-beta", "failing"])
+    def test_reported_beta_is_float_power(self, scale):
+        # at t = 3 both exchanges of (S, T) read the buckets of one swap, so
+        # beta_1 = q and beta_2 = sqrt(q), q = LHS / scale^2, the smaller;
+        # every other pair measures at most 1.  At scale 2^-8 the pair fails.
+        S, T = (0, 1, 2), (3, 4, 5)
+        table = {W: scale for W in combinations(range(6), 3)}
+        table[S], table[T] = self.LHS, 1.0
+        res = verify_exchange_all_pairs(TableDistribution(6, 3, table))
+        q = self.LHS / scale**2
+        assert np.sqrt(q) != q**0.5
+        assert res["max_measured_beta"] == q**0.5
+        if scale < 1.0:
+            assert res["exchange_failures"] == [(S, T, q**0.5)]
+        else:
+            assert not res["exchange_failures"]
+
+    def test_earlier_blocks_within_reach_are_rooted(self, monkeypatch):
+        # One union per block.  At t = 3 the pairs (A, X) of the first unions
+        # screen at sqrt(LHS), one unit above their float_power beta b, and
+        # the pairs (B, Y) of the last two unions measure exactly one unit
+        # below b, within SCREEN_RTOL of the screen: the largest beta is b.
+        b = self.LHS**0.5
+        A, B = (0, 1, 2), (2, 5, 6)
+        table = {W: 1.0 for W in combinations(range(7), 3)}
+        table[A], table[B] = self.LHS, math.nextafter(b, 0.0) ** 2
+        assert np.sqrt(table[B]) == table[B] ** 0.5 == math.nextafter(b, 0.0)
+        monkeypatch.setattr(exchange, "PAIR_BLOCK", 1)
+        assert verify_exchange_all_pairs(TableDistribution(7, 3, table))["max_measured_beta"] == b
+
+    def test_screen_root_within_margin(self):
+        q = np.random.default_rng(0).lognormal(0.0, 20.0, size=10_000)
+        edges = np.array([e for e in TestPairVerdictEdges.EDGES if not e < 0.0])
+        for x in (q, edges, np.array([self.LHS])):
+            with np.errstate(invalid="ignore"):
+                assert within_screen(_screen_root(x, 2), _root(x, 2))
+            assert _screen_root(x, 1) is _root(x, 1) is x
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_screened_verdict_matches_exact(self, t, r):
+        rng = np.random.default_rng(10 * t + r)
+        for size in (1, 64, 5000):
+            lhs = rng.choice(TestPairVerdictEdges.EDGES, size)
+            maxima = [rng.choice(TestPairVerdictEdges.EDGES, size) for _ in range(t + 1)]
+            want, want_flags = with_fp_flags(_pair_verdict, lhs, maxima, 16.0, r)
+            got, got_flags = with_fp_flags(_pair_verdict, lhs, maxima, 16.0, r, None, _screen_root)
+            assert np.array_equal(got[0], want[0]) and got_flags == want_flags
+            assert within_screen(got[1], want[1])
+        # lognormal ratios, where the screen and the root differ in the last bit
+        lhs, maxima = rng.lognormal(0.0, 20.0, 5000), [rng.lognormal(0.0, 20.0, 5000) for _ in range(t + 1)]
+        got, want = (_pair_verdict(lhs, maxima, 16.0, r, None, root)[1] for root in (_screen_root, _root))
+        assert within_screen(got, want)
+        if min(r, t) == 2:
+            assert (got != want).any()
+
+
+class TestDistanceTables:
+    def test_cached_tables_are_read_only_copies_of_the_built_ones(self):
+        for k in range(1, 9):
+            for t in range(1, k + 1):
+                P, cols = _distance_tables(k, t)
+                P0, cols0 = _distance_tables.__wrapped__(k, t)
+                assert _distance_tables(k, t) is _distance_tables(k, t)
+                assert isinstance(cols, tuple) and [a for a, _ in cols] == [a for a, _ in cols0]
+                for got, want in [(P, P0), *((c, c0) for (_, c), (_, c0) in zip(cols, cols0))]:
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+                    with pytest.raises(ValueError, match="read-only"):
+                        got.flat[0] = got.flat[0]
+
+    def test_cold_and_warm_sweeps_agree(self):
+        mu = signed_table(9, 4, 2)
+        _distance_tables.cache_clear()
+        cold = verify_exchange_all_pairs(mu)
+        assert _distance_tables.cache_info().hits == 0
+        warm = verify_exchange_all_pairs(mu)
+        assert _distance_tables.cache_info().hits == 4
+        assert repr(cold) == repr(warm)
 
 
 class TestTableDistributionKeys:

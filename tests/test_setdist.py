@@ -30,7 +30,7 @@ from ndppmap import (
 )
 from ndppmap import setdist
 from ndppmap.instances import lowrank_npsd, random_field, random_npsd, sym_psd
-from ndppmap.setdist import colex_table, subsets
+from ndppmap.setdist import colex_table, subset_blocks, subsets
 from test_localsearch import neighborhood
 
 
@@ -81,6 +81,24 @@ class TestSubsets:
         assert D.tolist() == [list(c) for c in combinations(pool, s)]
         assert np.issubdtype(D.dtype, np.integer)
         assert np.iinfo(D.dtype).max >= max(pool, default=0)
+
+    @pytest.mark.parametrize(
+        "pool, s",
+        [(range(6), 0), (range(6), 3), (range(6), 6), (range(6), 7), ([3, 7, 255], 2),
+         ([], 0), (range(300), 2)],
+    )
+    @pytest.mark.parametrize("rows", [1, 4, 10**6])
+    def test_blocks_are_the_rows_in_order(self, pool, s, rows):
+        D = subsets(pool, s)
+        blocks = list(subset_blocks(pool, s, rows))
+        assert [len(B) for B in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert all(B.dtype == D.dtype and B.shape[1:] == (s,) for B in blocks)
+        assert [row for B in blocks for row in B.tolist()] == D.tolist()
+
+    def test_blocks_are_read_when_asked_for(self):
+        # the whole table would be C(2000, 3) = 1.3e9 rows
+        first = next(subset_blocks(range(2000), 3, 5))
+        assert first.tolist() == [[0, 1, j] for j in range(2, 7)]
 
 
 class TestColexTable:
