@@ -14,13 +14,11 @@ gathers from its slot table, the binomial entries of each union element at
 each rank place, and the verdict masks with `where=`, never by copying.
 Every block writes views of one working set that the call allocates once,
 and reads its unions from one combinations stream, a block at a time; each
-distance's position tables are built once per process.  The verdict screens
-its betas with np.sqrt, and only the betas that a report quotes, those of
-failing pairs and those that may be the largest, are rooted by
-np.float_power, as Python's float power roots them.
-The brute-force argmax reads the same table.  The strong basis exchange,
-which pairs single swaps element by element, is checked on its own, by two
-completions calls per pair, for the core-set certificate.
+distance's position tables are built once per process.  Every beta that a
+report quotes is the verdict's own: beta_2 is the correctly rounded square
+root of the ratio.  The brute-force argmax reads the same table.  The strong
+basis exchange, which pairs single swaps element by element, is checked on
+its own, by two completions calls per pair, for the core-set certificate.
 """
 
 from __future__ import annotations
@@ -39,10 +37,6 @@ from .setdist import SetDistribution, colex_table, subset_blocks, subsets
 BRUTE_FORCE_CAP = 2 * 10**6
 RTOL = 1e-9  # relative slack of the exchange and Hurwitz inequalities
 PAIR_BLOCK = 1 << 15  # sets gathered per block of unions in the all-pairs sweep
-# Relative distance within which `_screen_root`'s beta may lie from `_root`'s:
-# sqrt and pow are each within an ulp of the true root, and 4 ulps leave room
-# for both and for the rounding of the bound itself.
-SCREEN_RTOL = 4 * np.finfo(float).eps
 
 
 def brute_force_map(mu: SetDistribution, n, k):
@@ -63,34 +57,24 @@ def brute_force_map(mu: SetDistribution, n, k):
 
 
 def _root(q, i, where=True, out=None):
-    """q ** (1/i) elementwise by np.float_power: libm's pow in float64, like
-    Python's float power, which numpy's power and sqrt miss in the last bit.
-    Every beta that a report quotes is this root.  Entries where `where` is
-    False are left unset, or as they are in out."""
-    return q if i == 1 else np.float_power(q, 1.0 / i, out=out, where=where)
+    """q ** (1/i) elementwise for i in {1, 2}: q itself, or np.sqrt, which
+    IEEE 754 rounds correctly.  Every beta that a report quotes is this root.
+    Entries where `where` is False are left unset, or as they are in out."""
+    return q if i == 1 else np.sqrt(q, out=out, where=where)
 
 
-def _screen_root(q, i, where=True, out=None):
-    """`_root`, but by np.sqrt at i = 2: a few times cheaper, and at most one
-    unit in the last place from it, so within SCREEN_RTOL of it."""
-    return np.sqrt(q, out=out, where=where) if i == 2 else _root(q, i, where, out)
-
-
-def _pair_verdict(lhs, maxima, beta, r, scratch=None, root=_root):
+def _pair_verdict(lhs, maxima, beta, r, scratch=None):
     """(passed, measured beta) of mu(S)mu(T) = lhs <= max_{i<=r} beta^i M^i(S->T) M^i(T->S),
-    as arrays over pairs: lhs[p] and maxima[a][p], the largest mu(W) over the
-    sets W = (S n T) u A u B with A of size a in S\\T and B in T\\S, so that
-    maxima[t - i] = M^i(S->T) and maxima[i] = M^i(T->S).
+    r in {1, 2}, as arrays over pairs: lhs[p] and maxima[a][p], the largest
+    mu(W) over the sets W = (S n T) u A u B with A of size a in S\\T and B in
+    T\\S, so that maxima[t - i] = M^i(S->T) and maxima[i] = M^i(T->S).
 
     The measured beta is the smallest (lhs / prod_i)^(1/i) over i <= r with
-    prod_i > 0, inf if there is none and 0 when lhs <= 0; the pair passes when
-    lhs <= 0 or beta^i prod_i >= lhs (1 - RTOL) for some i.  The roots are
-    taken by `root`: `_root` gives the beta that reports quote, and
-    `_screen_root` a screen of it, within SCREEN_RTOL of it, finite, zero,
-    infinite or NaN where it is, with the same verdicts and the same
-    floating-point flags.  scratch, if given, is the `_verdict_scratch` of
-    lhs's shape that the verdict writes and returns its (passed, measured)
-    in, so that a caller judging many blocks allocates nothing per block.
+    prod_i > 0, by `_root`, inf if there is none and 0 when lhs <= 0; the
+    pair passes when lhs <= 0 or beta^i prod_i >= lhs (1 - RTOL) for some i.
+    scratch, if given, is the `_verdict_scratch` of lhs's shape that the
+    verdict writes and returns its (passed, measured) in, so that a caller
+    judging many blocks allocates nothing per block.
     """
     ok, measured, prod, q, pos, tmp = scratch or _verdict_scratch(np.shape(lhs))
     t = len(maxima) - 1
@@ -102,18 +86,12 @@ def _pair_verdict(lhs, maxima, beta, r, scratch=None, root=_root):
         np.greater(prod, 0.0, out=pos)
         pos &= np.greater(lhs, 0.0, out=tmp)
         np.divide(lhs, prod, out=q, where=pos)  # entries off pos stay unread
-        np.minimum(measured, root(q, i, where=pos, out=q), out=measured, where=pos)
+        np.minimum(measured, _root(q, i, where=pos, out=q), out=measured, where=pos)
         # beta^i prod >= lhs (1 - RTOL), with prod and q reused for its sides
         np.multiply(prod, beta**i, out=prod)
         np.greater_equal(prod, np.multiply(lhs, 1.0 - RTOL, out=q), out=tmp)
         ok |= np.logical_and(tmp, pos, out=tmp)
     return ok, measured
-
-
-def _largest_beta(lhs, maxima, beta):
-    """The largest beta that `_pair_verdict` measures at r = 2, as a float,
-    over pairs whose betas are all finite."""
-    return float(_pair_verdict(lhs, maxima, beta, 2)[1].max())
 
 
 def _verdict_scratch(shape):
@@ -253,8 +231,8 @@ def _view(buf, *shape):
 
 def verify_exchange_all_pairs(mu: SetDistribution):
     """Batch check of the pairwise exchange inequality (constants beta^i,
-    beta = k^4, i <= 2) and the even-polynomial Hurwitz inequality over every
-    unordered pair of size-k subsets of [n].
+    beta = k^4, i in {1, 2}) and the even-polynomial Hurwitz inequality
+    over every unordered pair of size-k subsets of [n].
 
     mu.tabulate() is laid out by colex rank.  The pairs (S, T), S < T, at
     distance t are enumerated by their union, a row of subsets(range(n),
@@ -268,21 +246,19 @@ def verify_exchange_all_pairs(mu: SetDistribution):
     is a running fold in place of the whole rows V[c] of its fixed columns c
     (no sums at t <= 2, where the Hurwitz rule is vacuous), to which the pair
     verdict and the Hurwitz rule apply as arrays over splits x cores x
-    unions.  The verdict takes its roots by `_screen_root`; the betas that
-    the result reports, of the failing pairs and the largest finite one, are
-    those of `_root`, taken again on the failing pairs and on the pairs whose
-    screen is within SCREEN_RTOL of the largest so far, so the result is the
-    one that rooting every pair by `_root` gives.  Every block array, from
-    the slot table to the verdict's, is a view of one working set allocated
-    per call, sized for the widest block and written by `out=` (`take`
-    gathers a column V[c] into one column buffer), so a block allocates
-    nothing of its size, and failures, listed in pair order, are looked for
-    only in a block where some pair fails.  Raises CapacityError past the
-    walk's CHAIN_STATE_CAP sets before any array is built (both suites are
-    quadratic in the sets), and where float64 cannot decide a verdict: a mu
-    value or a product mu(S)mu(T) that is not finite.  Every other product
-    that overflows is judged as the infinity it rounds to: an infinite ratio
-    is an infinite beta_i, and an infinite right side holds.
+    unions.  The verdict runs at r = 2, and the betas that the result
+    reports, of the failing pairs and the largest finite one, are the ones
+    it measures.  Every block array, from the slot table to the verdict's,
+    is a view of one working set allocated per call, sized for the widest
+    block and written by `out=` (`take` gathers a column V[c] into one
+    column buffer), so a block allocates nothing of its size, and failures,
+    listed in pair order, are looked for only in a block where some pair
+    fails.  Raises CapacityError past the walk's CHAIN_STATE_CAP sets before
+    any array is built (both suites are quadratic in the sets), and where
+    float64 cannot decide a verdict: a mu value or a product mu(S)mu(T) that
+    is not finite.  Every other product that overflows is judged as the
+    infinity it rounds to: an infinite ratio is an infinite beta_i, and an
+    infinite right side holds.
     """
     n, k = mu.n, mu.k
     N = math.comb(n, k)
@@ -295,15 +271,6 @@ def verify_exchange_all_pairs(mu: SetDistribution):
         raise CapacityError("mu is past the float64 range on some size-k set")
     beta = float(k) ** 4
     exch, hurw, beta_max = [], [], 0.0
-    # The screen decides which betas are rooted.  At t <= 2 it is the beta:
-    # r = 1 takes no root, and at t = 2 the 2-exchange is T itself, so its
-    # ratio mu(S)mu(T) / mu(T)mu(S) is exactly 1.  Past that, a pair can hold
-    # the largest beta only if its screen is within SCREEN_RTOL of the largest
-    # screen so far, the ceiling.  The last block with such pairs keeps them
-    # pending.  When another block has some, the pending pairs are rooted by
-    # `_root` if their top screen is still within reach of the ceiling, and
-    # dropped if not; the last pending pairs are rooted at the end.
-    ceiling, pending = 0.0, None
     # One working set for the call, sized for the widest block: a block's
     # arrays are views of these flat buffers, written by `out=`.  The sets of
     # a block are its ranks and V, whose int64 view holds each rank term.
@@ -315,7 +282,8 @@ def verify_exchange_all_pairs(mu: SetDistribution):
     slot_buf = np.empty(slot_len, np.int64)
     rank_buf, V_buf = np.empty(sets, np.int64), np.empty(sets)
     col_buf, lhs_buf, finite_buf = np.empty(half), np.empty(half), np.empty(half, bool)
-    max_buf, sum_buf = np.empty(6 * half), np.empty(6 * half)  # a verdict reads at most 6 buckets
+    # at most 6 buckets, in one array: freed as one chunk, it lifts glibc's trim threshold
+    max_buf, sum_buf = np.empty((2, 6 * half))
     verdict_bufs = _verdict_scratch(half)
     # A bucket sum overflows only where two of its sets have mu(S)mu(T) past
     # float64, so the call raises and no NaN verdict it leaves is returned.
@@ -352,43 +320,29 @@ def verify_exchange_all_pairs(mu: SetDistribution):
                 if not np.isfinite(mu_st, out=finite).all():
                     raise CapacityError("mu(S)mu(T) is past the float64 range on some pair")
                 scratch = tuple(_view(buf, *pairs) for buf in verdict_bufs)
-                ok, screen = _pair_verdict(mu_st, maxima, beta, 2, scratch, _screen_root)
-
-                def chosen(at):  # mu(S)mu(T) and the maxima of the pairs at flat indices at
-                    return mu_st.take(at), [m if m is None else m.take(at) for m in maxima]
+                ok, measured = _pair_verdict(mu_st, maxima, beta, 2, scratch)
 
                 def pair(s, c, u):
                     return tuple(U[u, P[s, c]].tolist()), tuple(U[u, P[-1 - s, c]].tolist())
 
-                # mu(S)mu(T) and the maxima are finite, so a screen is never
-                # negative or NaN; an infinite one (no positive product, or a
-                # ratio past float64) is no beta to report, and reads as 0.
-                top = float(screen.max())
-                if not top < math.inf:
-                    np.copyto(screen, 0.0, where=np.isinf(screen, out=finite))
-                    top = float(screen.max())
-                floor = max(top, ceiling) * (1.0 - SCREEN_RTOL)
-                ceiling = max(top, ceiling)
-                if t <= 2:
-                    beta_max = max(beta_max, top)
-                elif top > floor:
-                    if pending and pending[0] > floor:  # still within reach of the largest beta
-                        beta_max = max(beta_max, _largest_beta(*pending[1:], beta))
-                    at = np.flatnonzero(np.greater(screen, floor, out=scratch[4]))
-                    pending = (top, *chosen(at))
                 if not ok.all():
                     failing = np.flatnonzero(~ok)
-                    betas = _pair_verdict(*chosen(failing), beta, 2)[1].tolist()
+                    betas = measured.take(failing).tolist()
                     for (s, c, u), b in zip(zip(*np.unravel_index(failing, ok.shape)), betas):
                         exch.append((*pair(s, c, u), b))
+                # mu(S)mu(T) and the maxima are finite, so a beta is never
+                # negative or NaN; an infinite one (no positive product, or a
+                # ratio past float64) is no beta to report.
+                top = float(measured.max())
+                if not top < math.inf:
+                    top = float(measured.max(initial=0.0, where=np.isfinite(measured, out=finite)))
+                beta_max = max(beta_max, top)
                 if t > 2:  # the verdict's scratch, read, holds the Hurwitz sides
                     _, lhs, rhs, slack, _, holds = scratch
                     _hurwitz_sides(sums, (lhs, rhs, slack))
                     if not _hurwitz_holds(lhs, rhs, slack, holds).all():
                         for s, c, u in zip(*np.nonzero(~holds)):
                             hurw.append((*pair(s, c, u), float(lhs[s, c, u]), float(rhs[s, c, u])))
-        if pending:
-            beta_max = max(beta_max, _largest_beta(*pending[1:], beta))
     return {
         "pairs": N * (N - 1) // 2,
         "exchange_failures": sorted(exch),

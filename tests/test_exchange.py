@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from itertools import combinations
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,9 +21,7 @@ from ndppmap import (
     principal_minor,
     verify_exchange_all_pairs,
 )
-from ndppmap.exchange import (
-    RTOL, SCREEN_RTOL, _distance_tables, _hurwitz_sides, _pair_verdict, _root, _screen_root,
-)
+from ndppmap.exchange import RTOL, _distance_tables, _hurwitz_sides, _pair_verdict, _root
 from ndppmap.instances import lowrank_npsd, random_npsd, skew_block, sym_psd
 from test_setdist import CountingKernel
 
@@ -509,14 +508,16 @@ class TestSweepMatchesPerPair:
         assert math.inf in beta_hats and any(map(math.isfinite, beta_hats))
         assert res["hurwitz_failures"]
 
-    def test_measured_beta_is_python_float_power(self):
-        # numpy's power and square root round this root one unit lower
+    def test_measured_beta_is_correctly_rounded(self):
+        # Python's float power rounds this root one unit away from the true one
         lhs = 9.562958764887671
         maxima = [np.ones(1), np.full(1, 1e-9), np.ones(1)]
         _, measured = _pair_verdict(np.array([lhs]), maxima, 16.0, 2)
-        assert measured[0] == lhs**0.5
+        with mpmath.workprec(200):
+            assert measured[0] == float(mpmath.sqrt(mpmath.mpf(lhs)))
+        assert measured[0] != lhs**0.5
         q = np.random.default_rng(0).lognormal(0.0, 20.0, size=10_000)
-        assert _root(q, 2).tolist() == [x**0.5 for x in q.tolist()]
+        assert _root(q, 2).tolist() == [math.sqrt(x) for x in q.tolist()]
 
     def test_failures_in_pair_order_across_blocks(self, monkeypatch):
         mu = signed_table(9, 4, 2)
@@ -558,7 +559,8 @@ def masked_pair_verdict(lhs, maxima, beta, r):
     for i in range(1, min(r, t) + 1):
         prod = maxima[t - i] * maxima[i]
         pos = (prod > 0.0) & (lhs > 0.0)
-        measured[pos] = np.minimum(measured[pos], _root(lhs[pos] / prod[pos], i))
+        q = lhs[pos] / prod[pos]
+        measured[pos] = np.minimum(measured[pos], q if i == 1 else np.sqrt(q))
         ok |= pos & (beta**i * prod >= lhs * (1.0 - RTOL))
     return ok, measured
 
@@ -612,12 +614,17 @@ class TestSweepCapacity:
         assert res["max_measured_beta"] == 1.0
         assert not res["exchange_failures"] and not res["hurwitz_failures"]
 
-    @pytest.mark.parametrize("n, k", [(12, 4), (12, 6), (60, 2)])
-    def test_peak_memory_is_a_few_blocks(self, n, k):
+    @pytest.mark.parametrize(
+        "n, k, tied",
+        [(12, 4, False), (12, 6, False), (60, 2, False), (12, 4, True), (12, 6, True)],
+        ids=["12-4", "12-6", "60-2", "12-4-uniform", "12-6-uniform"],
+    )
+    def test_peak_memory_is_a_few_blocks(self, n, k, tied):
         # a sweep that held every column of a bucket, or every split against
         # every half, would pass this bound in its widest block; one that held
-        # every union at once would pass it at (60, 2)
-        mu = KernelDistribution(random_npsd(n, 1), k)
+        # every union at once would pass it at (60, 2), and one that copied
+        # out the pairs tied at the top beta would pass it on the uniform mu
+        mu = uniform(n, k) if tied else KernelDistribution(random_npsd(n, 1), k)
         mu.tabulate()
         tracemalloc.start()
         try:
@@ -672,22 +679,12 @@ class TestPairVerdictEdges:
         assert (measured == 0.0).any() and (np.isfinite(measured) & (measured > 0.0)).any()
 
 
-def within_screen(screen, exact):
-    """screen is finite, zero, infinite and NaN where exact is, and within
-    SCREEN_RTOL of it elsewhere."""
-    for kind in (np.isnan, np.isinf, lambda x: x == 0.0):
-        if not np.array_equal(kind(screen), kind(exact)):
-            return False
-    pos = np.isfinite(exact) & (exact != 0.0)
-    return bool((np.abs(screen[pos] - exact[pos]) <= SCREEN_RTOL * np.abs(exact[pos])).all())
-
-
-class TestScreenedBeta:
-    # numpy's square root rounds this root one unit higher than Python's power
+class TestReportedBeta:
+    # Python's float power rounds this root one unit away from np.sqrt's
     LHS = 9.562958764887671
 
     @pytest.mark.parametrize("scale", [1.0, 2.0**-8], ids=["largest-beta", "failing"])
-    def test_reported_beta_is_float_power(self, scale):
+    def test_reported_beta_is_sqrt(self, scale):
         # at t = 3 both exchanges of (S, T) read the buckets of one swap, so
         # beta_1 = q and beta_2 = sqrt(q), q = LHS / scale^2, the smaller;
         # every other pair measures at most 1.  At scale 2^-8 the pair fails.
@@ -696,51 +693,12 @@ class TestScreenedBeta:
         table[S], table[T] = self.LHS, 1.0
         res = verify_exchange_all_pairs(TableDistribution(6, 3, table))
         q = self.LHS / scale**2
-        assert np.sqrt(q) != q**0.5
-        assert res["max_measured_beta"] == q**0.5
+        assert math.sqrt(q) != q**0.5
+        assert res["max_measured_beta"] == math.sqrt(q)
         if scale < 1.0:
-            assert res["exchange_failures"] == [(S, T, q**0.5)]
+            assert res["exchange_failures"] == [(S, T, math.sqrt(q))]
         else:
             assert not res["exchange_failures"]
-
-    def test_earlier_blocks_within_reach_are_rooted(self, monkeypatch):
-        # One union per block.  At t = 3 the pairs (A, X) of the first unions
-        # screen at sqrt(LHS), one unit above their float_power beta b, and
-        # the pairs (B, Y) of the last two unions measure exactly one unit
-        # below b, within SCREEN_RTOL of the screen: the largest beta is b.
-        b = self.LHS**0.5
-        A, B = (0, 1, 2), (2, 5, 6)
-        table = {W: 1.0 for W in combinations(range(7), 3)}
-        table[A], table[B] = self.LHS, math.nextafter(b, 0.0) ** 2
-        assert np.sqrt(table[B]) == table[B] ** 0.5 == math.nextafter(b, 0.0)
-        monkeypatch.setattr(exchange, "PAIR_BLOCK", 1)
-        assert verify_exchange_all_pairs(TableDistribution(7, 3, table))["max_measured_beta"] == b
-
-    def test_screen_root_within_margin(self):
-        q = np.random.default_rng(0).lognormal(0.0, 20.0, size=10_000)
-        edges = np.array([e for e in TestPairVerdictEdges.EDGES if not e < 0.0])
-        for x in (q, edges, np.array([self.LHS])):
-            with np.errstate(invalid="ignore"):
-                assert within_screen(_screen_root(x, 2), _root(x, 2))
-            assert _screen_root(x, 1) is _root(x, 1) is x
-
-    @pytest.mark.parametrize("t", [1, 2, 3, 4])
-    @pytest.mark.parametrize("r", [1, 2])
-    def test_screened_verdict_matches_exact(self, t, r):
-        rng = np.random.default_rng(10 * t + r)
-        for size in (1, 64, 5000):
-            lhs = rng.choice(TestPairVerdictEdges.EDGES, size)
-            maxima = [rng.choice(TestPairVerdictEdges.EDGES, size) for _ in range(t + 1)]
-            want, want_flags = with_fp_flags(_pair_verdict, lhs, maxima, 16.0, r)
-            got, got_flags = with_fp_flags(_pair_verdict, lhs, maxima, 16.0, r, None, _screen_root)
-            assert np.array_equal(got[0], want[0]) and got_flags == want_flags
-            assert within_screen(got[1], want[1])
-        # lognormal ratios, where the screen and the root differ in the last bit
-        lhs, maxima = rng.lognormal(0.0, 20.0, 5000), [rng.lognormal(0.0, 20.0, 5000) for _ in range(t + 1)]
-        got, want = (_pair_verdict(lhs, maxima, 16.0, r, None, root)[1] for root in (_screen_root, _root))
-        assert within_screen(got, want)
-        if min(r, t) == 2:
-            assert (got != want).any()
 
 
 class TestDistanceTables:
