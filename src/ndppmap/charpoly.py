@@ -14,11 +14,11 @@ over its one-element extensions instead.
 
 step_marginals prices the marginal of S u {i} for every i outside S from one
 conditioning on S, as the diagonal of one polynomial in L^S for every
-t = k - |S|: its coefficients are the e_j of L^S (no spectrum at t <= 2,
-one eigvals at t >= 3), and it reads no eigenvector.  Only where the
-polynomial's terms would cancel past POLYNOMIAL_ERROR_LIMIT, at t >= 3 on a
-wide spectrum with t near its numerical rank, does the step take one
-eigendecomposition of L^S instead.
+t = k - |S|: one loop forms its terms and reads each coefficient e_j of L^S
+off its own products, so it reads no spectrum and no eigenvector.  Only
+where the polynomial's terms would cancel past POLYNOMIAL_ERROR_LIMIT, at
+t >= 3 on a wide spectrum with t near its numerical rank, does the step
+take one eigendecomposition of L^S instead.
 """
 
 from __future__ import annotations
@@ -102,11 +102,10 @@ def step_marginals(K: Kernel, S, k):
 
         det(L_S) * (M A_{t-1})_ii.
 
-    At t = 1 that is det(L_S) M_ii, and at t = 2 det(L_S)(tr(M) M_ii - (M^2)_ii);
-    only t >= 3 takes e_1..e_{t-1} from one eigvals of M, and no eigenvector
-    is read.  Where that polynomial loses accuracy (see _polynomial_step),
-    the step is priced from one eigendecomposition M = V diag(lam) V^-1 by
-    Jacobi's identity for the minors of I + xM:
+    The loop that forms A_j reads e_j = tr(M A_{j-1}) / j off its own product,
+    so no spectrum is read.  Where that polynomial loses accuracy (see
+    _polynomial_step), the step is priced from one eigendecomposition
+    M = V diag(lam) V^-1 by Jacobi's identity for the minors of I + xM:
 
         det(L_S) * sum_j V_ij (V^-1)_ji lam_j e_{t-1}(lam without lam_j).
     """
@@ -133,24 +132,22 @@ def _polynomial_step(M, det_S, t):
     """det(L_S) * diag(M A_{t-1}), or None at t >= 3 when its estimated
     rounding error is above POLYNOMIAL_ERROR_LIMIT of its largest value.
 
-    An error made in A_j grows by up to rho = max |lam| in each later
-    product, so the estimate is eps (rho^t + sum_j rho^(t-j) max |A_j|).
-    It stays near eps while the values are as large as rho^t, and not when
-    t nears the numerical rank of a wide spectrum (a low-rank kernel at k
-    near d, or k near n), where the polynomial's terms cancel.  Overflow is
-    silent, since non-finite values give None."""
+    One loop forms A_j = e_j I - M A_{j-1}, reading j e_j = tr(M A_{j-1}) off
+    its own product (Newton's identities).  An error made in A_j grows by up
+    to max |lam| <= rho = ||M^2||_F^(1/2) in each later product (|lam|^2 is an
+    eigenvalue modulus of M^2, at most its Frobenius norm), so the estimate
+    is eps (rho^t + sum_j rho^(t-j) max |A_j|).  It stays near eps while the
+    values are as large as rho^t, and not when t nears the numerical rank of
+    a wide spectrum (a low-rank kernel at k near d, or k near n), where the
+    polynomial's terms cancel.  Overflow is silent, since non-finite values
+    give None."""
     m = len(M)
     with np.errstate(over="ignore", invalid="ignore"):
-        if t <= 2:
-            e, rho = (1.0, np.trace(M)), 0.0
-        else:
-            lam = np.linalg.eigvals(M)
-            e, rho = _elementary(lam, t - 1).real, np.abs(lam).max()
-        A = np.eye(m)
-        growth = rho**t
+        rho = np.sqrt(np.linalg.norm(M @ M)) if t >= 3 else 0.0
+        A, growth = np.eye(m), rho**t
         for j in range(1, t):
             A = -M if j == 1 else -(M @ A)
-            A.flat[:: m + 1] += e[j]
+            A.flat[:: m + 1] -= A.trace() / j
             growth += rho ** (t - j) * np.abs(A).max()
         d = (M * A.T).sum(axis=1)
         limit = POLYNOMIAL_ERROR_LIMIT * np.abs(d).max()

@@ -86,12 +86,13 @@ def map_inference(K: Kernel, k, cfg: SearchConfig | None = None, init="induced")
     """
     if cfg is None:
         cfg = SearchConfig()
-    if not is_npsd(K):
-        raise DomainError("kernel is not nPSD: min eigenvalue of (L+L^T)/2 too negative")
+    k = _whole("k", k)
     if not 1 <= k <= K.n:
         raise DomainError(f"need 1 <= k <= n, got k={k}, n={K.n}")
     if init not in ("induced", "standard"):
         raise DomainError(f"unknown init {init!r}")
+    if not is_npsd(K):
+        raise DomainError("kernel is not nPSD: min eigenvalue of (L+L^T)/2 too negative")
     t0 = time.perf_counter()
     mu = KernelDistribution(K, k)
     g = induced_greedy(mu) if init == "induced" else standard_greedy(mu)

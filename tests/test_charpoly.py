@@ -327,7 +327,7 @@ class TestHighPrecisionOracle:
     def test_step_marginals(self, make, S, k):
         # The argmax decides the greedy's pick; the median candidate lies well
         # below it. Both are the diagonal of one polynomial in L^S, whose
-        # coefficients take one eigvals at t >= 3 and no spectrum at t <= 2.
+        # coefficients the step reads off its own products, at every t.
         K = make()
         cands, vals = step_marginals(K, S, k)
         median = int(np.argsort(vals)[len(vals) // 2])
@@ -351,6 +351,49 @@ class TestStepMarginalsRoute:
         assert eigs == [39]
         want = [superset_marginal(K, (5, i), 10) for i in cands]
         assert np.abs(np.subtract(vals, want)).max() <= 1e-12 * max(map(abs, want))
+
+
+def exact_rho_refuses(M, t):
+    """The guard with e_j from one eigvals of M and rho its exact spectral
+    radius: eps (rho^t + sum_j rho^(t-j) max |A_j|) above the limit."""
+    lam = np.linalg.eigvals(M)
+    e, rho = charpoly._elementary(lam, t - 1).real, np.abs(lam).max()
+    m, A, growth = len(M), np.eye(len(M)), rho**t
+    for j in range(1, t):
+        A = -M if j == 1 else -(M @ A)
+        A.flat[:: m + 1] += e[j]
+        growth += rho ** (t - j) * np.abs(A).max()
+    limit = charpoly.POLYNOMIAL_ERROR_LIMIT * np.abs((M * A.T).sum(axis=1)).max()
+    return not np.finfo(float).eps * growth <= limit
+
+
+class TestStepMarginalsGuard:
+    @pytest.mark.parametrize(
+        "make, k",
+        [(lambda s: random_npsd(24, s), 12), (lambda s: lowrank_npsd(40, 10, s), 10)],
+        ids=["dense-n24-k12", "lowrank-n40-d10-k10"],
+    )
+    def test_bound_on_rho_refuses_what_the_exact_rho_refuses(self, make, k):
+        # ||M^2||_F^(1/2) >= rho, so every t >= 3 step along the greedy that
+        # the exact rho refuses is refused too; every accepted step agrees
+        # with superset_marginal.
+        refused = accepted = 0
+        for seed in range(12):
+            K = make(seed)
+            picks = [i for i, _ in induced_greedy(KernelDistribution(K, k)).picks]
+            for t in range(k, 0, -1):
+                S = tuple(sorted(picks[: k - t]))
+                M, det_S = condition_on(K, S)
+                vals = charpoly._polynomial_step(M, det_S, t)
+                if t >= 3 and exact_rho_refuses(M, t):
+                    assert vals is None
+                    refused += 1
+                if vals is not None:
+                    cands = [i for i in range(K.n) if i not in S]
+                    want = np.array([superset_marginal(K, S + (i,), k) for i in cands])
+                    assert np.abs(vals - want).max() <= 1e-13 * np.abs(want).max()
+                    accepted += 1
+        assert refused > 0 and accepted > 0
 
 
 class TestStepMarginalsOverflow:

@@ -102,8 +102,19 @@ class TestStepMarginals:
         trace = induced_greedy(mu)
         assert len(calls) == 5
         assert marginals == []  # a conditioned step prices no candidate on its own
-        assert spectra == [12, 11, 10]  # t = k - |S| <= 2 is priced without a spectrum
+        assert spectra == []  # every step reads its coefficients off its own products
         assert trace.conditioned_steps == 5 and trace.per_candidate_steps == 0
+
+    def test_dense_n400_greedy_reads_no_spectrum(self, monkeypatch):
+        # Every step of this greedy is accepted by the polynomial's guard, so
+        # none takes a spectrum; the picks are pinned.
+        mu = KernelDistribution(random_npsd(400, 1), 8)
+        for name in ("eigvals", "eig"):
+            monkeypatch.setattr(np.linalg, name, lambda *a, name=name: pytest.fail(name))
+        trace = induced_greedy(mu)
+        assert [i for i, _ in trace.picks] == [298, 166, 246, 110, 129, 153, 63, 389]
+        assert trace.final_set == (63, 110, 129, 153, 166, 246, 298, 389)
+        assert trace.conditioned_steps == 8
 
     def test_singular_pin_falls_back(self):
         # A skew-symmetric kernel has a zero diagonal, so L_S of the first

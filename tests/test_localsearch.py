@@ -227,6 +227,14 @@ class TestMapInference:
         with pytest.raises(DomainError, match="k must be an integer"):
             map_inference(random_npsd(6, 1), 2.5)
 
+    @pytest.mark.parametrize(
+        "k, init", [(0, "induced"), (7, "induced"), (2.5, "induced"), (2, "best")]
+    )
+    def test_cheap_checks_come_before_is_npsd(self, monkeypatch, k, init):
+        monkeypatch.setattr(localsearch, "is_npsd", lambda K: pytest.fail("is_npsd"))
+        with pytest.raises(DomainError):
+            map_inference(random_npsd(6, 1), k, init=init)
+
     def test_rejects_non_npsd(self):
         with pytest.raises(DomainError):
             map_inference(Kernel(np.array([[0.0, 2.0], [0.0, 0.0]])), 1)
